@@ -32,6 +32,7 @@ from .filters import (
     VerificationReport,
     verify_complementary,
     verify_filter,
+    worst_residual,
 )
 from .multiplicity import (
     MultiplicityFunction,
@@ -544,7 +545,7 @@ class TensorGMRA:
                 "tensor verification needs constant factor multiplicities"
             )
         f1, f2 = self.factors
-        worst = 0.0
+        devs = []
         for s in range(grid):
             for t in range(grid):
                 x, y = Fraction(s, grid), Fraction(t, grid)
@@ -556,9 +557,8 @@ class TensorGMRA:
                             f2.H.value_at(z2)[: f2.m.max_value(), : f2.m.max_value()],
                         )
                         acc += val @ val.conj().T
-                worst = max(
-                    worst, float(np.abs(acc - self.N * np.eye(c)).max())
-                )
+                devs.append(float(np.abs(acc - self.N * np.eye(c)).max()))
+        worst = worst_residual(devs)
         return VerificationReport(
             passed=worst <= tol,
             max_residual=worst,

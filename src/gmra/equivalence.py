@@ -450,6 +450,15 @@ def _polar_unitary(M: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _grid_blocks(H: FilterMatrix, Hp: FilterMatrix, r: int, grid: int):
+    """The upper-left r x r blocks of H and H' at t/grid, as (grid, r, r) stacks."""
+    ts = np.arange(grid)
+    return tuple(
+        np.ascontiguousarray(F.sample(ts, grid)[:r, :r].transpose(2, 0, 1))
+        for F in (H, Hp)
+    )
+
+
 def constant_multiplier_search(
     H: FilterMatrix,
     Hp: FilterMatrix,
@@ -469,15 +478,13 @@ def constant_multiplier_search(
     r = H.m.max_value()
     if H.m != MultiplicityFunction.constant(r) or r == 0:
         return None
-    hv = [H.value_at(Fraction(t, grid))[:r, :r] for t in range(grid)]
-    hpv = [Hp.value_at(Fraction(t, grid))[:r, :r] for t in range(grid)]
+    hv, hpv = _grid_blocks(H, Hp, r, grid)
+    hv_h = hv.conj().transpose(0, 2, 1)
+    hpv_h = hpv.conj().transpose(0, 2, 1)
     rng = np.random.default_rng(seed)
 
     def objective(X, Y):
-        return max(
-            float(np.abs(X @ hv[t] @ Y.conj().T - hpv[t]).max())
-            for t in range(grid)
-        )
+        return float(np.abs(X @ hv @ Y.conj().T - hpv).max())
 
     starts = [np.eye(r, dtype=complex)]
     for _ in range(restarts - 1):
@@ -488,8 +495,8 @@ def constant_multiplier_search(
         Y = X.copy()
         best = objective(X, Y)
         for _ in range(iters):
-            X = _polar_unitary(sum(hpv[t] @ Y @ hv[t].conj().T for t in range(grid)))
-            Y = _polar_unitary(sum(hpv[t].conj().T @ X @ hv[t] for t in range(grid)))
+            X = _polar_unitary((hpv @ Y @ hv_h).sum(axis=0))
+            Y = _polar_unitary((hpv_h @ X @ hv).sum(axis=0))
             cur = objective(X, Y)
             if cur >= best - 1e-14:
                 best = min(best, cur)
@@ -520,27 +527,24 @@ def grid_coboundary_search(
     r = H.m.max_value()
     if H.m != MultiplicityFunction.constant(r) or r == 0:
         return math.inf, None
-    N = H.e.N
-    hv = [H.value_at(Fraction(t, grid))[:r, :r] for t in range(grid)]
-    hpv = [Hp.value_at(Fraction(t, grid))[:r, :r] for t in range(grid)]
-    up = [(N * t) % grid for t in range(grid)]
+    hv, hpv = _grid_blocks(H, Hp, r, grid)
+    up = (H.e.N * np.arange(grid)) % grid
+    preimages = [[] for _ in range(grid)]
+    for p in range(grid):
+        preimages[up[p]].append(p)
     rng = np.random.default_rng(seed)
 
     def residual(A):
-        return max(
-            float(np.abs(A[up[t]] @ hv[t] @ A[t].conj().T - hpv[t]).max())
-            for t in range(grid)
-        )
+        return float(np.abs(A[up] @ hv @ A.conj().transpose(0, 2, 1) - hpv).max())
 
     def sweep_from(start):
-        A = [start.copy() for _ in range(grid)]
+        A = np.repeat(start[None], grid, axis=0)
         best = residual(A)
         for _ in range(sweeps):
             for t in range(grid):
                 acc = (hpv[t].conj().T @ A[up[t]] @ hv[t]).conj().T
-                for p in range(grid):
-                    if up[p] == t:
-                        acc = acc + hpv[p] @ A[p] @ hv[p].conj().T
+                for p in preimages[t]:
+                    acc = acc + hpv[p] @ A[p] @ hv[p].conj().T
                 if np.abs(acc).max() > 0:
                     A[t] = _polar_unitary(acc)
             cur = residual(A)

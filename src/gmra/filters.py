@@ -19,10 +19,22 @@ import numpy as np
 
 from .errors import CompletionFailed, ContextMismatch, NotUnitary
 from .multiplicity import MultiplicityFunction, compute_mtilde, sigma_sets
-from .torus import TorusEndomorphism, TorusSet
+from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly, compose_endomorphism, fold
 
 DEFAULT_TOL = 1e-9
+
+
+def worst_residual(values) -> float:
+    """The largest of some nonnegative residuals (0.0 for none); NaN if any is NaN.
+
+    Python's ``max`` drops a NaN unless it comes first; numpy's keeps it, and
+    a NaN or inf result fails every ``<= tol`` test, so a report built on
+    this fails closed.
+    """
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=float)
+    return float(values.max(initial=0.0))
 
 
 @dataclass
@@ -38,7 +50,7 @@ class VerificationReport:
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         return VerificationReport(
             passed=self.passed and other.passed,
-            max_residual=max(self.max_residual, other.max_residual),
+            max_residual=worst_residual([self.max_residual, other.max_residual]),
             tolerance=self.tolerance,
             identities={**self.identities, **other.identities},
             violations=self.violations + other.violations,
@@ -108,11 +120,16 @@ class FilterMatrix:
             dtype=complex,
         )
 
+    def sample(self, ps: np.ndarray, den: int) -> np.ndarray:
+        """Entry values at the grid points p/den, shape (rows, cols, len(ps))."""
+        out = np.zeros((self.rows, self.cols, len(ps)), dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, h in enumerate(row):
+                out[i, j] = h.sample(ps, den)
+        return out
+
     def is_scalar(self) -> bool:
         return self.rows == 1 and self.cols == 1
-
-    def conj_transpose_value_at(self, x) -> np.ndarray:
-        return self.value_at(x).conj().T
 
 
 def same_context(a: FilterMatrix, b: FilterMatrix) -> bool:
@@ -185,7 +202,7 @@ def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationRepo
             else:
                 target = TrigPoly.zero()
             identities[f"rows({i + 1},{k + 1})"] = _pair_residual(H, H, i, k, target)
-    max_residual = max(identities.values(), default=0.0)
+    max_residual = worst_residual(identities.values())
     return VerificationReport(
         passed=not violations and max_residual <= tol,
         max_residual=max_residual,
@@ -219,7 +236,7 @@ def verify_complementary(
     for k in range(G.rows):
         for i in range(H.rows):
             identities[f"gh({k + 1},{i + 1})"] = _pair_residual(G, H, k, i, zero)
-    max_residual = max(identities.values(), default=0.0)
+    max_residual = worst_residual(identities.values())
     return VerificationReport(
         passed=not violations and max_residual <= tol,
         max_residual=max_residual,
@@ -238,24 +255,21 @@ def check_block_unitary(A: FilterMatrix, grid: int = 128) -> float:
     At each grid point the upper-left m(w) x m(w) block must be unitary and
     everything outside it zero.
     """
-    worst = 0.0
+    ts = np.arange(grid)
+    dims = A.m.sample(ts, grid)
     size = max(A.rows, A.cols)
-    for t in range(grid):
-        x = Fraction(t, grid)
-        r = A.m.value_at(x)
-        val = np.zeros((size, size), dtype=complex)
-        val[: A.rows, : A.cols] = A.value_at(x)
-        block = val[:r, :r]
+    vals = np.zeros((grid, size, size), dtype=complex)
+    vals[:, : A.rows, : A.cols] = A.sample(ts, grid).transpose(2, 0, 1)
+    devs = []
+    for r in np.unique(dims):
+        at = vals[dims == r]
         if r:
-            worst = max(
-                worst,
-                float(np.abs(block @ block.conj().T - np.eye(r)).max()),
-            )
-        outside = val.copy()
-        outside[:r, :r] = 0
-        if outside.size:
-            worst = max(worst, float(np.abs(outside).max()))
-    return worst
+            block = at[:, :r, :r]
+            devs.append(np.abs(block @ block.conj().transpose(0, 2, 1) - np.eye(r)).max())
+        outside = at.copy()
+        outside[:, :r, :r] = 0
+        devs.append(np.abs(outside).max())
+    return worst_residual(devs)
 
 
 def conjugate_filter(
@@ -269,7 +283,7 @@ def conjugate_filter(
     if not same_context(A, H):
         raise ContextMismatch("multiplier and filter contexts differ")
     dev = check_block_unitary(A, grid=grid)
-    if dev > max(tol, 1e-7):
+    if not dev <= max(tol, 1e-7):  # a NaN deviation fails too
         raise NotUnitary(f"multiplier fails block unitarity by {dev:.3g}")
     size = max(A.rows, A.cols, H.rows, H.cols)
 
@@ -343,6 +357,55 @@ class GridFilterMatrix:
         return self.samples.shape[1]
 
 
+def _grid_residuals(Gq: np.ndarray, Hq: np.ndarray, mt: np.ndarray, N: int):
+    """Worst gg and gh residuals of the complementary identities on a grid.
+
+    ``Gq`` and ``Hq`` hold samples as (rows, cols, k, t): entry values at
+    the k-th preimage (t + k*grid)/(N*grid) of the quotient point t/grid.
+    At each t, G G* must be N on the first mt(t) diagonal slots and 0
+    elsewhere, and G H* must vanish.  Taken GRID_BLOCK points at a time.
+    """
+    slot = np.arange(Gq.shape[0])
+    gg, gh = [], []
+    for a in range(0, Gq.shape[-1], GRID_BLOCK):
+        g = Gq[..., a : a + GRID_BLOCK]
+        gram = np.einsum("ajkt,bjkt->tab", g, g.conj())
+        live = slot[:, None] < mt[a : a + GRID_BLOCK, None, None]
+        gg.append(worst_residual(np.abs(gram - N * ((slot[:, None] == slot) & live))))
+        cross = np.einsum("ajkt,bjkt->tab", g, Hq[..., a : a + GRID_BLOCK].conj())
+        gh.append(worst_residual(np.abs(cross)))
+    return worst_residual(gg), worst_residual(gh)
+
+
+def _complete_run(basis: np.ndarray, mw: int, mt: int, pivot_tol: float) -> np.ndarray:
+    """Fill slots mw.. of ``basis`` (points, mw + mt, dim) by Gram-Schmidt.
+
+    The first mw slots hold the orthonormal rows at each point.  For each
+    canonical vector e_d in turn, projected off the filled slots twice, a
+    point whose residual norm exceeds ``pivot_tol`` takes it as its next
+    row until it has mt; slots not yet filled are zero and project nothing
+    off, so every point follows the pointwise pivot rule.  Returns the
+    number of rows found at each point.
+    """
+    points, slots, dim = basis.shape
+    found = np.zeros(points, dtype=int)
+    for d in range(dim):
+        open_ = found < mt
+        if not open_.any():
+            break
+        u = np.zeros((points, dim), dtype=complex)
+        u[:, d] = 1.0
+        for _ in range(2):  # twice for numerical stability
+            for v in range(slots):
+                vec = basis[:, v]
+                u -= np.einsum("pd,pd->p", vec.conj(), u)[:, None] * vec
+        norms = np.linalg.norm(u, axis=1)
+        take = np.flatnonzero(open_ & (norms > pivot_tol))
+        basis[take, mw + found[take]] = u[take] / norms[take, None]
+        found[take] += 1
+    return found
+
+
 def complement_numeric(
     H: FilterMatrix,
     grid: int = 256,
@@ -358,6 +421,10 @@ def complement_numeric(
     index whose residual norm exceeds pivot_tol) until mtilde(w) extra rows
     are found; the complementary samples are the completions scaled back by
     sqrt(N).
+
+    H is sampled once on the fine grid of preimages, and each run of
+    consecutive quotient points sharing m(w), mtilde(w) and the allowed
+    coordinates is completed in one batch.
     """
     _check_dims(H)
     N = H.e.N
@@ -366,79 +433,56 @@ def complement_numeric(
     cols = H.cols
     g_rows = max(mtilde.max_value(), 1)
     fine = N * grid
-    samples = np.zeros((g_rows, cols, fine), dtype=complex)
     sqrt_n = math.sqrt(N)
-    max_gg = 0.0
-    max_gh = 0.0
-    for t in range(grid):
-        w = Fraction(t, grid)
-        zs = H.e.preimages(w)
-        mt = mtilde.value_at(w)
-        mw = m.value_at(w)
-        coords = [
-            (j, k)
-            for j in range(cols)
-            for k in range(N)
-            if m.value_at(zs[k]) >= j + 1
-        ]
-        dim = len(coords)
-        if dim != mw + mt:
+    ts = np.arange(grid)
+    mw = m.sample(ts, grid)
+    mt = mtilde.sample(ts, grid)
+    # preimage k of the quotient point t is the fine point t + k*grid
+    m_up = m.sample(np.arange(fine), fine).reshape(N, grid)
+    allowed = m_up[None] > np.arange(cols)[:, None, None]  # (j, k, t)
+    Hq = H.sample(np.arange(fine), fine).reshape(H.rows, cols, N, grid)
+    Gq = np.zeros((g_rows, cols, N, grid), dtype=complex)
+    # runs of quotient points sharing m(w), mtilde(w) and the allowed
+    # coordinates are completed together, in order of t and at most
+    # GRID_BLOCK points at a time
+    changed = (mw[1:] != mw[:-1]) | (mt[1:] != mt[:-1])
+    changed |= (allowed[:, :, 1:] != allowed[:, :, :-1]).any(axis=(0, 1))
+    bounds = sorted({*range(0, grid, GRID_BLOCK), *(np.flatnonzero(changed) + 1).tolist(), grid})
+    gg, gh = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        w_dim, t_dim = int(mw[a]), int(mt[a])
+        js, ks = np.nonzero(allowed[:, :, a])  # coordinates (j, k), j-major
+        dim = len(js)
+        if dim != w_dim + t_dim:
             raise CompletionFailed(
-                f"coordinate count {dim} at w={w} disagrees with m + mtilde = {mw + mt}"
+                f"coordinate count {dim} at w={Fraction(a, grid)} disagrees with "
+                f"m + mtilde = {w_dim + t_dim}"
             )
-        h_rows = np.array(
-            [
-                [H.entry(i, j).evaluate(zs[k]) / sqrt_n for (j, k) in coords]
-                for i in range(mw)
-            ],
-            dtype=complex,
-        ).reshape(mw, dim)
-        chosen: list[np.ndarray] = []
-        for d in range(dim):
-            if len(chosen) == mt:
-                break
-            u = np.zeros(dim, dtype=complex)
-            u[d] = 1.0
-            for _ in range(2):  # twice for numerical stability
-                for v in list(h_rows) + chosen:
-                    u = u - (v.conj() @ u) * v
-            nu = float(np.linalg.norm(u))
-            if nu > pivot_tol:
-                chosen.append(u / nu)
-        if len(chosen) < mt:
+        basis = np.zeros((b - a, dim, dim), dtype=complex)
+        basis[:, :w_dim] = Hq[:w_dim, js, ks, a:b].transpose(2, 0, 1) / sqrt_n
+        found = _complete_run(basis, w_dim, t_dim, pivot_tol)
+        short = np.flatnonzero(found < t_dim)
+        if len(short):
+            t = a + int(short[0])
             raise CompletionFailed(
-                f"completion degenerated at w={w}: found {len(chosen)} of {mt} rows"
+                f"completion degenerated at w={Fraction(t, grid)}: "
+                f"found {found[short[0]]} of {t_dim} rows"
             )
-        for r, u in enumerate(chosen):
-            for (j, k), value in zip(coords, u):
-                samples[r, j, t + k * grid] = value * sqrt_n
-        # residuals of the defining identities at this quotient point
-        for r in range(mt):
-            for r2 in range(r, mt):
-                acc = sum(
-                    samples[r, j, t + k * grid]
-                    * np.conj(samples[r2, j, t + k * grid])
-                    for j in range(cols)
-                    for k in range(N)
-                )
-                want = N if r == r2 else 0.0
-                max_gg = max(max_gg, abs(acc - want))
-            for i in range(mw):
-                acc = sum(
-                    samples[r, j, t + k * grid]
-                    * np.conj(H.entry(i, j).evaluate(zs[k]))
-                    for j in range(cols)
-                    for k in range(N)
-                )
-                max_gh = max(max_gh, abs(acc))
-    residual = float(max(max_gg, max_gh))
+        for r in range(t_dim):
+            Gq[r, js, ks, a:b] = basis[:, w_dim + r].T * sqrt_n
+        # the rows of H active on this run enter the gh residual
+        run_gg, run_gh = _grid_residuals(Gq[..., a:b], Hq[:w_dim, ..., a:b], mt[a:b], N)
+        gg.append(run_gg)
+        gh.append(run_gh)
+    max_gg, max_gh = worst_residual(gg), worst_residual(gh)
+    residual = worst_residual([max_gg, max_gh])
     report = VerificationReport(
         passed=bool(residual <= tol),
         max_residual=residual,
         tolerance=tol,
-        identities={"gg_grid": float(max_gg), "gh_grid": float(max_gh)},
+        identities={"gg_grid": max_gg, "gh_grid": max_gh},
     )
-    G = GridFilterMatrix(fine, samples, m, H.e, "mtilde")
+    G = GridFilterMatrix(fine, Gq.reshape(g_rows, cols, fine), m, H.e, "mtilde")
     return G, report
 
 
@@ -450,35 +494,15 @@ def verify_complementary_grid(
         raise ContextMismatch("grid filter context differs from H")
     N = H.e.N
     grid = G.grid // N
-    mtilde = compute_mtilde(H.m, H.e)
-    max_gg = 0.0
-    max_gh = 0.0
-    for t in range(grid):
-        w = Fraction(t, grid)
-        zs = H.e.preimages(w)
-        mt = mtilde.value_at(w)
-        for r in range(G.rows):
-            for r2 in range(r, G.rows):
-                acc = sum(
-                    G.samples[r, j, t + k * grid]
-                    * np.conj(G.samples[r2, j, t + k * grid])
-                    for j in range(G.cols)
-                    for k in range(N)
-                )
-                want = N if (r == r2 and r < mt) else 0.0
-                max_gg = max(max_gg, abs(acc - want))
-            for i in range(H.rows):
-                acc = sum(
-                    G.samples[r, j, t + k * grid]
-                    * np.conj(H.entry(i, j).evaluate(zs[k]))
-                    for j in range(G.cols)
-                    for k in range(N)
-                )
-                max_gh = max(max_gh, abs(acc))
-    residual = float(max(max_gg, max_gh))
+    fine = N * grid
+    mt = compute_mtilde(H.m, H.e).sample(np.arange(grid), grid)
+    Gq = G.samples[:, :, :fine].reshape(G.rows, G.cols, N, grid)
+    Hq = H.sample(np.arange(fine), fine)[:, : G.cols].reshape(H.rows, G.cols, N, grid)
+    max_gg, max_gh = _grid_residuals(Gq, Hq, mt, N)
+    residual = worst_residual([max_gg, max_gh])
     return VerificationReport(
         passed=bool(residual <= tol),
         max_residual=residual,
         tolerance=tol,
-        identities={"gg_grid": float(max_gg), "gh_grid": float(max_gh)},
+        identities={"gg_grid": max_gg, "gh_grid": max_gh},
     )

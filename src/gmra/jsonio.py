@@ -10,6 +10,7 @@ and key order is fixed, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,8 @@ def parse_trigpoly(data, path="entry") -> TrigPoly:
                 coef = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
             except (TypeError, ValueError):
                 raise ProblemFileError(there, "re/im must be numbers") from None
+            if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
+                raise ProblemFileError(there, f"re/im must be finite, got {coef}")
             terms.append((freq, coef))
         # wrap the declared interval into [0, 1) pieces, same terms on each
         for a, b in TorusSet.interval(lo, hi).intervals:

@@ -7,16 +7,21 @@ dilation preimages: consistency demands
     m(w) <= sum over the N preimages z of w of m(z),
 
 and the complementary multiplicity is the (nonnegative) difference.
-All computations refine partitions exactly; nothing is sampled.
+All computations refine partitions exactly; the grid sampler reads values
+at points p/q in integer arithmetic, so it is exact too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConsistencyViolated
-from .torus import ONE, ZERO, TorusEndomorphism, TorusSet, mod1
+from .torus import ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1
 
 
 def _normalize_pieces(raw):
@@ -59,12 +64,32 @@ class MultiplicityFunction:
             return MultiplicityFunction()
         return MultiplicityFunction(((ZERO, ONE, int(value)),))
 
-    def value_at(self, x) -> int:
-        x = mod1(x)
+    @cached_property
+    def _cells(self) -> tuple[list[Fraction], list[int]]:
+        """The partition of [0, 1) into cells [cuts[i], cuts[i+1]) and their values."""
+        cuts, values = [], []
+        cursor = ZERO
         for lo, hi, value in self.pieces:
-            if lo <= x < hi:
-                return value
-        return 0
+            if lo > cursor:
+                cuts.append(cursor)
+                values.append(0)
+            cuts.append(lo)
+            values.append(value)
+            cursor = hi
+        if cursor < ONE:
+            cuts.append(cursor)
+            values.append(0)
+        return cuts, values
+
+    def value_at(self, x) -> int:
+        cuts, values = self._cells
+        return values[bisect_right(cuts, mod1(x)) - 1]
+
+    def sample(self, ps: np.ndarray, den: int) -> np.ndarray:
+        """Values at the grid points p/den for integers p, exactly, as int64."""
+        cuts, values = self._cells
+        ps = np.mod(np.asarray(ps, dtype=np.int64), den)
+        return np.array(values, dtype=np.int64)[grid_cells(cuts, ps, den)]
 
     def max_value(self) -> int:
         return max((v for _, _, v in self.pieces), default=0)

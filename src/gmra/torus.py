@@ -13,13 +13,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# grid points handled per numpy batch: bounds temporaries, not results
+GRID_BLOCK = 1024
 
 
 def mod1(x) -> Fraction:
     """Reduce a rational to the fundamental domain [0, 1)."""
     return Fraction(x) % 1
+
+
+def grid_cells(cuts, ps: np.ndarray, den: int) -> np.ndarray:
+    """Index i of the cell [cuts[i], cuts[i+1]) holding each grid point p/den.
+
+    ``cuts`` ascend from 0 and ``ps`` lie in [0, den).  Since p/den >= c
+    exactly when p >= ceil(c*den), comparing the integers p against the
+    integer thresholds ceil(c*den) keeps the half-open rule at breakpoints
+    without rounding.
+    """
+    thresholds = np.array(
+        [-((-c.numerator * den) // c.denominator) for c in cuts], dtype=np.int64
+    )
+    return np.searchsorted(thresholds, ps, side="right") - 1
 
 
 def _normalize_segments(raw) -> tuple[tuple[Fraction, Fraction], ...]:

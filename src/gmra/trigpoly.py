@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .torus import ONE, ZERO, TorusEndomorphism, TorusSet, mod1
+from .torus import GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1
 
 _QUARTER = Fraction(1, 4)
+_QUARTER_PHASES = np.array([1, 1j, -1, -1j])
 
 
 def unit_phase(q) -> complex:
@@ -32,6 +33,33 @@ def unit_phase(q) -> complex:
         return 1j if q == _QUARTER else -1j
     t = math.tau * float(q)
     return complex(math.cos(t), math.sin(t))
+
+
+def _grid_phase(nu: Fraction, ps: np.ndarray, den: int) -> np.ndarray:
+    """e^(2*pi*i*nu*p/den) at integers p, with the values of ``unit_phase``.
+
+    The turn nu*p/den is reduced exactly to r/(b*den), r = (a*p) mod (b*den)
+    for nu = a/b, in int64; quarter turns come out exactly 1, i, -1, -i.
+    Where int64 could overflow or r/(b*den) would not convert exactly to a
+    float, the points go through ``unit_phase`` one by one.
+    """
+    a, b = nu.numerator, nu.denominator
+    period = b * den
+    if abs(a) * den >= 2**62 or period >= 2**53:
+        return np.array(
+            [unit_phase(Fraction(a * int(p), period)) for p in ps], dtype=complex
+        )
+    r = a * ps
+    r %= period
+    turn = r / period
+    turn *= math.tau
+    out = np.empty(r.shape, dtype=complex)
+    np.cos(turn, out=out.real)
+    np.sin(turn, out=out.imag)
+    r *= 4
+    exact = r % period == 0
+    out[exact] = _QUARTER_PHASES[r[exact] // period]
+    return out
 
 
 Terms = tuple[tuple[Fraction, complex], ...]
@@ -180,8 +208,25 @@ class TrigPoly:
                 return sum((c * unit_phase(nu * x) for nu, c in terms), 0j)
         raise AssertionError("canonical pieces cover [0,1)")
 
-    def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation at real points (reduced mod 1)."""
+    def sample(self, xs: np.ndarray, den: int | None = None) -> np.ndarray:
+        """Vectorized evaluation at many points.
+
+        With ``den``, ``xs`` is a 1-d array of integers p and the points are
+        exactly p/den: pieces are located and phases reduced in integer
+        arithmetic (see ``grid_cells`` and ``_grid_phase``), so the values
+        are those of ``evaluate`` up to rounding in cos/sin.  Points go
+        through in blocks of ``GRID_BLOCK``, so temporaries stay small at
+        any grid size.  Without ``den``, ``xs`` are real points (reduced
+        mod 1) evaluated in floating point.
+        """
+        if den is not None:
+            ps = np.asarray(xs, dtype=np.int64)
+            out = np.empty(ps.shape, dtype=complex)
+            for start in range(0, len(ps), GRID_BLOCK):
+                out[start : start + GRID_BLOCK] = self._sample_grid(
+                    ps[start : start + GRID_BLOCK], den
+                )
+            return out
         xs = np.asarray(xs, dtype=float) % 1.0
         out = np.zeros(xs.shape, dtype=complex)
         for lo, hi, terms in self.pieces:
@@ -192,6 +237,25 @@ class TrigPoly:
             for nu, c in terms:
                 acc += c * np.exp(2j * math.pi * float(nu) * xs[mask])
             out[mask] = acc
+        return out
+
+    def _sample_grid(self, ps: np.ndarray, den: int) -> np.ndarray:
+        ps = np.mod(ps, den)
+        cells = grid_cells([lo for lo, _, _ in self.pieces], ps, den)
+        out = np.zeros(ps.shape, dtype=complex)
+        for index, (_, _, terms) in enumerate(self.pieces):
+            if not terms:
+                continue
+            here = cells == index
+            if not here.any():
+                continue
+            at = ps[here]
+            acc = np.zeros(at.shape, dtype=complex)
+            for nu, c in terms:
+                phase = _grid_phase(nu, at, den)
+                phase *= c
+                acc += phase
+            out[here] = acc
         return out
 
     # ---- structure -------------------------------------------------------
@@ -221,9 +285,6 @@ class TrigPoly:
 
     def equal_within(self, other: "TrigPoly", tol: float) -> bool:
         return self.deviation_from(other) <= tol
-
-    def piece_lipschitz(self, terms: Terms) -> float:
-        return sum(abs(c) * math.tau * abs(float(nu)) for nu, c in terms)
 
     def constant_value(self, tol: float):
         """The constant this function equals everywhere, or None."""

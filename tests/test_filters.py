@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 
 from gmra import catalog
-from gmra.errors import ContextMismatch, NotUnitary
+from gmra.errors import CompletionFailed, ContextMismatch, NotUnitary
 from gmra.filters import (
     FilterMatrix,
+    VerificationReport,
     complement_numeric,
     conjugate_filter,
     identity_multiplier,
     verify_complementary,
     verify_complementary_grid,
     verify_filter,
+    worst_residual,
 )
+from gmra.ruelle import cuntz_check
 from gmra.multiplicity import MultiplicityFunction, sigma_sets
 from gmra.torus import TorusEndomorphism
 from gmra.trigpoly import TrigPoly, integrate
@@ -174,3 +177,50 @@ class TestComplementNumeric:
         f = SectionVector.canonical(tuple(entry.G.row_sets), 0)
         out = apply_S_grid(G, f)
         assert abs(out.norm_estimate() - f.norm()) < 1e-6
+
+
+class TestNonFiniteFailsClosed:
+    @staticmethod
+    def nan_haar():
+        entry = catalog.get("haar")
+        h = entry.H.entry(0, 0) + poly((2, complex(math.nan, 0.0)))
+        return entry, scalar_filter(h)
+
+    def test_worst_residual_keeps_nan_and_inf(self):
+        assert math.isnan(worst_residual([0.0, math.nan, 1.0]))
+        assert worst_residual([0.5, math.inf]) == math.inf
+        assert worst_residual([]) == 0.0
+
+    def test_nan_in_a_grid_sample(self):
+        entry = catalog.get("haar")
+        G, _ = complement_numeric(entry.H, grid=32)
+        assert verify_complementary_grid(G, entry.H).passed
+        G.samples[0, 0, 5] = math.nan
+        rep = verify_complementary_grid(G, entry.H)
+        assert not rep.passed and math.isnan(rep.max_residual)
+
+    def test_nan_in_a_filter_entry(self):
+        entry, H = self.nan_haar()
+        assert not verify_filter(H).passed
+        assert not cuntz_check(H, entry.G, trials=0).passed
+        with pytest.raises(CompletionFailed):
+            complement_numeric(H, grid=16)
+
+    def test_nan_in_a_later_identity(self):
+        # gg(1,1) comes first and is finite; only gh(1,1) is NaN
+        entry, H = self.nan_haar()
+        rep = verify_complementary(entry.G, H)
+        assert list(rep.identities) == ["gg(1,1)", "gh(1,1)"]
+        assert rep.identities["gg(1,1)"] < 1e-12
+        assert math.isnan(rep.identities["gh(1,1)"])
+        assert not rep.passed and math.isnan(rep.max_residual)
+
+    def test_merge_keeps_nan(self):
+        ok = VerificationReport(passed=True, max_residual=0.0, tolerance=1e-9)
+        bad = VerificationReport(passed=False, max_residual=math.nan, tolerance=1e-9)
+        assert math.isnan(ok.merge(bad).max_residual)
+
+    def test_nan_multiplier_is_not_unitary(self):
+        A = scalar_filter(poly((0, complex(math.nan, 0.0))))
+        with pytest.raises(NotUnitary):
+            conjugate_filter(catalog.get("haar").H, A)

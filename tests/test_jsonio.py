@@ -116,6 +116,25 @@ class TestProblemFiles:
         assert "options.bogus" in str(info.value)
 
 
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "-inf"])
+    def test_rejected_at_the_term(self, bad):
+        data = {"pieces": [{"interval": ["0", "1"], "terms": [{"freq": "0", "re": 1.0, "im": bad}]}]}
+        with pytest.raises(ProblemFileError) as info:
+            parse_trigpoly(data, "filters.H[0][0]")
+        assert info.value.path == "filters.H[0][0].pieces[0].terms[0]"
+        assert "finite" in str(info.value)
+
+    def test_problem_file_with_nan_rejected(self):
+        data = problem_to_json(catalog.get("haar"))
+        data["filters"]["H"][0][0]["pieces"][0]["terms"][0]["re"] = math.nan
+        text = json.dumps(data)  # writes the bare token NaN, which json.loads accepts
+        assert "NaN" in text
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(json.loads(text))
+        assert info.value.path == "problem.filters.H[0][0].pieces[0].terms[0]"
+
+
 class TestDumping:
     def test_seventeen_digit_floats(self):
         text = dump_json({"x": 1.0 / 3.0})
