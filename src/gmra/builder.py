@@ -220,11 +220,6 @@ class LedgerVector:
     def replace_v0(self, comps) -> "LedgerVector":
         return LedgerVector(tuple(comps), self.w)
 
-    def replace_level(self, n: int, comps) -> "LedgerVector":
-        levels = list(self.w)
-        levels[n] = tuple(comps)
-        return LedgerVector(self.v0, tuple(levels))
-
 
 def conform(g: CanonicalGMRA, v: LedgerVector):
     if len(v.v0) != len(g.v0_slots) or len(v.w) != len(g.w_levels):
@@ -527,13 +522,6 @@ class TensorGMRA:
                 return None
             vals.append(c)
         return math.prod(vals)
-
-    def filter_value(self, point) -> np.ndarray:
-        mats = [f.H.value_at(x) for f, x in zip(self.factors, point)]
-        out = mats[0]
-        for mat in mats[1:]:
-            out = np.kron(out, mat)
-        return out
 
     def verify(self, grid: int = 16, tol: float = 1e-9) -> VerificationReport:
         """Re-check the product filter identity on a grid of pair points."""

@@ -182,7 +182,7 @@ def _cmd_complement(args) -> int:
     if not rep.passed:
         _emit(args, {"filter": _report_json(rep)}, "H fails the filter conditions")
         return EXIT_FAIL
-    grid = args.grid or int(problem.options["grid"])
+    grid = args.grid or problem.options["grid"]
     G, report = complement_numeric(problem.H, grid=grid, tol=args.tol)
     payload = {"report": _report_json(report), "G": grid_filter_to_json(G)}
     _emit(
@@ -248,7 +248,7 @@ def _cmd_construct(args) -> int:
     problem = _load_problem(args.problem)
     _require_filters(problem, need_g=True)
     conv = args.convention
-    depth = args.depth if args.depth is not None else int(problem.options["depth"])
+    depth = args.depth if args.depth is not None else problem.options["depth"]
     try:
         g = builder.build(problem.m, problem.H, problem.G, problem.e, depth=depth, tol=args.tol)
     except GmraError as exc:

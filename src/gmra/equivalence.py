@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -90,6 +91,52 @@ def _rationalize_down(r: float) -> Fraction:
     return Fraction(max(int(math.floor(r * 2**30)), 0), 2**30)
 
 
+def _certified_windows(cells, samples: int):
+    """Yield (window, gap) for the windows on which a pointwise bound holds.
+
+    Each cell is (lo, hi, L, gap_at): the bound is gap_at(x) > 0 and L
+    bounds the Lipschitz constant of gap_at on [lo, hi).  A cell with
+    L = 0 is constant and is decided by one sample.  Otherwise ``samples``
+    midpoints are tried, and a sample x with gap d > 0 certifies the
+    window of radius d / (2 L) around it, rounded down to a multiple of
+    2^-30 and clipped to the cell.
+    """
+    for lo, hi, lipschitz, gap_at in cells:
+        width = hi - lo
+        if lipschitz == 0.0:
+            gap = gap_at(lo + width / 2)
+            if gap > 0:
+                yield (lo, hi), gap
+            continue
+        for s in range(samples):
+            x = lo + width * Fraction(2 * s + 1, 2 * samples)
+            gap = gap_at(x)
+            if not gap > 0:
+                continue
+            r = _rationalize_down(gap / (2 * lipschitz))
+            a, b = max(lo, x - r), min(hi, x + r)
+            if a < b:
+                yield (a, b), gap
+
+
+def _value(terms, x: Fraction) -> complex:
+    return sum((c * unit_phase(nu * x) for nu, c in terms), 0j)
+
+
+def _lipschitz(terms) -> float:
+    """Derivative bound sum |c| * 2*pi*|nu| of the terms of one piece."""
+    return sum(abs(c) * math.tau * abs(float(nu)) for nu, c in terms)
+
+
+def _block_at(block, x: Fraction) -> np.ndarray:
+    return np.array([[_value(t, x) for t in row] for row in block], dtype=complex)
+
+
+def _block_lipschitz(block) -> float:
+    # sorted singular values are 1-Lipschitz in the Frobenius norm
+    return math.sqrt(sum(_lipschitz(t) ** 2 for row in block for t in row))
+
+
 def certified_deviation_set(
     p: TrigPoly, target: complex, margin: float, samples_per_piece: int = 24
 ) -> TorusSet:
@@ -100,66 +147,45 @@ def certified_deviation_set(
     (d - margin) / (2 L) around it, L being the derivative bound
     sum |c| * 2*pi*|nu| of the piece.
     """
-    windows = []
-    for lo, hi, terms in p.pieces:
-        lipschitz = sum(abs(c) * math.tau * abs(float(nu)) for nu, c in terms)
-        if lipschitz == 0.0:
-            value = next((c for nu, c in terms if nu == 0), 0j)
-            if abs(value - target) > margin:
-                windows.append((lo, hi))
-            continue
-        width = hi - lo
-        for s in range(samples_per_piece):
-            x = lo + width * Fraction(2 * s + 1, 2 * samples_per_piece)
-            value = sum((c * _phase(nu, x) for nu, c in terms), 0j)
-            gap = abs(value - target) - margin
-            if gap <= 0:
-                continue
-            r = _rationalize_down(gap / (2 * lipschitz))
-            if r <= 0:
-                continue
-            a, b = max(lo, x - r), min(hi, x + r)
-            if a < b:
-                windows.append((a, b))
-    return TorusSet.from_intervals(windows)
 
+    def gap_at(terms, x):
+        return abs(_value(terms, x) - target) - margin
 
-def _phase(nu: Fraction, x: Fraction) -> complex:
-    return unit_phase(nu * x)
+    cells = ((lo, hi, _lipschitz(terms), partial(gap_at, terms)) for lo, hi, terms in p.pieces)
+    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples_per_piece))
 
 
 # ---- purity ------------------------------------------------------------------
 
 
-def _block_dims_breakpoints(H: FilterMatrix) -> list[Fraction]:
-    # m breakpoints, their dilation preimages (breakpoints of m(N w)), and
-    # every entry breakpoint.
-    points = set(H.m.breakpoints())
-    for b in H.m.breakpoints():
-        points.update((b + k) / H.e.N for k in range(H.e.N))
-    for row in H.entries:
-        for h in row:
-            for lo, hi, _ in h.pieces:
-                points.add(lo)
-                if hi < 1:
-                    points.add(hi)
-    return sorted(points)
+def _matrix_cells(*filters: FilterMatrix):
+    """Yield (lo, hi, blocks) on the common refinement of filters sharing (m, N).
 
-
-def _refined_matrix_pieces(H: FilterMatrix):
-    """Yield (lo, hi, row_dim, col_dim, terms_grid) on a common refinement."""
-    pts = _block_dims_breakpoints(H) + [Fraction(1)]
-    for a, b in zip(pts, pts[1:]):
-        if a >= b:
-            continue
+    The cuts are the breakpoints of m, their dilation preimages (the
+    breakpoints of m(N w)) and every entry breakpoint, so the block
+    dimensions m(N w) x m(w) and every entry piece are fixed on a cell.
+    blocks[f] holds the terms of filter f's active block, and is empty
+    when either dimension is zero.
+    """
+    m, e = filters[0].m, filters[0].e
+    points = set(m.breakpoints())
+    for b in m.breakpoints():
+        points.update((b + k) / e.N for k in range(e.N))
+    for F in filters:
+        for row in F.entries:
+            for h in row:
+                points.update(lo for lo, _, _ in h.pieces)
+    cuts = sorted(points) + [Fraction(1)]
+    for a, b in zip(cuts, cuts[1:]):
         mid = (a + b) / 2
-        row_dim = H.m.value_at(H.e.image(mid))
-        col_dim = H.m.value_at(mid)
-        grid = [
-            [_piece_terms(H.entry(i, j), mid) for j in range(H.cols)]
-            for i in range(H.rows)
+        row_dim, col_dim = m.value_at(e.image(mid)), m.value_at(mid)
+        if col_dim == 0:
+            row_dim = 0
+        blocks = [
+            [[_piece_terms(F.entry(i, j), mid) for j in range(col_dim)] for i in range(row_dim)]
+            for F in filters
         ]
-        yield a, b, row_dim, col_dim, grid
+        yield a, b, blocks
 
 
 def _piece_terms(h: TrigPoly, x: Fraction):
@@ -167,14 +193,6 @@ def _piece_terms(h: TrigPoly, x: Fraction):
         if lo <= x < hi:
             return terms
     return ()
-
-
-def _terms_constant(terms) -> complex | None:
-    if not terms:
-        return 0j
-    if len(terms) == 1 and terms[0][0] == 0:
-        return terms[0][1]
-    return None
 
 
 def low_singular_certificate(
@@ -187,41 +205,18 @@ def low_singular_certificate(
     single SVD; trig pieces via sampled SVDs with a Frobenius-Lipschitz
     window.
     """
-    windows = []
-    for a, b, row_dim, col_dim, grid in _refined_matrix_pieces(H):
-        if row_dim == 0 or col_dim == 0:
-            windows.append((a, b))
-            continue
-        block = [[grid[i][j] for j in range(col_dim)] for i in range(row_dim)]
-        consts = [[_terms_constant(t) for t in row] for row in block]
-        if all(c is not None for row in consts for c in row):
-            mat = np.array(consts, dtype=complex)
-            if np.linalg.svd(mat, compute_uv=False).max() < 1.0 - tol:
-                windows.append((a, b))
-            continue
-        lips = math.sqrt(
-            sum(
-                sum(abs(c) * math.tau * abs(float(nu)) for nu, c in t) ** 2
-                for row in block
-                for t in row
-            )
-        )
-        width = b - a
-        for s in range(samples_per_piece):
-            x = a + width * Fraction(2 * s + 1, 2 * samples_per_piece)
-            mat = np.array(
-                [[sum((c * _phase(nu, x) for nu, c in t), 0j) for t in row] for row in block],
-                dtype=complex,
-            )
-            top = float(np.linalg.svd(mat, compute_uv=False).max())
-            gap = (1.0 - tol) - top
-            if gap <= 0:
-                continue
-            r = _rationalize_down(gap / (2 * lips)) if lips > 0 else width
-            lo_w, hi_w = max(a, x - r), min(b, x + r)
-            if lo_w < hi_w:
-                windows.append((lo_w, hi_w))
-    return TorusSet.from_intervals(windows)
+
+    def gap_at(block, x):
+        if not block:
+            return math.inf
+        top = np.linalg.svd(_block_at(block, x), compute_uv=False).max()
+        return (1.0 - tol) - float(top)
+
+    cells = (
+        (a, b, _block_lipschitz(block), partial(gap_at, block))
+        for a, b, (block,) in _matrix_cells(H)
+    )
+    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples_per_piece))
 
 
 def purity_test(
@@ -239,7 +234,7 @@ def purity_test(
     """
     found, lam = is_eigenfilter(H, tol)
     if found:
-        sets = tuple(H.row_sets)
+        sets = H.row_sets
         witness = SectionVector.canonical(sets, 0) if sets else None
         return PurityVerdict(
             NOT_PURE,
@@ -286,69 +281,25 @@ def invariant_check(
                 {"set": cert, "bound": tol},
             )
         return None
-    pieces_h = list(_refined_matrix_pieces(H))
-    pieces_hp = list(_refined_matrix_pieces(Hp))
-    points = sorted(
-        {a for a, *_ in pieces_h}
-        | {a for a, *_ in pieces_hp}
-        | {Fraction(1)}
-    )
     margin = max(tol, 1e-7)
-    for a, b in zip(points, points[1:]):
-        if a >= b:
-            continue
-        mid = (a + b) / 2
-        row_dim = H.m.value_at(H.e.image(mid))
-        col_dim = H.m.value_at(mid)
-        if row_dim == 0 or col_dim == 0:
-            continue
-        blocks = [
-            [
-                [_piece_terms(F.entry(i, j), mid) for j in range(col_dim)]
-                for i in range(row_dim)
-            ]
-            for F in (H, Hp)
-        ]
-        # sorted singular values are 1-Lipschitz in the Frobenius norm, so
-        # a sampled gap certifies a window around the sample
-        lips = sum(
-            math.sqrt(
-                sum(
-                    sum(abs(c) * math.tau * abs(float(nu)) for nu, c in t) ** 2
-                    for row in block
-                    for t in row
-                )
-            )
+
+    def gap_at(blocks, x):
+        sv = [
+            np.sort(np.linalg.svd(_block_at(block, x), compute_uv=False))[::-1]
             for block in blocks
+        ]
+        return float(np.abs(sv[0] - sv[1]).max()) - margin
+
+    cells = (
+        (a, b, sum(_block_lipschitz(block) for block in blocks), partial(gap_at, blocks))
+        for a, b, blocks in _matrix_cells(H, Hp)
+        if blocks[0]
+    )
+    for (a, b), gap in _certified_windows(cells, 16):
+        return Obstruction(
+            SINGULAR_VALUE_MISMATCH,
+            {"set": TorusSet.interval(a, b), "gap": gap + margin},
         )
-        width = b - a
-        for s in range(16):
-            x = a + width * Fraction(2 * s + 1, 32)
-            sv = []
-            for block in blocks:
-                mat = np.array(
-                    [
-                        [sum((c * _phase(nu, x) for nu, c in t), 0j) for t in row]
-                        for row in block
-                    ],
-                    dtype=complex,
-                )
-                sv.append(np.sort(np.linalg.svd(mat, compute_uv=False))[::-1])
-            gap = float(np.abs(sv[0] - sv[1]).max()) - margin
-            if gap <= 0:
-                continue
-            if lips == 0.0:
-                window = TorusSet.interval(a, b)
-            else:
-                r = _rationalize_down(gap / (2 * lips))
-                if r <= 0:
-                    continue
-                window = TorusSet.interval(max(a, x - r), min(b, x + r))
-            if window.measure() > 0:
-                return Obstruction(
-                    SINGULAR_VALUE_MISMATCH,
-                    {"set": window, "gap": gap + margin},
-                )
     return None
 
 
@@ -450,15 +401,6 @@ def _polar_unitary(M: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _grid_blocks(H: FilterMatrix, Hp: FilterMatrix, r: int, grid: int):
-    """The upper-left r x r blocks of H and H' at t/grid, as (grid, r, r) stacks."""
-    ts = np.arange(grid)
-    return tuple(
-        np.ascontiguousarray(F.sample(ts, grid)[:r, :r].transpose(2, 0, 1))
-        for F in (H, Hp)
-    )
-
-
 def constant_multiplier_search(
     H: FilterMatrix,
     Hp: FilterMatrix,
@@ -478,7 +420,11 @@ def constant_multiplier_search(
     r = H.m.max_value()
     if H.m != MultiplicityFunction.constant(r) or r == 0:
         return None
-    hv, hpv = _grid_blocks(H, Hp, r, grid)
+    # the upper-left r x r blocks of H and H' at t/grid, as (grid, r, r) stacks
+    ts = np.arange(grid)
+    hv, hpv = (
+        np.ascontiguousarray(F.sample(ts, grid)[:r, :r].transpose(2, 0, 1)) for F in (H, Hp)
+    )
     hv_h = hv.conj().transpose(0, 2, 1)
     hpv_h = hpv.conj().transpose(0, 2, 1)
     rng = np.random.default_rng(seed)
@@ -505,67 +451,6 @@ def constant_multiplier_search(
         if best <= max(tol, 1e-8) and float(np.abs(X - Y).max()) <= 1e-6:
             return _polar_unitary((X + Y) / 2)
     return None
-
-
-def grid_coboundary_search(
-    H: FilterMatrix,
-    Hp: FilterMatrix,
-    grid: int = 64,
-    sweeps: int = 60,
-    tol: float = DEFAULT_TOL,
-    restarts: int = 4,
-    seed: int = 0,
-):
-    """Least-squares sweeps for block-unitary A on a dilation-closed grid.
-
-    Only attempted for constant multiplicity.  Alternating polar updates
-    from the identity plus seeded random unitary starts (the identity
-    start can sit in a symmetry trap, e.g. for permuted diagonal filters).
-    Returns (residual, values); diagnostics only unless the residual is
-    tiny and the solution lifts to an exact multiplier.
-    """
-    r = H.m.max_value()
-    if H.m != MultiplicityFunction.constant(r) or r == 0:
-        return math.inf, None
-    hv, hpv = _grid_blocks(H, Hp, r, grid)
-    up = (H.e.N * np.arange(grid)) % grid
-    preimages = [[] for _ in range(grid)]
-    for p in range(grid):
-        preimages[up[p]].append(p)
-    rng = np.random.default_rng(seed)
-
-    def residual(A):
-        return float(np.abs(A[up] @ hv @ A.conj().transpose(0, 2, 1) - hpv).max())
-
-    def sweep_from(start):
-        A = np.repeat(start[None], grid, axis=0)
-        best = residual(A)
-        for _ in range(sweeps):
-            for t in range(grid):
-                acc = (hpv[t].conj().T @ A[up[t]] @ hv[t]).conj().T
-                for p in preimages[t]:
-                    acc = acc + hpv[p] @ A[p] @ hv[p].conj().T
-                if np.abs(acc).max() > 0:
-                    A[t] = _polar_unitary(acc)
-            cur = residual(A)
-            if cur >= best - 1e-15:
-                best = min(best, cur)
-                break
-            best = cur
-        return best, A
-
-    starts = [np.eye(r, dtype=complex)]
-    for _ in range(restarts - 1):
-        raw = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        starts.append(_polar_unitary(raw))
-    best, best_A = math.inf, None
-    for start in starts:
-        cur, A = sweep_from(start)
-        if cur < best:
-            best, best_A = cur, A
-        if best <= tol:
-            break
-    return best, best_A
 
 
 # ---- the decision ------------------------------------------------------------
@@ -606,7 +491,8 @@ def decide(
 
     Order: multiplicity comparison, certified invariants, constant-ratio
     obstruction, coboundary search up to ``degree``; matrix pairs fall back
-    to a grid least-squares search that must lift to an exact multiplier.
+    to a grid search for a constant unitary multiplier, which must pass the
+    exact conjugation check.
     """
     if H.e != Hp.e:
         raise ContextMismatch("filters live over different dilations")
@@ -661,9 +547,8 @@ def decide(
                 return EquivalenceVerdict(EQUIVALENT, witness=witness)
         except NotUnitary:
             pass
-    resid, _ = grid_coboundary_search(H, Hp, grid=grid, tol=tol)
     return EquivalenceVerdict(
         UNKNOWN,
         searched_degree=degree,
-        diagnostics={"grid_residual": resid},
+        diagnostics={"note": "no constant unitary multiplier from constant_multiplier_search"},
     )

@@ -103,12 +103,12 @@ class FilterMatrix:
         return compute_mtilde(self.m, self.e)
 
     @cached_property
-    def column_sets(self) -> list[TorusSet]:
-        return sigma_sets(self.m)
+    def column_sets(self) -> tuple[TorusSet, ...]:
+        return tuple(sigma_sets(self.m))
 
     @cached_property
-    def row_sets(self) -> list[TorusSet]:
-        return sigma_sets(self.row_multiplicity)
+    def row_sets(self) -> tuple[TorusSet, ...]:
+        return tuple(sigma_sets(self.row_multiplicity))
 
     def entry(self, i: int, j: int) -> TrigPoly:
         return self.entries[i][j]
@@ -184,24 +184,30 @@ def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: Tri
     return total.deviation_from(target)
 
 
-def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check the orthogonality identities and support structure of H.
+def _fold_report(
+    F: FilterMatrix, label: str, tol: float, cross: FilterMatrix | None = None
+) -> VerificationReport:
+    """Structure checks of F plus the fold identities of its row pairs.
 
-    Row pairs (i, i') must fold to N * delta_{i,i'} * chi on the i-th row
-    level set.  Residuals are sup-norm bounds over the refined partition.
+    Row pairs (i, k) of F must fold to N * delta_{i,k} * chi on the i-th
+    row level set, and each row of F against each row of ``cross`` to 0.
     """
-    _check_dims(H)
-    violations = _structure_violations(H)
+    _check_dims(F)
+    violations = _structure_violations(F)
     identities = {}
-    N = H.e.N
-    row_sets = H.row_sets
-    for i in range(H.rows):
-        for k in range(i, H.rows):
+    row_sets = F.row_sets
+    for i in range(F.rows):
+        for k in range(i, F.rows):
             if i == k and i < len(row_sets):
-                target = TrigPoly.indicator(row_sets[i], float(N))
+                target = TrigPoly.indicator(row_sets[i], float(F.e.N))
             else:
                 target = TrigPoly.zero()
-            identities[f"rows({i + 1},{k + 1})"] = _pair_residual(H, H, i, k, target)
+            identities[f"{label}({i + 1},{k + 1})"] = _pair_residual(F, F, i, k, target)
+    if cross is not None:
+        zero = TrigPoly.zero()
+        for k in range(F.rows):
+            for i in range(cross.rows):
+                identities[f"gh({k + 1},{i + 1})"] = _pair_residual(F, cross, k, i, zero)
     max_residual = worst_residual(identities.values())
     return VerificationReport(
         passed=not violations and max_residual <= tol,
@@ -210,6 +216,15 @@ def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationRepo
         identities=identities,
         violations=violations,
     )
+
+
+def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Check the orthogonality identities and support structure of H.
+
+    Row pairs (i, i') must fold to N * delta_{i,i'} * chi on the i-th row
+    level set.  Residuals are sup-norm bounds over the refined partition.
+    """
+    return _fold_report(H, "rows", tol)
 
 
 def verify_complementary(
@@ -220,30 +235,7 @@ def verify_complementary(
         raise ContextMismatch("G and H must share the same multiplicity and dilation")
     if G.rows_follow != "mtilde" or H.rows_follow != "m":
         raise ContextMismatch("expected H rows indexed by m and G rows by mtilde")
-    _check_dims(G)
-    violations = _structure_violations(G)
-    identities = {}
-    N = G.e.N
-    row_sets = G.row_sets
-    for k in range(G.rows):
-        for l in range(k, G.rows):
-            if k == l and k < len(row_sets):
-                target = TrigPoly.indicator(row_sets[k], float(N))
-            else:
-                target = TrigPoly.zero()
-            identities[f"gg({k + 1},{l + 1})"] = _pair_residual(G, G, k, l, target)
-    zero = TrigPoly.zero()
-    for k in range(G.rows):
-        for i in range(H.rows):
-            identities[f"gh({k + 1},{i + 1})"] = _pair_residual(G, H, k, i, zero)
-    max_residual = worst_residual(identities.values())
-    return VerificationReport(
-        passed=not violations and max_residual <= tol,
-        max_residual=max_residual,
-        tolerance=tol,
-        identities=identities,
-        violations=violations,
-    )
+    return _fold_report(G, "gg", tol, cross=H)
 
 
 # ---- conjugation by a unitary multiplier -----------------------------------

@@ -260,6 +260,28 @@ _DEFAULT_OPTIONS = {
     "seed": 0,
 }
 
+# integer options and their inclusive ranges; the upper bounds keep a
+# problem file from asking for an allocation or a run of unbounded size
+_INT_OPTIONS = {
+    "grid": (1, 2**16),
+    "degree": (0, 256),
+    "depth": (0, 16),
+    "seed": (0, 2**63 - 1),
+}
+
+
+def _parse_option(key: str, value, path: str):
+    if key == "tolerance":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProblemFileError(path, f"expected a number, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise ProblemFileError(path, f"expected a finite number > 0, got {value!r}")
+        return float(value)
+    lo, hi = _INT_OPTIONS[key]
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ProblemFileError(path, f"expected an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
 
 def parse_problem(data, path="problem") -> ProblemInput:
     if not isinstance(data, dict):
@@ -290,7 +312,7 @@ def parse_problem(data, path="problem") -> ProblemInput:
     for key, value in raw_options.items():
         if key not in options:
             raise ProblemFileError(f"{path}.options.{key}", "unknown option")
-        options[key] = value
+        options[key] = _parse_option(key, value, f"{path}.options.{key}")
     return ProblemInput(e, m, H, G, options)
 
 

@@ -143,33 +143,34 @@ class ConsistencyReport:
     violation: TorusSet
 
 
-def check_consistency(m: MultiplicityFunction, e: TorusEndomorphism) -> ConsistencyReport:
-    """Exact set where the preimage sum falls below m (empty iff consistent)."""
-    fold = folded_sum(m, e)
-    points = set(m.breakpoints()) | set(fold.breakpoints())
-    bad = []
-    for a, b in _refined_cells(sorted(points)):
-        mid = (a + b) / 2
-        if fold.value_at(mid) < m.value_at(mid):
-            bad.append((a, b))
-    violation = TorusSet.from_intervals(bad)
-    return ConsistencyReport(holds=not violation, violation=violation)
-
-
-def compute_mtilde(m: MultiplicityFunction, e: TorusEndomorphism) -> MultiplicityFunction:
-    """Complementary multiplicity: fold(m) - m, defined when consistency holds."""
-    report = check_consistency(m, e)
-    if not report.holds:
-        raise ConsistencyViolated(
-            f"consistency inequality fails on {report.violation}", report.violation
-        )
+def _fold_excess(m: MultiplicityFunction, e: TorusEndomorphism):
+    """(lo, hi, fold(m) - m) on the cells of the common refinement of m and its fold."""
     fold = folded_sum(m, e)
     points = set(m.breakpoints()) | set(fold.breakpoints())
     out = []
     for a, b in _refined_cells(sorted(points)):
         mid = (a + b) / 2
         out.append((a, b, fold.value_at(mid) - m.value_at(mid)))
-    return MultiplicityFunction.from_pieces(out)
+    return out
+
+
+def _negative_set(excess) -> TorusSet:
+    return TorusSet.from_intervals((a, b) for a, b, d in excess if d < 0)
+
+
+def check_consistency(m: MultiplicityFunction, e: TorusEndomorphism) -> ConsistencyReport:
+    """Exact set where the preimage sum falls below m (empty iff consistent)."""
+    violation = _negative_set(_fold_excess(m, e))
+    return ConsistencyReport(holds=not violation, violation=violation)
+
+
+def compute_mtilde(m: MultiplicityFunction, e: TorusEndomorphism) -> MultiplicityFunction:
+    """Complementary multiplicity: fold(m) - m, defined when consistency holds."""
+    excess = _fold_excess(m, e)
+    violation = _negative_set(excess)
+    if violation:
+        raise ConsistencyViolated(f"consistency inequality fails on {violation}", violation)
+    return MultiplicityFunction.from_pieces(excess)
 
 
 def sigma_sets(m: MultiplicityFunction) -> list[TorusSet]:

@@ -97,19 +97,11 @@ def random_section(sets, rng: random.Random, degree: int = 8) -> SectionVector:
     return SectionVector(tuple(comps), tuple(sets))
 
 
-def _row_sets(F: FilterMatrix) -> tuple[TorusSet, ...]:
-    return tuple(F.row_sets)
-
-
-def _col_sets(F: FilterMatrix) -> tuple[TorusSet, ...]:
-    return tuple(F.column_sets)
-
-
 def apply_S(F: FilterMatrix, f: SectionVector) -> SectionVector:
     """[S f]_j (w) = sum_i F_ij(w) f_i(N w), exact."""
-    if f.sets != _row_sets(F):
+    if f.sets != F.row_sets:
         raise ContextMismatch("input vector does not live over the row sets")
-    col_sets = _col_sets(F)
+    col_sets = F.column_sets
     lifted = [compose_endomorphism(c, F.e) for c in f.components]
     out = []
     for j, sj in enumerate(col_sets):
@@ -125,9 +117,9 @@ def apply_S(F: FilterMatrix, f: SectionVector) -> SectionVector:
 
 def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
     """[S* g]_i (w) = (1/N) sum_j fold(g_j, F_ij)(w), exact."""
-    if g.sets != _col_sets(F):
+    if g.sets != F.column_sets:
         raise ContextMismatch("input vector does not live over the column sets")
-    row_sets = _row_sets(F)
+    row_sets = F.row_sets
     out = []
     for i, si in enumerate(row_sets):
         acc = TrigPoly.zero()
@@ -153,8 +145,8 @@ def cuntz_check(
     S_H* S_G = 0, and S_H S_H* + S_G S_G* = I.
     """
     rng = random.Random(seed)
-    m_sets = _row_sets(H)
-    mt_sets = _row_sets(G)
+    m_sets = H.row_sets
+    mt_sets = G.row_sets
     vec_m = canonical_vectors(m_sets) + [
         random_section(m_sets, rng) for _ in range(trials)
     ]

@@ -8,7 +8,6 @@ exact -- no floats -- so set identities can be asserted with ``==``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -194,19 +193,13 @@ class TorusEndomorphism:
         """The distinguished preimage in [0, 1/N)."""
         return mod1(x) / self.N
 
-    def tau(self, x) -> Fraction:
-        """Kernel element carrying x onto the cross-section sheet.
-
-        tau(x) = c(N*x) - x (mod 1); constant k -> (N-k)/N mod 1 on each
-        branch interval [k/N, (k+1)/N).
-        """
-        return mod1(self.cross_section(self.image(x)) - mod1(x))
-
     def tau_partition(self, s: TorusSet) -> list[tuple[Fraction, TorusSet]]:
         """Split s into the branch pieces on which the map is injective.
 
-        Returns (zeta, piece) pairs with piece = {x in s : tau(x) = zeta},
-        empty pieces dropped.  The pieces are disjoint and union back to s.
+        Returns (zeta, piece) pairs, piece = s n [k/N, (k+1)/N), with zeta
+        the kernel element carrying each x of the piece onto the
+        cross-section sheet: c(N*x) - x = (N-k)/N (mod 1).  Empty pieces are
+        dropped; the pieces are disjoint and union back to s.
         """
         out = []
         for k in range(self.N):
@@ -216,33 +209,3 @@ class TorusEndomorphism:
                 zeta = Fraction((self.N - k) % self.N, self.N)
                 out.append((zeta, piece))
         return out
-
-    def cycles(self, q_max: int) -> list[tuple[Fraction, ...]]:
-        """All periodic orbits among rationals p/q with q <= q_max, gcd(q, N)=1.
-
-        Each orbit is listed once, rotated to start at its smallest point;
-        orbits are sorted by that starting point.
-        """
-        if q_max < 1:
-            raise ValueError("q_max must be >= 1")
-        seen: set[Fraction] = set()
-        orbits = []
-        for q in range(1, q_max + 1):
-            if math.gcd(q, self.N) != 1:
-                continue
-            for p in range(q):
-                if q > 1 and math.gcd(p, q) != 1:
-                    continue
-                x = Fraction(p, q)
-                if x in seen:
-                    continue
-                orbit = [x]
-                y = self.image(x)
-                while y != x:
-                    orbit.append(y)
-                    y = self.image(y)
-                seen.update(orbit)
-                i = orbit.index(min(orbit))
-                orbits.append(tuple(orbit[i:] + orbit[:i]))
-        orbits.sort(key=lambda orb: orb[0])
-        return orbits

@@ -369,23 +369,23 @@ def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
     return TrigPoly.from_pieces(out)
 
 
-def compress_branch(g: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
-    """Inverse of dilate_branch: g(N*w - k) on branch [k/N, (k+1)/N), 0 elsewhere."""
-    out = []
+def _compressed_pieces(g: TrigPoly, e: TorusEndomorphism, k: int):
+    """The pieces of g(N*w - k) on branch [k/N, (k+1)/N)."""
     for lo, hi, terms in g.pieces:
         new_terms = [(nu * e.N, c * unit_phase(-nu * k)) for nu, c in terms]
-        out.append(((lo + k) / e.N, (hi + k) / e.N, new_terms))
-    return TrigPoly.from_pieces(out)
+        yield (lo + k) / e.N, (hi + k) / e.N, new_terms
+
+
+def compress_branch(g: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
+    """Inverse of dilate_branch: g(N*w - k) on branch [k/N, (k+1)/N), 0 elsewhere."""
+    return TrigPoly.from_pieces(_compressed_pieces(g, e, k))
 
 
 def compose_endomorphism(f: TrigPoly, e: TorusEndomorphism) -> TrigPoly:
-    """f(N*w mod 1) as a trig poly (all N branches of compress_branch)."""
-    out = []
-    for k in range(e.N):
-        for lo, hi, terms in f.pieces:
-            new_terms = [(nu * e.N, c * unit_phase(-nu * k)) for nu, c in terms]
-            out.append(((lo + k) / e.N, (hi + k) / e.N, new_terms))
-    return TrigPoly.from_pieces(out)
+    """f(N*w mod 1) as a trig poly: the N branches of compress_branch in one."""
+    return TrigPoly.from_pieces(
+        piece for k in range(e.N) for piece in _compressed_pieces(f, e, k)
+    )
 
 
 def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmra import catalog, equivalence
 from gmra.equivalence import (
@@ -16,6 +19,7 @@ from gmra.equivalence import (
     decide,
     invariant_check,
     is_eigenfilter,
+    low_singular_certificate,
     purity_test,
 )
 from gmra.errors import NotApplicable
@@ -80,8 +84,6 @@ class TestPurity:
         assert v.certificate.measure() > 0
 
     def test_matrix_certificate_soundness(self):
-        import numpy as np
-
         entry = catalog.get("journe_rank2")
         v = purity_test(entry.H)
         assert v.kind == PURE
@@ -314,3 +316,115 @@ class TestCertifiedWindows:
             for t in range(5):
                 x = lo + (hi - lo) * F(2 * t + 1, 10)
                 assert abs(p.evaluate(x) - 1.0) > 1e-9
+
+
+# ---- soundness of every certified window, at points across each window ------
+
+
+@st.composite
+def piecewise_polys(draw, scale=1.0):
+    """A piecewise trig poly with coefficients 0.01 * scale <= |c| <= scale.
+
+    The lower bound keeps every Lipschitz bound far above the rounding of
+    ``evaluate``, so a window's claim is checked, not float noise.
+    """
+    b = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    cuts = sorted(draw(st.sets(st.integers(1, b - 1), max_size=3))) if b > 1 else []
+    bounds = [F(0)] + [F(c, b) for c in cuts] + [F(1)]
+    coefs = st.complex_numbers(
+        min_magnitude=0.01 * scale, max_magnitude=scale, allow_nan=False, allow_infinity=False
+    )
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        terms = draw(
+            st.dictionaries(
+                st.fractions(min_value=-3, max_value=3, max_denominator=3), coefs, max_size=3
+            )
+        )
+        pieces.append((lo, hi, list(terms.items())))
+    return TrigPoly.from_pieces(pieces)
+
+
+MULTIPLICITIES = [
+    MultiplicityFunction.constant(2),
+    MultiplicityFunction.from_pieces([(0, F(1, 2), 2), (F(1, 2), 1, 1)]),
+    MultiplicityFunction.from_pieces([(0, F(1, 3), 2), (F(1, 3), F(2, 3), 1)]),
+]
+
+
+@st.composite
+def diagonal_pairs(draw):
+    """Two 2x2 block-diagonal filters over one (m, N), entries scaled near 1.
+
+    The second filter nudges the first's (1,1) entry by a small poly, so
+    a singular value gap crosses zero inside many cells.
+    """
+    m = draw(st.sampled_from(MULTIPLICITIES))
+    e = TorusEndomorphism(draw(st.sampled_from([2, 3])))
+    scale = draw(st.sampled_from([0.4, 0.7, 1.0]))
+    diagonal = [draw(piecewise_polys(scale)) for _ in range(2)]
+    nudged = [diagonal[0] + draw(piecewise_polys(0.05)), diagonal[1]]
+    z = TrigPoly.zero()
+    return tuple(
+        FilterMatrix.from_rows([[a, z], [z, b]], m, e) for a, b in (diagonal, nudged)
+    )
+
+
+def _points_across(ts):
+    """The points lo + (hi - lo) * k/11, k = 0..10, of every interval of ts."""
+    for lo, hi in ts.intervals:
+        for k in range(11):
+            yield lo + (hi - lo) * F(k, 11)
+
+
+def _active_block(H, x):
+    rows, cols = H.m.value_at(H.e.image(x)), H.m.value_at(x)
+    return H.value_at(x)[:rows, :cols] if rows and cols else None
+
+
+def _singular_values(block):
+    return np.sort(np.linalg.svd(block, compute_uv=False))[::-1]
+
+
+class TestCertifiedWindowSoundness:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        piecewise_polys(),
+        st.sampled_from([0.0, 1.0, 0.5j]),
+        st.sampled_from([1e-9, 0.25]),
+    )
+    def test_deviation_set(self, p, target, margin):
+        for x in _points_across(certified_deviation_set(p, target, margin)):
+            assert abs(p.evaluate(x) - target) > margin, x
+
+    @settings(max_examples=50, deadline=None)
+    @given(diagonal_pairs())
+    def test_low_singular_certificate(self, pair):
+        H, _ = pair
+        for x in _points_across(low_singular_certificate(H, 1e-9)):
+            block = _active_block(H, x)
+            if block is not None:
+                assert _singular_values(block)[0] < 1.0 - 1e-9, x
+
+    @settings(max_examples=50, deadline=None)
+    @given(diagonal_pairs())
+    def test_singular_value_mismatch(self, pair):
+        H, Hp = pair
+        obstruction = invariant_check(H, Hp, 1e-9)
+        if obstruction is None:
+            return
+        assert obstruction.kind == "singular_value_mismatch"
+        for x in _points_across(obstruction.detail["set"]):
+            a, b = _active_block(H, x), _active_block(Hp, x)
+            gap = np.abs(_singular_values(a) - _singular_values(b)).max()
+            assert gap > 1e-7, x  # the margin max(tol, 1e-7) of invariant_check
+
+    @settings(max_examples=50, deadline=None)
+    @given(piecewise_polys(), piecewise_polys(0.05))
+    def test_moduli_mismatch(self, h, nudge):
+        hp = h + nudge
+        obstruction = invariant_check(scalar(h), scalar(hp), 1e-9)
+        if obstruction is None:
+            return
+        for x in _points_across(obstruction.detail["set"]):
+            assert abs(abs(h.evaluate(x)) ** 2 - abs(hp.evaluate(x)) ** 2) > 1e-9, x

@@ -116,6 +116,35 @@ class TestProblemFiles:
         assert "options.bogus" in str(info.value)
 
 
+class TestOptions:
+    @staticmethod
+    def problem(**options):
+        return {"endomorphism": {"N": 2}, "multiplicity": [], "options": options}
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("grid", "abc"), ("grid", 0), ("grid", -4), ("grid", 2.5), ("grid", True),
+            ("grid", 2**16 + 1), ("grid", None), ("depth", "x"), ("depth", -1),
+            ("depth", 17), ("degree", -1), ("degree", 257), ("degree", 3.0),
+            ("seed", -1), ("seed", 2**63), ("seed", False),
+            ("tolerance", 0), ("tolerance", -1e-9), ("tolerance", math.nan),
+            ("tolerance", math.inf), ("tolerance", "1e-9"), ("tolerance", True),
+        ],
+    )
+    def test_rejected_with_path(self, key, bad):
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(self.problem(**{key: bad}), "p.json")
+        assert info.value.path == f"p.json.options.{key}"
+
+    def test_range_ends_accepted(self):
+        low = parse_problem(self.problem(grid=1, degree=0, depth=0, seed=0, tolerance=1))
+        assert low.options == {"tolerance": 1.0, "grid": 1, "degree": 0, "depth": 0, "seed": 0}
+        high = parse_problem(self.problem(grid=2**16, degree=256, depth=16, seed=2**63 - 1))
+        assert (high.options["grid"], high.options["depth"]) == (2**16, 16)
+        assert parse_problem(self.problem()).options["grid"] == 256
+
+
 class TestNonFiniteCoefficients:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "-inf"])
     def test_rejected_at_the_term(self, bad):

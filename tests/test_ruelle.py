@@ -76,17 +76,19 @@ class TestAdjoint:
         assert apply_S_adjoint(H, zero).norm() == 0
 
     def test_adjoint_pairing(self):
-        # <S f, g> == <f, S* g> on seeded random pairs
+        # <S f, g> == <f, S* g> on seeded random pairs, for every catalog H and G
         rng = random.Random(11)
-        H = catalog.get("journe").H
-        rows = tuple(H.row_sets)
-        cols = tuple(H.column_sets)
-        for _ in range(5):
-            f = random_section(rows, rng, degree=4)
-            g = random_section(cols, rng, degree=4)
-            lhs = apply_S(H, f).inner(g)
-            rhs = f.inner(apply_S_adjoint(H, g))
-            assert abs(lhs - rhs) < 1e-9
+        for name in catalog.names():
+            entry = catalog.get(name)
+            for F_ in (entry.H, entry.G):
+                if F_ is None:
+                    continue
+                for _ in range(3):
+                    f = random_section(F_.row_sets, rng, degree=4)
+                    g = random_section(F_.column_sets, rng, degree=4)
+                    lhs = apply_S(F_, f).inner(g)
+                    rhs = f.inner(apply_S_adjoint(F_, g))
+                    assert abs(lhs - rhs) < 1e-9, (name, lhs, rhs)
 
 
 class TestCuntz:
