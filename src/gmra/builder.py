@@ -27,6 +27,7 @@ from .errors import (
 )
 from .equivalence import PURE, PurityVerdict, purity_test
 from .filters import (
+    DEFAULT_TOL,
     FilterMatrix,
     GridFilterMatrix,
     VerificationReport,
@@ -62,13 +63,6 @@ class SpaceSlot:
     branch: tuple[Fraction, ...]
     base: TorusSet
     weight: int
-
-    @property
-    def label(self) -> str:
-        if self.kind == "V0":
-            return f"V0[{self.index + 1}]"
-        path = ",".join(str(z) for z in self.branch)
-        return f"W{self.level}[{self.index + 1}]({path})"
 
 
 def dilate_slots(slots, e: TorusEndomorphism) -> list[SpaceSlot]:
@@ -156,7 +150,7 @@ def build(
     G: FilterMatrix,
     e: TorusEndomorphism,
     depth: int = 3,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> CanonicalGMRA:
     """Validate the parameters and lay out the ledger to the given depth."""
     report = check_consistency(m, e)
@@ -276,12 +270,13 @@ def _compress_components(
     parents = g.w_levels[n]
     children = g.w_levels[n + 1]
     scale = math.sqrt(g.e.N)
-    acc = {(slot.index, slot.branch): TrigPoly.zero() for slot in parents}
+    parts = {(slot.index, slot.branch): [] for slot in parents}
     for child, f in zip(children, comps):
-        key = (child.index, child.branch[:-1])
         k = _branch_k(child.branch[-1], g.e)
-        acc[key] = acc[key] + compress_branch(f, g.e, k) * scale
-    return [acc[(slot.index, slot.branch)].restrict(slot.base) for slot in parents]
+        parts[(child.index, child.branch[:-1])].append(compress_branch(f, g.e, k) * scale)
+    return [
+        TrigPoly.sum(parts[(slot.index, slot.branch)]).restrict(slot.base) for slot in parents
+    ]
 
 
 def apply_T(g: CanonicalGMRA, v: LedgerVector) -> LedgerVector:
@@ -419,7 +414,7 @@ def cascade_diagnostic(
     e: TorusEndomorphism,
     iters: int = 30,
     samples: int = 1024,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> CascadeResult:
     """Partial products of the refinement symbol on [-1/2, 1/2].
 
@@ -523,7 +518,7 @@ class TensorGMRA:
             vals.append(c)
         return math.prod(vals)
 
-    def verify(self, grid: int = 16, tol: float = 1e-9) -> VerificationReport:
+    def verify(self, grid: int = 16, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Re-check the product filter identity on a grid of pair points."""
         if len(self.factors) != 2:
             raise ContextMismatch("grid verification implemented for two factors")
@@ -555,7 +550,7 @@ class TensorGMRA:
         )
 
 
-def tensor(a, b, tol: float = 1e-9) -> TensorGMRA:
+def tensor(a, b, tol: float = DEFAULT_TOL) -> TensorGMRA:
     """Tensor two systems; every factor must verify and be provably pure."""
     systems = []
     for g in (a, b):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import builder, equivalence
 from .errors import UnknownName
 from .filters import (
+    DEFAULT_TOL,
     FilterMatrix,
     verify_complementary,
     verify_filter,
@@ -461,7 +462,7 @@ def fmt_sets(sets) -> str:
     return "; ".join(str(s) for s in sets)
 
 
-def run_expectations(name: str, tol: float = 1e-9) -> CatalogReport:
+def run_expectations(name: str, tol: float = DEFAULT_TOL) -> CatalogReport:
     """Evaluate every expected property of an entry through its owning module."""
     entry = get(name)
     results = [_check(entry, exp, tol) for exp in entry.expected]

@@ -16,10 +16,11 @@ import sys
 
 from . import builder, catalog, equivalence
 from .errors import ContextMismatch, GmraError, ProblemFileError
-from .filters import complement_numeric, verify_complementary, verify_filter
+from .filters import DEFAULT_TOL, complement_numeric, verify_complementary, verify_filter
 from .jsonio import (
     CENTERED,
     UNIT,
+    check_setting,
     dump_json,
     filter_to_json,
     grid_filter_to_json,
@@ -44,7 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _load_problem(path: str):
+def _load_problem(args, path: str):
+    """Parse a problem file; each option flag ``args`` leaves unset takes the file's option.
+
+    A flag (tolerance: --tol, else GMRA_TOL) wins over the file, the file over the default.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -52,17 +57,24 @@ def _load_problem(path: str):
         raise ProblemFileError(path, f"cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(path, f"invalid JSON: {exc}") from None
-    return parse_problem(data, path)
+    problem = parse_problem(data, path)
+    for key in problem.options:
+        flag = "tol" if key == "tolerance" else key
+        if getattr(args, flag, 0) is None:
+            setattr(args, flag, problem.options[key])
+    return problem
 
 
-def _default_tol() -> float:
-    env = os.environ.get("GMRA_TOL")
-    if env:
+def _setting(key: str):
+    """argparse type: an int (for ``tolerance`` a float) that passes ``check_setting``."""
+
+    def parse(text):
         try:
-            return float(env)
-        except ValueError:
-            raise ProblemFileError("GMRA_TOL", f"not a float: {env!r}") from None
-    return 1e-9
+            return check_setting(key, float(text) if key == "tolerance" else int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -100,9 +112,20 @@ def _require_filters(problem, need_g=False):
         raise ProblemFileError("filters.G", "missing complementary filter")
 
 
+def _filter_reports(args, problem, payload: dict) -> bool:
+    """Verify H, and G against it when present, into ``payload``; True if all pass."""
+    rep = verify_filter(problem.H, args.tol)
+    payload["filter"] = _report_json(rep)
+    ok = rep.passed
+    if problem.G is not None:
+        grep = verify_complementary(problem.G, problem.H, args.tol)
+        payload["complementary"] = _report_json(grep)
+        ok = ok and grep.passed
+    return ok
+
+
 def _cmd_validate(args) -> int:
-    problem = _load_problem(args.problem)
-    tol = args.tol
+    problem = _load_problem(args, args.problem)
     conv = args.convention
     consistency = check_consistency(problem.m, problem.e)
     payload = {
@@ -113,20 +136,14 @@ def _cmd_validate(args) -> int:
     }
     ok = consistency.holds
     if problem.H is not None:
-        rep = verify_filter(problem.H, tol)
-        payload["filter"] = _report_json(rep)
-        ok = ok and rep.passed
-        if problem.G is not None:
-            grep = verify_complementary(problem.G, problem.H, tol)
-            payload["complementary"] = _report_json(grep)
-            ok = ok and grep.passed
+        ok = _filter_reports(args, problem, payload) and ok
     payload["passed"] = ok
     _emit(args, payload, "valid" if ok else "INVALID: see --json for details")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_mtilde(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     mt = compute_mtilde(problem.m, problem.e)
     payload = {"mtilde": multiplicity_to_json(mt, args.convention)}
     _emit(args, payload, f"mtilde: {mt}")
@@ -134,67 +151,51 @@ def _cmd_mtilde(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     conv = args.convention
-    payload = {
-        "sigma": _sets_json(sigma_sets(problem.m), conv),
-        "sigma_tilde": _sets_json(sigma_tilde_sets(problem.m, problem.e), conv),
-    }
+    sigma, sigma_tilde = sigma_sets(problem.m), sigma_tilde_sets(problem.m, problem.e)
+    payload = {"sigma": _sets_json(sigma, conv), "sigma_tilde": _sets_json(sigma_tilde, conv)}
     human = "\n".join(
-        [
-            f"sigma_{i + 1} = {_fmt_set(s, conv)}"
-            for i, s in enumerate(sigma_sets(problem.m))
-        ]
-        + [
-            f"sigma~_{k + 1} = {_fmt_set(s, conv)}"
-            for k, s in enumerate(sigma_tilde_sets(problem.m, problem.e))
-        ]
+        [f"sigma_{i + 1} = {_fmt_set(s, conv)}" for i, s in enumerate(sigma)]
+        + [f"sigma~_{k + 1} = {_fmt_set(s, conv)}" for k, s in enumerate(sigma_tilde)]
     )
     _emit(args, payload, human)
     return EXIT_OK
 
 
 def _cmd_check_filter(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     _require_filters(problem)
-    rep = verify_filter(problem.H, args.tol)
-    payload = {"filter": _report_json(rep)}
-    code = EXIT_OK if rep.passed else EXIT_FAIL
-    if problem.G is not None:
-        grep = verify_complementary(problem.G, problem.H, args.tol)
-        payload["complementary"] = _report_json(grep)
-        if not grep.passed:
-            code = EXIT_FAIL
+    payload = {}
+    ok = _filter_reports(args, problem, payload)
+    worst = payload["filter"]["max_residual"]
     _emit(
         args,
         payload,
-        "filter conditions hold"
-        if code == EXIT_OK
-        else f"filter conditions FAIL (max residual {rep.max_residual:.3g})",
+        "filter conditions hold" if ok else f"filter conditions FAIL (max residual {worst:.3g})",
     )
-    return code
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_complement(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     _require_filters(problem)
     rep = verify_filter(problem.H, args.tol)
     if not rep.passed:
         _emit(args, {"filter": _report_json(rep)}, "H fails the filter conditions")
         return EXIT_FAIL
-    grid = args.grid or problem.options["grid"]
-    G, report = complement_numeric(problem.H, grid=grid, tol=args.tol)
+    G, report = complement_numeric(problem.H, grid=args.grid, tol=args.tol)
     payload = {"report": _report_json(report), "G": grid_filter_to_json(G)}
     _emit(
         args,
         payload,
-        f"complement on {grid} quotient points: max residual {report.max_residual:.3g}",
+        f"complement on {args.grid} quotient points: max residual {report.max_residual:.3g}",
     )
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_purity(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     _require_filters(problem)
     verdict = equivalence.purity_test(problem.H, tol=args.tol)
     payload = {
@@ -218,8 +219,8 @@ def _obstruction_json(obs) -> dict | None:
 
 
 def _cmd_equiv(args) -> int:
-    left = _load_problem(args.problem_a)
-    right = _load_problem(args.problem_b)
+    left = _load_problem(args, args.problem_a)
+    right = _load_problem(args, args.problem_b)
     _require_filters(left)
     _require_filters(right)
     verdict = equivalence.decide(
@@ -245,12 +246,13 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     _require_filters(problem, need_g=True)
     conv = args.convention
-    depth = args.depth if args.depth is not None else problem.options["depth"]
     try:
-        g = builder.build(problem.m, problem.H, problem.G, problem.e, depth=depth, tol=args.tol)
+        g = builder.build(
+            problem.m, problem.H, problem.G, problem.e, depth=args.depth, tol=args.tol
+        )
     except GmraError as exc:
         _emit(args, {"error": type(exc).__name__, "message": str(exc)}, str(exc))
         return EXIT_FAIL
@@ -282,10 +284,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     _require_filters(problem)
     res = builder.cascade_diagnostic(
-        problem.H, problem.e, iters=args.iters, samples=args.samples
+        problem.H, problem.e, iters=args.iters, samples=args.samples, tol=args.tol
     )
     payload = {
         "verdict": res.verdict,
@@ -306,7 +308,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_cuntz(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args, args.problem)
     _require_filters(problem, need_g=True)
     rep = cuntz_check(
         problem.H, problem.G, trials=args.trials, seed=args.seed, tol=args.tol
@@ -356,11 +358,11 @@ def _add_global_options(parser, suppress: bool):
         help="emit JSON reports",
     )
     parser.add_argument(
-        "--tol", type=float, default=dflt(None),
-        help="residual tolerance (default 1e-9)",
+        "--tol", type=_setting("tolerance"), default=dflt(None),
+        help=f"residual tolerance (default {DEFAULT_TOL})",
     )
     parser.add_argument(
-        "--seed", type=int, default=dflt(0), help="seed for random vectors"
+        "--seed", type=_setting("seed"), default=dflt(None), help="seed for random vectors"
     )
     parser.add_argument(
         "--convention", choices=[CENTERED, UNIT], default=dflt(UNIT),
@@ -389,25 +391,25 @@ def build_parser() -> _Parser:
     p.add_argument("problem")
     p = add("complement", _cmd_complement, "numeric complementary filter")
     p.add_argument("problem")
-    p.add_argument("--grid", type=int, default=None, help="quotient grid size")
+    p.add_argument("--grid", type=_setting("grid"), default=None, help="quotient grid size")
     p = add("purity", _cmd_purity, "purity verdict for the low-pass operator")
     p.add_argument("problem")
     p = add("equiv", _cmd_equiv, "decide equivalence of two filter systems")
     p.add_argument("problem_a")
     p.add_argument("problem_b")
-    p.add_argument("--degree", type=int, default=16, help="multiplier degree bound")
+    p.add_argument("--degree", type=_setting("degree"), help="multiplier degree bound")
     p = add("construct", _cmd_construct, "lay out the canonical space ledger")
     p.add_argument("problem")
-    p.add_argument("--depth", type=int, default=None, help="detail levels upward")
-    p.add_argument("--down", type=int, default=0, help="negative dilate levels")
+    p.add_argument("--depth", type=_setting("depth"), help="detail levels upward")
+    p.add_argument("--down", type=_setting("down"), default=0, help="negative dilate levels")
     p = add("cascade", _cmd_cascade, "refinement partial-product diagnostic")
     p.add_argument("problem")
-    p.add_argument("--iters", type=int, default=30)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--iters", type=_setting("iters"), default=30)
+    p.add_argument("--samples", type=_setting("samples"), default=1024)
     p.add_argument("--dump", default=None, help="write omega,re,im,abs CSV here")
     p = add("cuntz", _cmd_cuntz, "isometry identity suite for an (H, G) pair")
     p.add_argument("problem")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_setting("trials"), default=20)
     p = add("catalog", _cmd_catalog, "list or show built-in examples")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?", default=None)
@@ -420,11 +422,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.tol is None:
+    env = os.environ.get("GMRA_TOL")
+    if args.tol is None and env:
         try:
-            args.tol = _default_tol()
-        except ProblemFileError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
+            args.tol = check_setting("tolerance", float(env))
+        except ValueError as exc:
+            print(f"input error: GMRA_TOL: {exc} ({env!r})", file=sys.stderr)
             return EXIT_INPUT
     if args.command == "catalog" and args.action == "show" and not args.name:
         print("input error: catalog show requires a name", file=sys.stderr)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ContextMismatch, NotApplicable, NotUnitary
 from .filters import (
+    DEFAULT_TOL,
     FilterMatrix,
     conjugate_filter,
     identity_multiplier,
@@ -29,8 +30,6 @@ from .multiplicity import MultiplicityFunction
 from .ruelle import SectionVector
 from .torus import TorusSet
 from .trigpoly import TrigPoly, compose_endomorphism, unit_phase
-
-DEFAULT_TOL = 1e-9
 
 PURE = "pure"
 NOT_PURE = "not_pure"
@@ -219,9 +218,7 @@ def low_singular_certificate(
     return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples_per_piece))
 
 
-def purity_test(
-    H: FilterMatrix, grid: int = 256, tol: float = DEFAULT_TOL
-) -> PurityVerdict:
+def purity_test(H: FilterMatrix, tol: float = DEFAULT_TOL) -> PurityVerdict:
     """Decision ladder for purity of the isometry defined by H.
 
     1. An exact eigenfilter is never pure (constant eigenvector witness).
@@ -464,7 +461,7 @@ def _entries_equal(H: FilterMatrix, Hp: FilterMatrix, tol: float) -> bool:
         for j in range(size_c):
             a = H.entry(i, j) if i < H.rows and j < H.cols else z
             b = Hp.entry(i, j) if i < Hp.rows and j < Hp.cols else z
-            if not a.equal_within(b, tol):
+            if not a.deviation_from(b) <= tol:
                 return False
     return True
 

@@ -174,13 +174,11 @@ def _structure_violations(F: FilterMatrix) -> tuple[str, ...]:
 
 
 def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: TrigPoly) -> float:
-    total = TrigPoly.zero()
-    for j in range(max(F.cols, G.cols)):
-        fj = F.entry(i, j) if j < F.cols else TrigPoly.zero()
-        gj = G.entry(k, j) if j < G.cols else TrigPoly.zero()
-        if fj.is_zero() or gj.is_zero():
-            continue
-        total = total + fold(F.e, fj, gj)
+    total = TrigPoly.sum(
+        fold(F.e, F.entry(i, j), G.entry(k, j))
+        for j in range(min(F.cols, G.cols))
+        if not (F.entry(i, j).is_zero() or G.entry(k, j).is_zero())
+    )
     return total.deviation_from(target)
 
 
@@ -289,37 +287,30 @@ def conjugate_filter(
     a = pad(A)
     h = pad(H)
     a_up = [[compose_endomorphism(entry, H.e) for entry in row] for row in a]
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = TrigPoly.zero()
-            for p in range(size):
-                if a_up[i][p].is_zero():
-                    continue
-                for q in range(size):
-                    if h[p][q].is_zero() or a[j][q].is_zero():
-                        continue
-                    acc = acc + a_up[i][p] * h[p][q] * a[j][q].conj()
-            row.append(acc)
-        out.append(tuple(row))
-    return FilterMatrix(tuple(out), H.m, H.e, H.rows_follow)
+    out = tuple(
+        tuple(
+            TrigPoly.sum(
+                a_up[i][p] * h[p][q] * a[j][q].conj()
+                for p in range(size)
+                if not a_up[i][p].is_zero()
+                for q in range(size)
+                if not (h[p][q].is_zero() or a[j][q].is_zero())
+            )
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+    return FilterMatrix(out, H.m, H.e, H.rows_follow)
 
 
 def identity_multiplier(m: MultiplicityFunction, e: TorusEndomorphism) -> FilterMatrix:
     """The multiplier that is the identity on every m(w)-block."""
     sets = sigma_sets(m)
     size = max(len(sets), 1)
-    z = TrigPoly.zero()
-    rows = []
-    for i in range(size):
-        rows.append(
-            tuple(
-                TrigPoly.indicator(sets[i]) if i == j and i < len(sets) else z
-                for j in range(size)
-            )
-        )
-    return FilterMatrix(tuple(rows), m, e, "m")
+    rows = [[TrigPoly.zero()] * size for _ in range(size)]
+    for i, s in enumerate(sets):
+        rows[i][i] = TrigPoly.indicator(s)
+    return FilterMatrix.from_rows(rows, m, e, "m")
 
 
 # ---- numeric complement -----------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ProblemFileError
-from .filters import FilterMatrix, GridFilterMatrix
+from .filters import DEFAULT_TOL, FilterMatrix, GridFilterMatrix
 from .multiplicity import MultiplicityFunction
 from .torus import TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly
@@ -253,33 +253,39 @@ class ProblemInput:
 
 
 _DEFAULT_OPTIONS = {
-    "tolerance": 1e-9,
+    "tolerance": DEFAULT_TOL,
     "grid": 256,
     "degree": 16,
     "depth": 3,
     "seed": 0,
 }
 
-# integer options and their inclusive ranges; the upper bounds keep a
-# problem file from asking for an allocation or a run of unbounded size
-_INT_OPTIONS = {
+# integer settings and their inclusive ranges, for problem options and the
+# CLI flags of the same names alike; the upper bounds keep an input from
+# asking for an allocation or a run of unbounded size
+INT_BOUNDS = {
     "grid": (1, 2**16),
     "degree": (0, 256),
     "depth": (0, 16),
     "seed": (0, 2**63 - 1),
+    "iters": (1, 256),
+    "samples": (1, 2**16),
+    "trials": (0, 1000),
+    "down": (0, 16),
 }
 
 
-def _parse_option(key: str, value, path: str):
+def check_setting(key: str, value):
+    """``value`` if it is a valid ``tolerance`` or integer setting ``key``; else ValueError."""
     if key == "tolerance":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProblemFileError(path, f"expected a number, got {value!r}")
+            raise ValueError(f"expected a number, got {value!r}")
         if not (math.isfinite(value) and value > 0):
-            raise ProblemFileError(path, f"expected a finite number > 0, got {value!r}")
+            raise ValueError(f"expected a finite number > 0, got {value!r}")
         return float(value)
-    lo, hi = _INT_OPTIONS[key]
+    lo, hi = INT_BOUNDS[key]
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise ProblemFileError(path, f"expected an integer in [{lo}, {hi}], got {value!r}")
+        raise ValueError(f"expected an integer in [{lo}, {hi}], got {value!r}")
     return value
 
 
@@ -312,7 +318,10 @@ def parse_problem(data, path="problem") -> ProblemInput:
     for key, value in raw_options.items():
         if key not in options:
             raise ProblemFileError(f"{path}.options.{key}", "unknown option")
-        options[key] = _parse_option(key, value, f"{path}.options.{key}")
+        try:
+            options[key] = check_setting(key, value)
+        except ValueError as exc:
+            raise ProblemFileError(f"{path}.options.{key}", str(exc)) from None
     return ProblemInput(e, m, H, G, options)
 
 

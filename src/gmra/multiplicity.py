@@ -16,12 +16,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyViolated
-from .torus import ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1
+from .torus import ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1, overlay
 
 
 def _normalize_pieces(raw):
@@ -30,20 +30,16 @@ def _normalize_pieces(raw):
         value = int(value)
         if value < 0:
             raise ValueError("multiplicity values must be nonnegative")
-        if value == 0:
-            continue
-        for a, b in TorusSet.interval(lo, hi).intervals:
-            flat.append((a, b, value))
-    flat.sort()
-    for prev, cur in zip(flat, flat[1:]):
-        if cur[0] < prev[1]:
-            raise ValueError("multiplicity pieces overlap")
+        if value:
+            flat.extend((a, b, value) for a, b in TorusSet.interval(lo, hi).intervals)
     merged: list[list] = []
-    for lo, hi, value in flat:
-        if merged and merged[-1][1] == lo and merged[-1][2] == value:
+    for lo, hi, values in overlay(flat):
+        if len(values) > 1:
+            raise ValueError("multiplicity pieces overlap")
+        if merged and merged[-1][1] == lo and [merged[-1][2]] == values:
             merged[-1][1] = hi
-        else:
-            merged.append([lo, hi, value])
+        elif values:
+            merged.append([lo, hi, values[0]])
     return tuple((lo, hi, v) for lo, hi, v in merged)
 
 
@@ -67,19 +63,8 @@ class MultiplicityFunction:
     @cached_property
     def _cells(self) -> tuple[list[Fraction], list[int]]:
         """The partition of [0, 1) into cells [cuts[i], cuts[i+1]) and their values."""
-        cuts, values = [], []
-        cursor = ZERO
-        for lo, hi, value in self.pieces:
-            if lo > cursor:
-                cuts.append(cursor)
-                values.append(0)
-            cuts.append(lo)
-            values.append(value)
-            cursor = hi
-        if cursor < ONE:
-            cuts.append(cursor)
-            values.append(0)
-        return cuts, values
+        cells = list(overlay(self.pieces))
+        return [lo for lo, _, _ in cells], [sum(values) for _, _, values in cells]
 
     def value_at(self, x) -> int:
         cuts, values = self._cells
@@ -101,12 +86,7 @@ class MultiplicityFunction:
         return sum(((hi - lo) * v for lo, hi, v in self.pieces), Fraction(0))
 
     def breakpoints(self) -> list[Fraction]:
-        points = {ZERO}
-        for lo, hi, _ in self.pieces:
-            points.add(lo)
-            if hi < 1:
-                points.add(hi)
-        return sorted(points)
+        return list(self._cells[0])
 
     def __str__(self) -> str:
         if not self.pieces:
@@ -114,27 +94,10 @@ class MultiplicityFunction:
         return ", ".join(f"{v} on [{lo},{hi})" for lo, hi, v in self.pieces)
 
 
-def _refined_cells(breakpoints: list[Fraction]):
-    pts = sorted(set(breakpoints) | {ZERO})
-    for a, b in zip(pts, pts[1:] + [ONE]):
-        if a < b:
-            yield a, b
-
-
 def folded_sum(m: MultiplicityFunction, e: TorusEndomorphism) -> MultiplicityFunction:
-    """w -> sum of m over the N preimages of w, exactly.
-
-    Breakpoints of the fold are the images N*b (mod 1) of breakpoints of m;
-    on each refined cell every branch is constant, so a midpoint evaluation
-    is exact.
-    """
-    points = {mod1(b * e.N) for b in m.breakpoints()}
-    out = []
-    for a, b in _refined_cells(sorted(points)):
-        mid = (a + b) / 2
-        total = sum(m.value_at(z) for z in e.preimages(mid))
-        out.append((a, b, total))
-    return MultiplicityFunction.from_pieces(out)
+    """w -> sum of m over the N preimages of w, exactly: the sum of m's branch images."""
+    images = ((a, b, value) for _, a, b, value in e.branch_images(m.pieces))
+    return MultiplicityFunction.from_pieces((lo, hi, sum(vs)) for lo, hi, vs in overlay(images))
 
 
 @dataclass(frozen=True)
@@ -145,13 +108,8 @@ class ConsistencyReport:
 
 def _fold_excess(m: MultiplicityFunction, e: TorusEndomorphism):
     """(lo, hi, fold(m) - m) on the cells of the common refinement of m and its fold."""
-    fold = folded_sum(m, e)
-    points = set(m.breakpoints()) | set(fold.breakpoints())
-    out = []
-    for a, b in _refined_cells(sorted(points)):
-        mid = (a + b) / 2
-        out.append((a, b, fold.value_at(mid) - m.value_at(mid)))
-    return out
+    pieces = folded_sum(m, e).pieces + tuple((lo, hi, -v) for lo, hi, v in m.pieces)
+    return [(lo, hi, sum(vs)) for lo, hi, vs in overlay(pieces)]
 
 
 def _negative_set(excess) -> TorusSet:
@@ -164,8 +122,12 @@ def check_consistency(m: MultiplicityFunction, e: TorusEndomorphism) -> Consiste
     return ConsistencyReport(holds=not violation, violation=violation)
 
 
+@lru_cache(maxsize=64)
 def compute_mtilde(m: MultiplicityFunction, e: TorusEndomorphism) -> MultiplicityFunction:
-    """Complementary multiplicity: fold(m) - m, defined when consistency holds."""
+    """Complementary multiplicity: fold(m) - m, defined when consistency holds.
+
+    Cached per (m, e), both frozen; the result is immutable.
+    """
     excess = _fold_excess(m, e)
     violation = _negative_set(excess)
     if violation:

@@ -20,7 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContextMismatch
-from .filters import FilterMatrix, GridFilterMatrix, VerificationReport, worst_residual
+from .filters import (
+    DEFAULT_TOL,
+    FilterMatrix,
+    GridFilterMatrix,
+    VerificationReport,
+    worst_residual,
+)
 from .torus import TorusSet
 from .trigpoly import TrigPoly, compose_endomorphism, fold, inner
 
@@ -105,12 +111,11 @@ def apply_S(F: FilterMatrix, f: SectionVector) -> SectionVector:
     lifted = [compose_endomorphism(c, F.e) for c in f.components]
     out = []
     for j, sj in enumerate(col_sets):
-        acc = TrigPoly.zero()
-        for i in range(min(F.rows, len(lifted))):
-            h = F.entry(i, j)
-            if h.is_zero() or lifted[i].is_zero():
-                continue
-            acc = acc + h * lifted[i]
+        acc = TrigPoly.sum(
+            F.entry(i, j) * lifted[i]
+            for i in range(min(F.rows, len(lifted)))
+            if not (F.entry(i, j).is_zero() or lifted[i].is_zero())
+        )
         out.append(acc.restrict(sj))
     return SectionVector(tuple(out), col_sets)
 
@@ -122,12 +127,11 @@ def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
     row_sets = F.row_sets
     out = []
     for i, si in enumerate(row_sets):
-        acc = TrigPoly.zero()
-        for j in range(min(F.cols, len(g.components))):
-            h = F.entry(i, j)
-            if h.is_zero() or g.components[j].is_zero():
-                continue
-            acc = acc + fold(F.e, g.components[j], h)
+        acc = TrigPoly.sum(
+            fold(F.e, g.components[j], F.entry(i, j))
+            for j in range(min(F.cols, len(g.components)))
+            if not (F.entry(i, j).is_zero() or g.components[j].is_zero())
+        )
         out.append((acc * (1.0 / F.e.N)).restrict(si))
     return SectionVector(tuple(out), row_sets)
 
@@ -137,7 +141,7 @@ def cuntz_check(
     G: FilterMatrix,
     trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Residuals of the four isometry identities on canonical and seeded vectors.
 

@@ -8,6 +8,7 @@ exact -- no floats -- so set identities can be asserted with ``==``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -38,6 +39,29 @@ def grid_cells(cuts, ps: np.ndarray, den: int) -> np.ndarray:
         [-((-c.numerator * den) // c.denominator) for c in cuts], dtype=np.int64
     )
     return np.searchsorted(thresholds, ps, side="right") - 1
+
+
+def overlay(pieces):
+    """The cells of [0, 1) cut at every piece boundary, each with its cover.
+
+    ``pieces`` are (lo, hi, payload) with Fractions 0 <= lo <= hi <= 1 and
+    may overlap.  Returns (lo, hi, payloads) per cell in ascending order,
+    ``payloads`` listing the payloads of the pieces that cover the cell in
+    input order (empty where none does).  Cut points are keyed by
+    (numerator, denominator), since hashing a Fraction is slow.
+    """
+    pieces = list(pieces)
+    cuts = {(0, 1): ZERO, (1, 1): ONE}
+    for lo, hi, _ in pieces:
+        cuts[lo.numerator, lo.denominator] = lo
+        cuts[hi.numerator, hi.denominator] = hi
+    points = sorted(cuts.values())
+    index = {(p.numerator, p.denominator): i for i, p in enumerate(points)}
+    cells = [[] for _ in points[1:]]
+    for lo, hi, payload in pieces:
+        for i in range(index[lo.numerator, lo.denominator], index[hi.numerator, hi.denominator]):
+            cells[i].append(payload)
+    return zip(points, points[1:], cells)
 
 
 def _normalize_segments(raw) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -132,14 +156,6 @@ class TorusSet:
     def is_subset(self, other: "TorusSet") -> bool:
         return self.intersect(other) == self
 
-    def breakpoints(self) -> list[Fraction]:
-        points = {ZERO}
-        for lo, hi in self.intervals:
-            points.add(lo)
-            if hi < 1:
-                points.add(hi)
-        return sorted(points)
-
     def __str__(self) -> str:
         if not self.intervals:
             return "{}"
@@ -160,9 +176,6 @@ class TorusEndomorphism:
         if self.N < 2:
             raise ValueError("dilation factor must be an integer >= 2")
 
-    def kernel(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.N) for k in range(self.N))
-
     def image(self, x) -> Fraction:
         return mod1(Fraction(x) * self.N)
 
@@ -171,23 +184,32 @@ class TorusEndomorphism:
         x = mod1(x)
         return [(x + k) / self.N for k in range(self.N)]
 
+    def branch_images(self, pieces):
+        """Split (lo, hi, payload) pieces of [0, 1] at the multiples of 1/N.
+
+        Yields (k, N*a - k, N*b - k, payload), the image of each nonempty
+        part [a, b) of a piece on branch [k/N, (k+1)/N); piece by piece,
+        each piece's parts in ascending k.
+        """
+        for lo, hi, payload in pieces:
+            lo, hi = lo * self.N, hi * self.N
+            for k in range(math.floor(lo), math.ceil(hi)):
+                yield k, max(lo - k, ZERO), min(hi - k, ONE), payload
+
+    def branch_preimages(self, pieces, k: int):
+        """The preimages ((lo + k)/N, (hi + k)/N, payload) on branch k of pieces of [0, 1]."""
+        return [((lo + k) / self.N, (hi + k) / self.N, payload) for lo, hi, payload in pieces]
+
     def preimage_set(self, s: TorusSet) -> TorusSet:
-        branches = []
-        for lo, hi in s.intervals:
-            for k in range(self.N):
-                branches.append(((lo + k) / self.N, (hi + k) / self.N))
-        return TorusSet.from_intervals(branches)
+        pieces = [(lo, hi, None) for lo, hi in s.intervals]
+        return TorusSet.from_intervals(
+            (a, b) for k in range(self.N) for a, b, _ in self.branch_preimages(pieces, k)
+        )
 
     def image_set(self, s: TorusSet) -> TorusSet:
-        # Split at multiples of 1/N so each piece maps without wrapping.
-        out = []
-        cuts = [Fraction(k, self.N) for k in range(self.N + 1)]
-        for lo, hi in s.intervals:
-            for k in range(self.N):
-                a, b = max(lo, cuts[k]), min(hi, cuts[k + 1])
-                if a < b:
-                    out.append((a * self.N - k, b * self.N - k))
-        return TorusSet.from_intervals(out)
+        return TorusSet.from_intervals(
+            (a, b) for _, a, b, _ in self.branch_images((lo, hi, None) for lo, hi in s.intervals)
+        )
 
     def cross_section(self, x) -> Fraction:
         """The distinguished preimage in [0, 1/N)."""

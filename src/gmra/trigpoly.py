@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, starmap
 
 import numpy as np
 
-from .torus import GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1
+from .torus import GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1, overlay
 
 _QUARTER = Fraction(1, 4)
 _QUARTER_PHASES = np.array([1, 1j, -1, -1j])
@@ -84,21 +85,36 @@ def _merge_terms(pairs) -> Terms:
     return tuple(out)
 
 
+def _sum_terms(payloads) -> Terms:
+    """The sum of canonical term tuples, bit for bit that of repeated ``+``.
+
+    The tuples are merged left to right, and a frequency that cancels to an
+    exact 0 is dropped before the next tuple reaches it.
+    """
+    terms = ()
+    for t in payloads:
+        terms = _merge_terms(terms + t) if terms else t
+    return terms
+
+
 def _coalesce(pieces):
-    pieces = sorted(pieces)
-    if not pieces:
-        raise ValueError("a trig poly needs at least one piece")
-    if pieces[0][0] != ZERO or pieces[-1][1] != ONE:
-        raise ValueError("pieces must cover [0, 1)")
-    merged = [list(pieces[0])]
-    for lo, hi, terms in pieces[1:]:
-        if lo != merged[-1][1]:
-            raise ValueError("pieces must tile [0, 1) with no gaps or overlaps")
-        if terms == merged[-1][2]:
+    """Merge adjacent pieces of an ascending tiling that carry equal terms."""
+    merged = []
+    for lo, hi, terms in pieces:
+        if merged and terms == merged[-1][2]:
             merged[-1][1] = hi
         else:
             merged.append([lo, hi, terms])
     return tuple((lo, hi, terms) for lo, hi, terms in merged)
+
+
+def _swept(pieces, combine) -> "TrigPoly":
+    """The poly carrying combine(payloads) on each cell of ``overlay(pieces)``."""
+    return TrigPoly(_coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
+
+
+def _nonzero_pieces(p: "TrigPoly"):
+    return ((lo, hi, terms) for lo, hi, terms in p.pieces if terms)
 
 
 @dataclass(frozen=True)
@@ -118,20 +134,21 @@ class TrigPoly:
         for lo, hi, terms in raw:
             lo, hi = Fraction(lo), Fraction(hi)
             if lo < hi:
+                if lo < 0 or hi > 1:
+                    raise ValueError("pieces must lie in [0, 1]")
                 cleaned.append((lo, hi, _merge_terms(terms)))
-        cleaned.sort()
-        filled = []
-        cursor = ZERO
-        for lo, hi, terms in cleaned:
-            if lo > cursor:
-                filled.append((cursor, lo, ()))
-            elif lo < cursor:
+
+        def only(payloads):
+            if len(payloads) > 1:
                 raise ValueError("pieces overlap")
-            filled.append((lo, hi, terms))
-            cursor = hi
-        if cursor < ONE:
-            filled.append((cursor, ONE, ()))
-        return TrigPoly(_coalesce(filled))
+            return payloads[0] if payloads else ()
+
+        return _swept(cleaned, only)
+
+    @staticmethod
+    def sum(polys) -> "TrigPoly":
+        """The sum of ``polys`` in one sweep, with the coefficients of repeated ``+``."""
+        return _swept(chain.from_iterable(map(_nonzero_pieces, polys)), _sum_terms)
 
     @staticmethod
     def zero() -> "TrigPoly":
@@ -155,48 +172,44 @@ class TrigPoly:
     # ---- algebra ---------------------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        out = [
-            (lo, hi, _merge_terms(ta + tb))
-            for lo, hi, ta, tb in _refine(self, other)
-        ]
-        return TrigPoly(_coalesce(out))
+        return TrigPoly.sum((self, other))
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
-            out = []
-            for lo, hi, ta, tb in _refine(self, other):
-                prod = [(na + nb, ca * cb) for na, ca in ta for nb, cb in tb]
-                out.append((lo, hi, _merge_terms(prod)))
-            return TrigPoly(_coalesce(out))
+
+            def product(payloads):
+                if len(payloads) < 2:
+                    return ()
+                ta, tb = payloads
+                return _merge_terms((na + nb, ca * cb) for na, ca in ta for nb, cb in tb)
+
+            return _swept(chain(_nonzero_pieces(self), _nonzero_pieces(other)), product)
         c = complex(other)
-        return TrigPoly(
-            _coalesce(
-                (lo, hi, _merge_terms((nu, co * c) for nu, co in terms))
-                for lo, hi, terms in self.pieces
-            )
-        )
+        return self._map_terms(lambda nu, co: (nu, co * c))
 
     __rmul__ = __mul__
 
     def conj(self) -> "TrigPoly":
+        return self._map_terms(lambda nu, c: (-nu, c.conjugate()))
+
+    def _map_terms(self, term) -> "TrigPoly":
+        """The poly whose pieces carry term(nu, c) for each of their terms, merged."""
         return TrigPoly(
             _coalesce(
-                (lo, hi, _merge_terms((-nu, c.conjugate()) for nu, c in terms))
-                for lo, hi, terms in self.pieces
+                (lo, hi, _merge_terms(starmap(term, terms))) for lo, hi, terms in self.pieces
             )
         )
 
     def restrict(self, ts: TorusSet) -> "TrigPoly":
         """Zero the function outside ts (exact piece surgery)."""
-        mask = TrigPoly.indicator(ts)
-        out = [
-            (lo, hi, ta if tb else ())
-            for lo, hi, ta, tb in _refine(self, mask)
-        ]
-        return TrigPoly(_coalesce(out))
+        inside = ((lo, hi, None) for lo, hi in ts.intervals)
+        return _swept(
+            chain(_nonzero_pieces(self), inside),
+            lambda payloads: payloads[0] if len(payloads) == 2 else (),
+        )
 
     # ---- evaluation ------------------------------------------------------
 
@@ -283,9 +296,6 @@ class TrigPoly:
     def deviation_from(self, other: "TrigPoly") -> float:
         return (self - other).sup_bound()
 
-    def equal_within(self, other: "TrigPoly", tol: float) -> bool:
-        return self.deviation_from(other) <= tol
-
     def constant_value(self, tol: float):
         """The constant this function equals everywhere, or None."""
         dev = 0.0
@@ -314,12 +324,7 @@ class TrigPoly:
     def shift_frequencies(self, gamma) -> "TrigPoly":
         """Multiply by e^(2*pi*i*gamma*w): shift every frequency by gamma."""
         gamma = Fraction(gamma)
-        return TrigPoly(
-            _coalesce(
-                (lo, hi, _merge_terms((nu + gamma, c) for nu, c in terms))
-                for lo, hi, terms in self.pieces
-            )
-        )
+        return self._map_terms(lambda nu, c: (nu + gamma, c))
 
     def __str__(self) -> str:
         def fmt_terms(terms):
@@ -332,48 +337,31 @@ class TrigPoly:
         )
 
 
-def _refine(f: TrigPoly, g: TrigPoly):
-    """Walk both partitions, yielding (lo, hi, f_terms, g_terms) cells."""
-    points = sorted(
-        {p for lo, hi, _ in f.pieces for p in (lo, hi)}
-        | {p for lo, hi, _ in g.pieces for p in (lo, hi)}
-    )
-    fi = gi = 0
-    for a, b in zip(points, points[1:]):
-        while f.pieces[fi][1] <= a:
-            fi += 1
-        while g.pieces[gi][1] <= a:
-            gi += 1
-        yield a, b, f.pieces[fi][2], g.pieces[gi][2]
-
-
 # ---- dilation branch maps ------------------------------------------------
 
 
-def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
-    """Substitute z = (w + k)/N: branch k of p stretched across the circle.
+def _dilated_terms(terms: Terms, e: TorusEndomorphism, k: int) -> Terms:
+    """Substitute z = (w + k)/N in the terms of a piece on branch k.
 
     A term c*e^(2*pi*i*nu*z) becomes frequency nu/N with the rational phase
     e^(2*pi*i*nu*k/N) folded into the coefficient.
     """
-    lo_b, hi_b = Fraction(k, e.N), Fraction(k + 1, e.N)
-    out = []
-    for lo, hi, terms in p.pieces:
-        a, b = max(lo, lo_b), min(hi, hi_b)
-        if a >= b:
-            continue
-        new_terms = [
-            (nu / e.N, c * unit_phase(nu * Fraction(k, e.N))) for nu, c in terms
-        ]
-        out.append((a * e.N - k, b * e.N - k, new_terms))
-    return TrigPoly.from_pieces(out)
+    shift = Fraction(k, e.N)
+    return _merge_terms((nu / e.N, c * unit_phase(nu * shift)) for nu, c in terms)
+
+
+def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
+    """Substitute z = (w + k)/N: branch k of p stretched across the circle."""
+    branch = ((a, b, terms) for j, a, b, terms in e.branch_images(_nonzero_pieces(p)) if j == k)
+    return _swept(((a, b, _dilated_terms(t, e, k)) for a, b, t in branch), _sum_terms)
 
 
 def _compressed_pieces(g: TrigPoly, e: TorusEndomorphism, k: int):
     """The pieces of g(N*w - k) on branch [k/N, (k+1)/N)."""
-    for lo, hi, terms in g.pieces:
-        new_terms = [(nu * e.N, c * unit_phase(-nu * k)) for nu, c in terms]
-        yield (lo + k) / e.N, (hi + k) / e.N, new_terms
+    return [
+        (a, b, [(nu * e.N, c * unit_phase(-nu * k)) for nu, c in terms])
+        for a, b, terms in e.branch_preimages(g.pieces, k)
+    ]
 
 
 def compress_branch(g: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
@@ -393,13 +381,11 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
 
     This is the left side of every filter identity.  The result is exact in
     the class: each branch contributes frequencies nu/N and pieces rescaled
-    by N.
+    by N.  All N branch images go through one sweep, and on each cell the
+    branches add in the order k = 0 .. N-1.
     """
-    p = f * g.conj()
-    total = TrigPoly.zero()
-    for k in range(e.N):
-        total = total + dilate_branch(p, e, k)
-    return total
+    branches = e.branch_images(_nonzero_pieces(f * g.conj()))
+    return _swept(((a, b, _dilated_terms(t, e, k)) for k, a, b, t in branches), _sum_terms)
 
 
 # ---- integration ---------------------------------------------------------

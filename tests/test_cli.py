@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gmra import catalog, cli
-from gmra.jsonio import dump_json, problem_to_json
+from gmra.jsonio import dump_json, problem_to_json, trigpoly_to_json
 
 
 @pytest.fixture
@@ -286,3 +286,92 @@ class TestRoutingAudit:
         monkeypatch.setattr(cli.equivalence, "purity_test", spy)
         run(capsys, ["purity", problems("haar")])
         assert calls.get("hit")
+
+
+class TestFlagBounds:
+    """Numeric flags are checked against jsonio's bounds table; exit 4 names the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["complement", "haar", "--grid", "-4"], "--grid"),
+            (["complement", "haar", "--grid", "0"], "--grid"),
+            (["cascade", "haar", "--iters", "0"], "--iters"),
+            (["cascade", "haar", "--samples", "0"], "--samples"),
+            (["construct", "haar", "--depth", "-2"], "--depth"),
+            (["construct", "haar", "--down", "-1"], "--down"),
+            (["equiv", "haar", "haar_negated", "--degree", "257"], "--degree"),
+            (["cuntz", "haar", "--seed", "-1"], "--seed"),
+            (["cuntz", "haar", "--trials", "-1"], "--trials"),
+            (["check-filter", "haar", "--tol", "0"], "--tol"),
+        ],
+        ids=[
+            "grid-negative", "grid-zero", "iters-zero", "samples-zero", "depth-negative",
+            "down-negative", "degree-too-large", "seed-negative", "trials-negative", "tol-zero",
+        ],
+    )
+    def test_out_of_range_exits_4(self, problems, capsys, argv, flag):
+        argv = [problems(a) if a in catalog.names() else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert flag in err
+        assert out == ""
+
+
+class TestProblemOptions:
+    """A flag wins, then GMRA_TOL (tolerance only), then the file's option, then the default."""
+
+    @staticmethod
+    def write(tmp_path, name, entry="haar", options=None, H=None):
+        data = problem_to_json(catalog.get(entry))
+        if options is not None:
+            data["options"] = options
+        if H is not None:
+            data["filters"] = {"H": [[trigpoly_to_json(H)]]}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_file_tolerance_used_and_overridden(self, tmp_path, capsys, monkeypatch):
+        # haar's residual is about 1e-16: it fails only the file's 1e-20
+        path = self.write(tmp_path, "tight", options={"tolerance": 1e-20})
+        code, out, _ = run(capsys, ["--json", "check-filter", path])
+        assert code == 2
+        assert json.loads(out)["filter"]["tolerance"] == 1e-20
+        assert run(capsys, ["check-filter", path, "--tol", "1e-9"])[0] == 0
+        monkeypatch.setenv("GMRA_TOL", "1e-9")
+        assert run(capsys, ["check-filter", path])[0] == 0
+        assert run(capsys, ["check-filter", path, "--tol", "1e-20"])[0] == 2
+
+    def test_file_degree_used_by_equiv(self, tmp_path, capsys):
+        # haar against its conjugate by e(w) needs a degree-1 multiplier
+        twisted = catalog.get("haar").H.entry(0, 0).shift_frequencies(1)
+        left = self.write(tmp_path, "haar_degree0", options={"degree": 0})
+        right = self.write(tmp_path, "twisted", H=twisted)
+        code, out, _ = run(capsys, ["--json", "equiv", left, right])
+        assert code == 3
+        assert json.loads(out)["searched_degree"] == 0
+        code, out, _ = run(capsys, ["--json", "equiv", left, right, "--degree", "1"])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "equivalent"
+
+    def test_file_seed_used_by_cuntz(self, tmp_path, capsys):
+        path = self.write(tmp_path, "seeded", entry="journe", options={"seed": 5})
+        by_file = run(capsys, ["--json", "cuntz", path, "--trials", "2"])
+        by_flag = run(capsys, ["--json", "cuntz", path, "--trials", "2", "--seed", "5"])
+        default = run(capsys, ["--json", "cuntz", path, "--trials", "2", "--seed", "0"])
+        assert by_file == by_flag
+        assert by_file[1] != default[1]
+
+    def test_overlapping_pieces_exit_4_with_the_entry_path(self, tmp_path, capsys):
+        data = problem_to_json(catalog.get("haar"))
+        data["filters"]["H"][0][0]["pieces"] = [
+            {"interval": ["0", "1/2"], "terms": [{"freq": "0", "re": 1.0, "im": 0.0}]},
+            {"interval": ["1/4", "1"], "terms": [{"freq": "0", "re": 1.0, "im": 0.0}]},
+        ]
+        path = tmp_path / "overlap.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["check-filter", str(path)])
+        assert code == 4
+        assert "filters.H[0][0]" in err
+        assert "overlap" in err
