@@ -211,9 +211,6 @@ class LedgerVector:
             tuple(tuple(TrigPoly.zero() for _ in level) for level in g.w_levels),
         )
 
-    def replace_v0(self, comps) -> "LedgerVector":
-        return LedgerVector(tuple(comps), self.w)
-
 
 def conform(g: CanonicalGMRA, v: LedgerVector):
     if len(v.v0) != len(g.v0_slots) or len(v.w) != len(g.w_levels):
@@ -497,18 +494,6 @@ class TensorGMRA:
     def N(self) -> int:
         return math.prod(f.e.N for f in self.factors)
 
-    def m_value(self, point) -> int:
-        return math.prod(
-            f.m.value_at(x) for f, x in zip(self.factors, point)
-        )
-
-    def mtilde_value(self, point) -> int:
-        folded = math.prod(
-            sum(f.m.value_at(z) for z in f.e.preimages(x))
-            for f, x in zip(self.factors, point)
-        )
-        return folded - self.m_value(point)
-
     def m_constant(self) -> int | None:
         vals = []
         for f in self.factors:
@@ -527,20 +512,16 @@ class TensorGMRA:
             raise ContextMismatch(
                 "tensor verification needs constant factor multiplicities"
             )
-        f1, f2 = self.factors
-        devs = []
-        for s in range(grid):
-            for t in range(grid):
-                x, y = Fraction(s, grid), Fraction(t, grid)
-                acc = np.zeros((c, c), dtype=complex)
-                for z1 in f1.e.preimages(x):
-                    for z2 in f2.e.preimages(y):
-                        val = np.kron(
-                            f1.H.value_at(z1)[: f1.m.max_value(), : f1.m.max_value()],
-                            f2.H.value_at(z2)[: f2.m.max_value(), : f2.m.max_value()],
-                        )
-                        acc += val @ val.conj().T
-                devs.append(float(np.abs(acc - self.N * np.eye(c)).max()))
+        # each factor's H, cut to its r rows and columns, at the preimages
+        # (s + k*grid)/(n*grid) of the grid points s/grid, indexed [i, j, k, s]
+        blocks = []
+        for f in self.factors:
+            r, n = f.m.max_value(), f.e.N
+            blocks.append(f.H.sample(np.arange(n * grid), n * grid)[:r, :r].reshape(r, r, n, grid))
+        # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l] for every branch pair, per pair point
+        kron = np.einsum("ijps,klqt->stpqikjl", *blocks).reshape(grid, grid, -1, c, c)
+        acc = np.einsum("stbij,stbkj->stik", kron, kron.conj())
+        devs = np.abs(acc - self.N * np.eye(c)).max(axis=(2, 3)).ravel()
         worst = worst_residual(devs)
         return VerificationReport(
             passed=worst <= tol,

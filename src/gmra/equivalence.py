@@ -29,7 +29,7 @@ from .filters import (
 from .multiplicity import MultiplicityFunction
 from .ruelle import SectionVector
 from .torus import TorusSet
-from .trigpoly import TrigPoly, compose_endomorphism, unit_phase
+from .trigpoly import TrigPoly, _terms_value, compose_endomorphism
 
 PURE = "pure"
 NOT_PURE = "not_pure"
@@ -118,17 +118,13 @@ def _certified_windows(cells, samples: int):
                 yield (a, b), gap
 
 
-def _value(terms, x: Fraction) -> complex:
-    return sum((c * unit_phase(nu * x) for nu, c in terms), 0j)
-
-
 def _lipschitz(terms) -> float:
     """Derivative bound sum |c| * 2*pi*|nu| of the terms of one piece."""
     return sum(abs(c) * math.tau * abs(float(nu)) for nu, c in terms)
 
 
 def _block_at(block, x: Fraction) -> np.ndarray:
-    return np.array([[_value(t, x) for t in row] for row in block], dtype=complex)
+    return np.array([[_terms_value(t, x) for t in row] for row in block], dtype=complex)
 
 
 def _block_lipschitz(block) -> float:
@@ -148,7 +144,7 @@ def certified_deviation_set(
     """
 
     def gap_at(terms, x):
-        return abs(_value(terms, x) - target) - margin
+        return abs(_terms_value(terms, x) - target) - margin
 
     cells = ((lo, hi, _lipschitz(terms), partial(gap_at, terms)) for lo, hi, terms in p.pieces)
     return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples_per_piece))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +33,24 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# the forms rat_str writes; matched first, so no exponent such as "1e-999999999"
+# asks Fraction for a power of ten of unbounded size
+_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
+
+
 def parse_rat(text, path="value") -> Fraction:
+    """A rational from "p/q" or "p" text, its denominator within ``INT_BOUNDS``."""
     try:
-        return Fraction(str(text))
+        if not _RATIONAL.fullmatch(str(text)):
+            raise ValueError('expected "p/q" or "p"')
+        q = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(path, f"not a rational: {text!r} ({exc})") from None
+    try:
+        check_setting("denominator", q.denominator)
+    except ValueError as exc:
+        raise ProblemFileError(path, f"denominator of {text!r}: {exc}") from None
+    return q
 
 
 def _centered_intervals(ts: TorusSet):
@@ -272,6 +286,9 @@ INT_BOUNDS = {
     "samples": (1, 2**16),
     "trials": (0, 1000),
     "down": (0, 16),
+    # not options: the dilation factor and every input denominator
+    "N": (2, 2**10),
+    "denominator": (1, 2**32),
 }
 
 
@@ -295,10 +312,10 @@ def parse_problem(data, path="problem") -> ProblemInput:
     endo = data.get("endomorphism")
     if not isinstance(endo, dict) or "N" not in endo:
         raise ProblemFileError(f"{path}.endomorphism", "expected {N: int >= 2}")
-    N = endo["N"]
-    if not isinstance(N, int) or N < 2:
-        raise ProblemFileError(f"{path}.endomorphism.N", "expected an integer >= 2")
-    e = TorusEndomorphism(N)
+    try:
+        e = TorusEndomorphism(check_setting("N", endo["N"]))
+    except ValueError as exc:
+        raise ProblemFileError(f"{path}.endomorphism.N", str(exc)) from None
     if "multiplicity" not in data:
         raise ProblemFileError(f"{path}.multiplicity", "missing")
     m = parse_multiplicity(data["multiplicity"], f"{path}.multiplicity")

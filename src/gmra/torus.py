@@ -2,7 +2,7 @@
 
 Points are rationals reduced mod 1, sets are finite unions of half-open
 intervals with rational endpoints, and the dilation w -> N*w (mod 1) comes
-with its kernel, cross-section and branch partition.  Everything here is
+with its branch split and branch partition.  Everything here is
 exact -- no floats -- so set identities can be asserted with ``==``.
 """
 
@@ -129,10 +129,6 @@ class TorusSet:
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), ZERO)
 
-    def contains(self, x) -> bool:
-        x = mod1(x)
-        return any(lo <= x < hi for lo, hi in self.intervals)
-
     def union(self, other: "TorusSet") -> "TorusSet":
         return TorusSet(_normalize_segments(self.intervals + other.intervals))
 
@@ -211,16 +207,13 @@ class TorusEndomorphism:
             (a, b) for _, a, b, _ in self.branch_images((lo, hi, None) for lo, hi in s.intervals)
         )
 
-    def cross_section(self, x) -> Fraction:
-        """The distinguished preimage in [0, 1/N)."""
-        return mod1(x) / self.N
-
     def tau_partition(self, s: TorusSet) -> list[tuple[Fraction, TorusSet]]:
         """Split s into the branch pieces on which the map is injective.
 
         Returns (zeta, piece) pairs, piece = s n [k/N, (k+1)/N), with zeta
         the kernel element carrying each x of the piece onto the
-        cross-section sheet: c(N*x) - x = (N-k)/N (mod 1).  Empty pieces are
+        cross-section sheet [0, 1/N): c(N*x) - x = (N-k)/N (mod 1), where
+        c(y) = (y mod 1)/N is the first of ``preimages(y)``.  Empty pieces are
         dropped; the pieces are disjoint and union back to s.
         """
         out = []

@@ -19,21 +19,34 @@ import numpy as np
 
 from .torus import GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1, overlay
 
-_QUARTER = Fraction(1, 4)
-_QUARTER_PHASES = np.array([1, 1j, -1, -1j])
+_QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
+_QUARTER_PHASES = np.array(_QUARTER_TURNS)
+
+
+def _turn(num: int, den: int) -> complex:
+    """e^(2*pi*i*num/den) for integers num and den > 0, exact at quarter turns.
+
+    The turn is reduced in integers and int/int division rounds correctly, so
+    every num/den of one rational gives the same bits.
+    """
+    r = num % den
+    quarters = 4 * r
+    if quarters % den == 0:
+        return _QUARTER_TURNS[quarters // den]
+    t = math.tau * (r / den)
+    return complex(math.cos(t), math.sin(t))
 
 
 def unit_phase(q) -> complex:
     """e^(2*pi*i*q) for rational q, exact at quarter turns."""
-    q = mod1(Fraction(q))
-    if q.denominator == 1:
-        return complex(1.0)
-    if q.denominator == 2:
-        return complex(-1.0)
-    if q.denominator == 4:
-        return 1j if q == _QUARTER else -1j
-    t = math.tau * float(q)
-    return complex(math.cos(t), math.sin(t))
+    q = Fraction(q)
+    return _turn(q.numerator, q.denominator)
+
+
+def _terms_value(terms, x: Fraction) -> complex:
+    """sum c * e^(2*pi*i*nu*x) over the (nu, c) terms, at a rational x."""
+    a, b = x.numerator, x.denominator
+    return sum((c * _turn(nu.numerator * a, nu.denominator * b) for nu, c in terms), 0j)
 
 
 def _grid_phase(nu: Fraction, ps: np.ndarray, den: int) -> np.ndarray:
@@ -42,13 +55,13 @@ def _grid_phase(nu: Fraction, ps: np.ndarray, den: int) -> np.ndarray:
     The turn nu*p/den is reduced exactly to r/(b*den), r = (a*p) mod (b*den)
     for nu = a/b, in int64; quarter turns come out exactly 1, i, -1, -i.
     Where int64 could overflow or r/(b*den) would not convert exactly to a
-    float, the points go through ``unit_phase`` one by one.
+    float, the points go through ``_turn`` one by one.
     """
     a, b = nu.numerator, nu.denominator
     period = b * den
     if abs(a) * den >= 2**62 or period >= 2**53:
         return np.array(
-            [unit_phase(Fraction(a * int(p), period)) for p in ps], dtype=complex
+            [_turn(a * int(p), period) for p in ps], dtype=complex
         )
     r = a * ps
     r %= period
@@ -218,7 +231,7 @@ class TrigPoly:
         x = mod1(Fraction(x))
         for lo, hi, terms in self.pieces:
             if lo <= x < hi:
-                return sum((c * unit_phase(nu * x) for nu, c in terms), 0j)
+                return _terms_value(terms, x)
         raise AssertionError("canonical pieces cover [0,1)")
 
     def sample(self, xs: np.ndarray, den: int | None = None) -> np.ndarray:
@@ -346,8 +359,9 @@ def _dilated_terms(terms: Terms, e: TorusEndomorphism, k: int) -> Terms:
     A term c*e^(2*pi*i*nu*z) becomes frequency nu/N with the rational phase
     e^(2*pi*i*nu*k/N) folded into the coefficient.
     """
-    shift = Fraction(k, e.N)
-    return _merge_terms((nu / e.N, c * unit_phase(nu * shift)) for nu, c in terms)
+    return _merge_terms(
+        (nu / e.N, c * _turn(nu.numerator * k, nu.denominator * e.N)) for nu, c in terms
+    )
 
 
 def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
@@ -359,7 +373,7 @@ def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
 def _compressed_pieces(g: TrigPoly, e: TorusEndomorphism, k: int):
     """The pieces of g(N*w - k) on branch [k/N, (k+1)/N)."""
     return [
-        (a, b, [(nu * e.N, c * unit_phase(-nu * k)) for nu, c in terms])
+        (a, b, [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator)) for nu, c in terms])
         for a, b, terms in e.branch_preimages(g.pieces, k)
     ]
 
@@ -391,28 +405,46 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
 # ---- integration ---------------------------------------------------------
 
 
-def integrate(f: TrigPoly) -> complex:
-    """Closed-form integral over the circle.
+def _cell_inner(ta: Terms, tb: Terms, lo: Fraction, hi: Fraction) -> complex:
+    """int_lo^hi (sum_j c_j e(nu_j w)) * conj(sum_k d_k e(mu_k w)) dw in closed form, pair by pair.
 
-    Per piece, int_a^b e^(2*pi*i*nu*w) dw = (e^(2*pi*i*nu*b) - e^(2*pi*i*nu*a))
-    / (2*pi*i*nu), and the length b - a for nu = 0.
+    e(t) = e^(2*pi*i*t).  lambda = nu_j - mu_k is formed in integers, so the
+    zero test is exact and its float is correctly rounded.
     """
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    width = (bn * ad - an * bd) / (ad * bd)
+
+    def phased(terms):  # (num, den, c, e(nu*lo), e(nu*hi)) per term (nu, c)
+        nds = [(nu.numerator, nu.denominator, c) for nu, c in terms]
+        return [(n, d, c, _turn(n * an, d * ad), _turn(n * bn, d * bd)) for n, d, c in nds]
+
+    left, right = phased(ta), phased(tb)
     total = 0j
-    for lo, hi, terms in f.pieces:
-        for nu, c in terms:
-            if nu == 0:
-                total += c * (float(hi) - float(lo))
+    for n1, d1, c, pa, pb in left:
+        for n2, d2, d, qa, qb in right:
+            lam = n1 * d2 - n2 * d1
+            w = c * d.conjugate()
+            if lam == 0:
+                total += w * width
             else:
-                total += (
-                    c
-                    * (unit_phase(nu * hi) - unit_phase(nu * lo))
-                    / (2j * math.pi * float(nu))
-                )
+                delta = pb * qb.conjugate() - pa * qa.conjugate()
+                total += w * delta / (2j * math.pi * (lam / (d1 * d2)))
     return total
 
 
 def inner(f: TrigPoly, g: TrigPoly) -> complex:
-    return integrate(f * g.conj())
+    """int f * conj(g) over the circle without forming the product: cell by cell over
+    ``overlay`` of the nonzero pieces of f and g, or over f's own pieces when g is f."""
+    if f is g:
+        cells = ((lo, hi, (t, t)) for lo, hi, t in _nonzero_pieces(f))
+    else:
+        cells = overlay(chain(_nonzero_pieces(f), _nonzero_pieces(g)))
+    return sum((_cell_inner(*ts, lo, hi) for lo, hi, ts in cells if len(ts) == 2), 0j)
+
+
+def integrate(f: TrigPoly) -> complex:
+    """Closed-form integral over the circle: the inner product with the constant 1."""
+    return inner(f, TrigPoly.constant(1.0))
 
 
 def norm(f: TrigPoly) -> float:

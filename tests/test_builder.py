@@ -9,8 +9,10 @@ from gmra import catalog
 from gmra.builder import (
     CONVERGENT_NONZERO,
     DEGENERATES_TO_ZERO,
+    FilterSystem,
     LedgerVector,
     SpaceSlot,
+    TensorGMRA,
     apply_T,
     apply_T_inverse,
     apply_translation,
@@ -23,7 +25,8 @@ from gmra.builder import (
     tensor,
 )
 from gmra.errors import DepthExceeded, FilterInvalid, NotPureIsometry
-from gmra.multiplicity import MultiplicityFunction
+from gmra.filters import FilterMatrix
+from gmra.multiplicity import MultiplicityFunction, folded_sum
 from gmra.torus import TorusEndomorphism, TorusSet
 from gmra.trigpoly import TrigPoly, inner
 
@@ -117,8 +120,8 @@ class TestDilation:
 class TestUnitarity:
     def test_canonical_vector_maps_to_filter(self):
         g = built("haar", depth=2)
-        v = LedgerVector.zero(g).replace_v0(
-            [TrigPoly.indicator(g.v0_slots[0].base)]
+        v = LedgerVector(
+            (TrigPoly.indicator(g.v0_slots[0].base),), LedgerVector.zero(g).w
         )
         out = apply_T(g, v)
         assert out.v0[0].deviation_from(g.H.entry(0, 0)) < 1e-12
@@ -242,8 +245,7 @@ def _sum_indicator_layers(sets):
     for a, b in zip(points, points[1:]):
         if a >= b:
             continue
-        mid = (a + b) / 2
-        value = sum(1 for s in sets if s.contains(mid))
+        value = sum(1 for s in sets if TorusSet.interval(a, b).is_subset(s))
         if value:
             pieces.append((a, b, value))
     return MultiplicityFunction.from_pieces(pieces)
@@ -283,7 +285,9 @@ class TestTensor:
         prod = tensor(self._system("haar"), self._system("haar"))
         assert prod.N == 4
         assert prod.m_constant() == 1
-        assert prod.mtilde_value((F(0), F(0))) == 3
+        # mtilde at (0, 0) is the product of the factors' folded m minus their m: 2 * 2 - 1
+        folded = math.prod(folded_sum(f.m, f.e).value_at(F(0)) for f in prod.factors)
+        assert folded - math.prod(f.m.value_at(F(0)) for f in prod.factors) == 3
         assert prod.verify(grid=10).passed
 
     def test_haar_times_shannon(self):
@@ -291,6 +295,45 @@ class TestTensor:
         rep = prod.verify(grid=10)
         assert rep.passed and rep.max_residual < 1e-9
 
+    def test_verify_matches_the_per_point_loop(self):
+        # diag(haar, shannon) with m = 2: a factor with 2x2 blocks
+        haar, shannon = catalog.get("haar"), catalog.get("shannon")
+        two = MultiplicityFunction.constant(2)
+        zero = TrigPoly.zero()
+        diag = FilterMatrix(
+            ((haar.H.entry(0, 0), zero), (zero, shannon.H.entry(0, 0))), two, haar.e
+        )
+        diag_system = FilterSystem(two, diag, None, haar.e)
+        products = [
+            tensor(self._system("haar"), self._system("haar")),
+            tensor(self._system("haar"), self._system("shannon")),
+            TensorGMRA((FilterSystem(*self._system("haar_unnormalized")),
+                        FilterSystem(*self._system("cohen")))),
+            TensorGMRA((diag_system, FilterSystem(*self._system("haar3_2wavelet")))),
+        ]
+        for prod in products:
+            for grid in (7, 10):
+                rep = prod.verify(grid=grid)
+                assert abs(rep.max_residual - kron_fold_loop(prod, grid)) < 1e-12
+        assert products[2].verify(grid=10).max_residual > 1
+
     def test_refuses_eigenfilter_factor(self):
         with pytest.raises(NotPureIsometry):
             tensor(self._system("haar"), self._system("eigenfilter_constant"))
+
+
+def kron_fold_loop(prod, grid):
+    """Worst deviation of the Kronecker fold from N*I, point by point with value_at."""
+    c = prod.m_constant()
+    f1, f2 = prod.factors
+    r1, r2 = f1.m.max_value(), f2.m.max_value()
+    devs = []
+    for s in range(grid):
+        for t in range(grid):
+            acc = np.zeros((c, c), dtype=complex)
+            for z1 in f1.e.preimages(F(s, grid)):
+                for z2 in f2.e.preimages(F(t, grid)):
+                    val = np.kron(f1.H.value_at(z1)[:r1, :r1], f2.H.value_at(z2)[:r2, :r2])
+                    acc += val @ val.conj().T
+            devs.append(float(np.abs(acc - prod.N * np.eye(c)).max()))
+    return max(devs)

@@ -145,6 +145,56 @@ class TestOptions:
         assert parse_problem(self.problem()).options["grid"] == 256
 
 
+class TestInputBounds:
+    """N and every input denominator are checked before anything is built from them."""
+
+    @pytest.mark.parametrize("bad", [1, 0, -3, 2**10 + 1, 2**80, 2.0, True, "2", None])
+    def test_dilation_factor_rejected_with_path(self, bad):
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem({"endomorphism": {"N": bad}, "multiplicity": []}, "p.json")
+        assert info.value.path == "p.json.endomorphism.N"
+
+    def test_dilation_factor_range_ends(self):
+        for N in (2, 2**10):
+            assert parse_problem({"endomorphism": {"N": N}, "multiplicity": []}).e.N == N
+
+    KEYS = [
+        ("multiplicity", 0, "interval", 1),
+        ("filters", "H", 0, 0, "pieces", 0, "interval", 0),
+        ("filters", "H", 0, 0, "pieces", 0, "terms", 0, "freq"),
+    ]
+
+    @pytest.mark.parametrize("keys", KEYS)
+    @pytest.mark.parametrize("bad", [f"1/{2**32 + 1}", f"-5/{2**70}"])
+    def test_denominator_rejected_with_path(self, keys, bad):
+        info = self._rejected(keys, bad)
+        assert "denominator" in str(info.value)
+
+    @pytest.mark.parametrize("keys", KEYS)
+    @pytest.mark.parametrize("bad", ["1e-999999999", "1E999999999", "0.5", "+1/2", " 1", 0.5, True])
+    def test_other_text_rejected_before_it_is_read(self, keys, bad):
+        # "1e-999999999" would ask Fraction for 10**999999999 if it were read
+        info = self._rejected(keys, bad)
+        assert "not a rational" in str(info.value)
+
+    @staticmethod
+    def _rejected(keys, bad):
+        data = problem_to_json(catalog.get("haar"))
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = bad
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(data, "p")
+        path = "p" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        assert info.value.path == path
+        return info
+
+    def test_denominator_range_end(self):
+        assert parse_rat(f"-3/{2**32}") == F(-3, 2**32)
+        assert parse_rat(f"{2**40}") == 2**40
+
+
 class TestNonFiniteCoefficients:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "-inf"])
     def test_rejected_at_the_term(self, bad):

@@ -1,15 +1,17 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmra.torus import TorusEndomorphism, TorusSet
+from gmra.torus import TorusEndomorphism, TorusSet, mod1
 from gmra.trigpoly import (
     TrigPoly,
+    _turn,
     compose_endomorphism,
     compress_branch,
     dilate_branch,
@@ -172,3 +174,99 @@ class TestIntegration:
     def test_inner_hermitian(self):
         f, g = haar(), poly((2, 1.0), (0, -0.5))
         assert abs(inner(f, g) - inner(g, f).conjugate()) < 1e-12
+
+
+# ---- phases and inner products against the Fraction formulas ---------------
+
+
+def fraction_phase(q) -> complex:
+    """e^(2*pi*i*q) by the Fraction formula: reduce mod 1, quarter turns exact."""
+    q = mod1(Fraction(q))
+    if q.denominator == 1:
+        return complex(1.0)
+    if q.denominator == 2:
+        return complex(-1.0)
+    if q.denominator == 4:
+        return 1j if q == F(1, 4) else -1j
+    t = math.tau * float(q)
+    return complex(math.cos(t), math.sin(t))
+
+
+def fraction_integrate(f: TrigPoly) -> complex:
+    """Per-term closed-form integral with Fraction phases."""
+    total = 0j
+    for lo, hi, terms in f.pieces:
+        for nu, c in terms:
+            if nu == 0:
+                total += c * (float(hi) - float(lo))
+            else:
+                total += c * (fraction_phase(nu * hi) - fraction_phase(nu * lo)) / (
+                    2j * math.pi * float(nu)
+                )
+    return total
+
+
+def product_inner(f, g) -> complex:
+    """The inner product through the product poly f * conj(g)."""
+    return fraction_integrate(f * g.conj())
+
+
+def bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+big_ints = st.integers(-(2**80), 2**80)
+denominators = st.one_of(st.integers(1, 16), st.integers(1, 2**80))
+
+
+@st.composite
+def rational_polys(draw):
+    """Multi-piece polys: breakpoints j/d with d <= 12, frequencies with d <= 5, zero pieces."""
+    cuts = draw(
+        st.sets(
+            st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1),
+            max_size=4,
+        )
+    )
+    bounds = [F(0)] + sorted(cuts) + [F(1)]
+    terms = st.lists(
+        st.tuples(
+            st.fractions(min_value=-6, max_value=6, max_denominator=5),
+            st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=3,
+    )
+    return TrigPoly.from_pieces((lo, hi, draw(terms)) for lo, hi in zip(bounds, bounds[1:]))
+
+
+class TestPhases:
+    @given(big_ints, denominators)
+    def test_turn_is_the_fraction_formula(self, n, d):
+        assert bits(_turn(n, d)) == bits(fraction_phase(F(n, d)))
+        assert bits(unit_phase(F(n, d))) == bits(fraction_phase(F(n, d)))
+
+    @given(big_ints, st.integers(1, 2**70), st.integers(0, 3))
+    def test_quarter_turns_exact(self, k, scale, quarter):
+        # num/den = k + quarter/4 with den = 4*scale, unreduced
+        n, d = (4 * k + quarter) * scale, 4 * scale
+        assert bits(_turn(n, d)) == bits((1 + 0j, 1j, -1 + 0j, -1j)[quarter])
+        assert bits(_turn(n, d)) == bits(fraction_phase(F(n, d)))
+
+    @given(big_ints)
+    def test_unit_phase_of_an_int(self, n):
+        assert bits(unit_phase(n)) == bits(complex(1.0))
+
+
+class TestInnerKernel:
+    @given(rational_polys(), rational_polys())
+    def test_matches_product_oracle_and_is_hermitian(self, f, g):
+        scale = 1 + math.sqrt(product_inner(f, f).real * product_inner(g, g).real)
+        assert abs(inner(f, g) - product_inner(f, g)) <= 1e-12 * scale
+        assert abs(inner(g, f) - inner(f, g).conjugate()) <= 1e-12 * scale
+
+    @given(rational_polys())
+    def test_self_path_and_integral(self, f):
+        copy = TrigPoly.from_pieces(f.pieces)
+        assert copy == f and copy is not f
+        assert abs(inner(f, f) - inner(f, copy)) <= 1e-12 * (1 + norm(f) ** 2)
+        assert abs(integrate(f) - fraction_integrate(f)) <= 1e-12 * (1 + f.sup_bound())
