@@ -354,15 +354,15 @@ def _propagate_supports(F: FilterMatrix, sets: list[TorusSet]) -> list[TorusSet]
     of the i-th input support.  Entries are treated as nonvanishing on
     their supports (zeros of a nonzero trig poly are null).
     """
-    cols = len(F.column_sets)
-    out = []
-    for j in range(cols):
-        acc = TorusSet.empty()
-        for i in range(min(F.rows, len(sets))):
-            piece = F.entry(i, j).support().intersect(F.e.preimage_set(sets[i]))
-            acc = acc.union(piece)
-        out.append(acc)
-    return out
+    preimages = [F.e.preimage_set(s) for s in sets[: F.rows]]
+    return [
+        TorusSet.from_intervals(
+            iv
+            for i, pre in enumerate(preimages)
+            for iv in F.entry(i, j).support().intersect(pre).intervals
+        )
+        for j in range(len(F.column_sets))
+    ]
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def _block_lipschitz(block) -> float:
 
 
 def certified_deviation_set(
-    p: TrigPoly, target: complex, margin: float, samples_per_piece: int = 24
+    p: TrigPoly, target: complex, margin: float
 ) -> TorusSet:
     """A set on which |p - target| > margin holds, certified.
 
@@ -147,7 +147,7 @@ def certified_deviation_set(
         return abs(_terms_value(terms, x) - target) - margin
 
     cells = ((lo, hi, _lipschitz(terms), partial(gap_at, terms)) for lo, hi, terms in p.pieces)
-    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples_per_piece))
+    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples=24))
 
 
 # ---- purity ------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _piece_terms(h: TrigPoly, x: Fraction):
 
 
 def low_singular_certificate(
-    H: FilterMatrix, tol: float = DEFAULT_TOL, samples_per_piece: int = 16
+    H: FilterMatrix, tol: float = DEFAULT_TOL
 ) -> TorusSet:
     """Certified set where the top singular value of the active block < 1 - tol.
 
@@ -211,7 +211,7 @@ def low_singular_certificate(
         (a, b, _block_lipschitz(block), partial(gap_at, block))
         for a, b, (block,) in _matrix_cells(H)
     )
-    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples_per_piece))
+    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples=16))
 
 
 def purity_test(H: FilterMatrix, tol: float = DEFAULT_TOL) -> PurityVerdict:
@@ -476,7 +476,6 @@ def decide(
     H: FilterMatrix,
     Hp: FilterMatrix,
     degree: int = 16,
-    grid: int = 64,
     tol: float = DEFAULT_TOL,
 ) -> EquivalenceVerdict:
     """Classify the pair (m, H) vs (m', H'): equal multiplicities plus an
@@ -521,7 +520,7 @@ def decide(
         )
     # constant multipliers are the only grid solutions we can lift exactly,
     # so target them directly; the conjugation check certifies the witness
-    const = constant_multiplier_search(H, Hp, grid=grid, tol=tol)
+    const = constant_multiplier_search(H, Hp, tol=tol)
     if const is not None:
         r = H.m.max_value()
         entries = tuple(

@@ -23,6 +23,8 @@ from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly, compose_endomorphism, fold
 
 DEFAULT_TOL = 1e-9
+# residual norm a canonical vector must exceed to join a pointwise completion
+PIVOT_TOL = 1e-8
 
 
 def worst_residual(values) -> float:
@@ -263,7 +265,7 @@ def check_block_unitary(A: FilterMatrix, grid: int = 128) -> float:
 
 
 def conjugate_filter(
-    H: FilterMatrix, A: FilterMatrix, tol: float = DEFAULT_TOL, grid: int = 128
+    H: FilterMatrix, A: FilterMatrix, tol: float = DEFAULT_TOL
 ) -> FilterMatrix:
     """The conjugated filter  w -> A(N*w) H(w) A*(w), exact in the class.
 
@@ -272,7 +274,7 @@ def conjugate_filter(
     """
     if not same_context(A, H):
         raise ContextMismatch("multiplier and filter contexts differ")
-    dev = check_block_unitary(A, grid=grid)
+    dev = check_block_unitary(A)
     if not dev <= max(tol, 1e-7):  # a NaN deviation fails too
         raise NotUnitary(f"multiplier fails block unitarity by {dev:.3g}")
     size = max(A.rows, A.cols, H.rows, H.cols)
@@ -360,12 +362,12 @@ def _grid_residuals(Gq: np.ndarray, Hq: np.ndarray, mt: np.ndarray, N: int):
     return worst_residual(gg), worst_residual(gh)
 
 
-def _complete_run(basis: np.ndarray, mw: int, mt: int, pivot_tol: float) -> np.ndarray:
+def _complete_run(basis: np.ndarray, mw: int, mt: int) -> np.ndarray:
     """Fill slots mw.. of ``basis`` (points, mw + mt, dim) by Gram-Schmidt.
 
     The first mw slots hold the orthonormal rows at each point.  For each
     canonical vector e_d in turn, projected off the filled slots twice, a
-    point whose residual norm exceeds ``pivot_tol`` takes it as its next
+    point whose residual norm exceeds ``PIVOT_TOL`` takes it as its next
     row until it has mt; slots not yet filled are zero and project nothing
     off, so every point follows the pointwise pivot rule.  Returns the
     number of rows found at each point.
@@ -383,7 +385,7 @@ def _complete_run(basis: np.ndarray, mw: int, mt: int, pivot_tol: float) -> np.n
                 vec = basis[:, v]
                 u -= np.einsum("pd,pd->p", vec.conj(), u)[:, None] * vec
         norms = np.linalg.norm(u, axis=1)
-        take = np.flatnonzero(open_ & (norms > pivot_tol))
+        take = np.flatnonzero(open_ & (norms > PIVOT_TOL))
         basis[take, mw + found[take]] = u[take] / norms[take, None]
         found[take] += 1
     return found
@@ -393,7 +395,6 @@ def complement_numeric(
     H: FilterMatrix,
     grid: int = 256,
     tol: float = DEFAULT_TOL,
-    pivot_tol: float = 1e-8,
 ) -> tuple[GridFilterMatrix, VerificationReport]:
     """Complete H to a complementary filter, pointwise on a quotient grid.
 
@@ -401,7 +402,7 @@ def complement_numeric(
     N preimages and scaled by 1/sqrt(N), form an orthonormal family of size
     m(w) inside the coordinates (j, k) allowed by the column supports.  The
     canonical basis is Gram-Schmidt-ed against that family (pivot = lowest
-    index whose residual norm exceeds pivot_tol) until mtilde(w) extra rows
+    index whose residual norm exceeds PIVOT_TOL) until mtilde(w) extra rows
     are found; the complementary samples are the completions scaled back by
     sqrt(N).
 
@@ -443,7 +444,7 @@ def complement_numeric(
             )
         basis = np.zeros((b - a, dim, dim), dtype=complex)
         basis[:, :w_dim] = Hq[:w_dim, js, ks, a:b].transpose(2, 0, 1) / sqrt_n
-        found = _complete_run(basis, w_dim, t_dim, pivot_tol)
+        found = _complete_run(basis, w_dim, t_dim)
         short = np.flatnonzero(found < t_dim)
         if len(short):
             t = a + int(short[0])

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ProblemFileError
 from .filters import DEFAULT_TOL, FilterMatrix, GridFilterMatrix
 from .multiplicity import MultiplicityFunction
-from .torus import TorusEndomorphism, TorusSet
+from .torus import TorusEndomorphism, TorusSet, wrap
 from .trigpoly import TrigPoly
 
 UNIT = "unit"
@@ -54,24 +54,10 @@ def parse_rat(text, path="value") -> Fraction:
 
 
 def _centered_intervals(ts: TorusSet):
+    """The intervals of ts in [-1/2, 1/2]: the canonical form of ts turned by 1/2, turned back."""
     half = Fraction(1, 2)
-    shifted = []
-    for lo, hi in ts.intervals:
-        if hi <= half:
-            shifted.append((lo, hi))
-        elif lo >= half:
-            shifted.append((lo - 1, hi - 1))
-        else:
-            shifted.append((lo, half))
-            shifted.append((-half, hi - 1))
-    shifted.sort()
-    merged = []
-    for lo, hi in shifted:
-        if merged and merged[-1][1] == lo:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+    turned = TorusSet.from_intervals((lo + half, hi + half) for lo, hi in ts.intervals)
+    return [(lo - half, hi - half) for lo, hi in turned.intervals]
 
 
 def torus_set_to_json(ts: TorusSet, convention: str = UNIT) -> list:
@@ -117,9 +103,10 @@ def parse_multiplicity(data, path="multiplicity") -> MultiplicityFunction:
         interval = item["interval"]
         if not isinstance(interval, list) or len(interval) != 2:
             raise ProblemFileError(f"{here}.interval", "expected [lo, hi]")
-        value = item["value"]
-        if not isinstance(value, int) or value < 0:
-            raise ProblemFileError(f"{here}.value", "expected a nonnegative integer")
+        try:
+            value = check_setting("multiplicity", item["value"])
+        except ValueError as exc:
+            raise ProblemFileError(f"{here}.value", str(exc)) from None
         pieces.append(
             (
                 parse_rat(interval[0], f"{here}.interval[0]"),
@@ -180,7 +167,7 @@ def parse_trigpoly(data, path="entry") -> TrigPoly:
                 raise ProblemFileError(there, f"re/im must be finite, got {coef}")
             terms.append((freq, coef))
         # wrap the declared interval into [0, 1) pieces, same terms on each
-        for a, b in TorusSet.interval(lo, hi).intervals:
+        for a, b in wrap(lo, hi):
             raw.append((a, b, list(terms)))
     try:
         return TrigPoly.from_pieces(raw)
@@ -212,31 +199,6 @@ def parse_filter(data, m, e, rows_follow, path="filter") -> FilterMatrix:
             )
         )
     return FilterMatrix(tuple(rows), m, e, rows_follow)
-
-
-def section_to_json(v, convention: str = UNIT) -> dict:
-    """Section vector as component trig polys plus their carrier sets."""
-    return {
-        "components": [trigpoly_to_json(c, convention) for c in v.components],
-        "sets": [torus_set_to_json(s, convention) for s in v.sets],
-    }
-
-
-def parse_section(data, path="section"):
-    from .ruelle import SectionVector
-
-    if not isinstance(data, dict) or "components" not in data or "sets" not in data:
-        raise ProblemFileError(path, "expected {components: [...], sets: [...]}")
-    comps = [
-        parse_trigpoly(c, f"{path}.components[{i}]")
-        for i, c in enumerate(data["components"])
-    ]
-    sets = [
-        parse_torus_set(s, f"{path}.sets[{i}]") for i, s in enumerate(data["sets"])
-    ]
-    if len(comps) != len(sets):
-        raise ProblemFileError(path, "components and sets must have equal length")
-    return SectionVector.from_components(comps, sets)
 
 
 def grid_filter_to_json(G: GridFilterMatrix) -> dict:
@@ -286,9 +248,10 @@ INT_BOUNDS = {
     "samples": (1, 2**16),
     "trials": (0, 1000),
     "down": (0, 16),
-    # not options: the dilation factor and every input denominator
+    # not options: the dilation factor, every input denominator and multiplicity value
     "N": (2, 2**10),
     "denominator": (1, 2**32),
+    "multiplicity": (0, 2**10),
 }
 
 
@@ -342,14 +305,14 @@ def parse_problem(data, path="problem") -> ProblemInput:
     return ProblemInput(e, m, H, G, options)
 
 
-def problem_to_json(entry, convention: str = UNIT) -> dict:
+def problem_to_json(entry) -> dict:
     """Problem-file form of a catalog entry (round-trips through parse_problem)."""
     out = {
         "version": 1,
         "name": entry.name,
         "summary": entry.summary,
         "endomorphism": {"N": entry.e.N},
-        "multiplicity": multiplicity_to_json(entry.m, convention=UNIT),
+        "multiplicity": multiplicity_to_json(entry.m),
         "filters": {"H": filter_to_json(entry.H)},
     }
     if entry.G is not None:

@@ -21,7 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConsistencyViolated
-from .torus import ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1, overlay
+from .torus import (
+    ONE, ZERO, TorusEndomorphism, TorusSet, coalesce, grid_cells, mod1, overlay, wrap,
+)
 
 
 def _normalize_pieces(raw):
@@ -31,16 +33,11 @@ def _normalize_pieces(raw):
         if value < 0:
             raise ValueError("multiplicity values must be nonnegative")
         if value:
-            flat.extend((a, b, value) for a, b in TorusSet.interval(lo, hi).intervals)
-    merged: list[list] = []
-    for lo, hi, values in overlay(flat):
-        if len(values) > 1:
-            raise ValueError("multiplicity pieces overlap")
-        if merged and merged[-1][1] == lo and [merged[-1][2]] == values:
-            merged[-1][1] = hi
-        elif values:
-            merged.append([lo, hi, values[0]])
-    return tuple((lo, hi, v) for lo, hi, v in merged)
+            flat.extend((a, b, value) for a, b in wrap(lo, hi))
+    cells = coalesce(overlay(flat))
+    if any(len(values) > 1 for _, _, values in cells):
+        raise ValueError("multiplicity pieces overlap")
+    return tuple((lo, hi, values[0]) for lo, hi, values in cells if values)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Points are rationals reduced mod 1, sets are finite unions of half-open
 intervals with rational endpoints, and the dilation w -> N*w (mod 1) comes
 with its branch split and branch partition.  Everything here is
 exact -- no floats -- so set identities can be asserted with ``==``.
+
+This is the one module that normalises interval data: ``wrap`` reads a
+pair mod 1, ``_sort_merge`` makes segments canonical, ``coalesce`` merges
+equal neighbours of a tiling and ``branch_images`` splits at the branches.
 """
 
 from __future__ import annotations
@@ -64,35 +68,49 @@ def overlay(pieces):
     return zip(points, points[1:], cells)
 
 
-def _normalize_segments(raw) -> tuple[tuple[Fraction, Fraction], ...]:
-    # Wrap every (lo, hi) pair into [0, 1] segments, then sweep-merge.
-    # Pairs are read as [lo, hi) mod 1: hi <= lo wraps around (so
-    # (3/4, 1/4) means [3/4,1) u [0,1/4)) and hi = lo is empty.
-    segments: list[list[Fraction]] = []
-    for lo, hi in raw:
-        lo, hi = Fraction(lo), Fraction(hi)
-        length = hi - lo
-        if length <= 0:
-            length = length % 1
-            if length == 0:
-                continue
-        if length >= 1:
-            return ((ZERO, ONE),)
-        start = mod1(lo)
-        end = start + length
-        if end <= 1:
-            segments.append([start, end])
-        else:
-            segments.append([start, ONE])
-            segments.append([ZERO, end - 1])
-    segments.sort()
+def wrap(lo, hi) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The ascending [0, 1] segments of the pair [lo, hi) read mod 1.
+
+    hi <= lo wraps around (so (3/4, 1/4) means [0,1/4) u [3/4,1)), hi = lo
+    is empty and a pair of length >= 1 is the whole circle.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if 0 <= lo < hi <= 1:
+        return ((lo, hi),)
+    length = hi - lo
+    if length <= 0:
+        length = length % 1
+        if length == 0:
+            return ()
+    if length >= 1:
+        return ((ZERO, ONE),)
+    start = lo % 1
+    end = start + length
+    if end <= 1:
+        return ((start, end),)
+    return ((ZERO, end - 1), (start, ONE))
+
+
+def _sort_merge(segments) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Canonical intervals of the union of [0, 1] segments: sorted, touching ones merged."""
     merged: list[list[Fraction]] = []
-    for seg in segments:
-        if merged and seg[0] <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], seg[1])
+    for lo, hi in sorted(segments):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
         else:
-            merged.append(seg)
-    return tuple((a, b) for a, b in merged)
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def coalesce(pieces):
+    """Merge adjacent pieces of an ascending tiling that carry equal payloads."""
+    merged = []
+    for lo, hi, payload in pieces:
+        if merged and payload == merged[-1][2]:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi, payload])
+    return tuple((lo, hi, payload) for lo, hi, payload in merged)
 
 
 @dataclass(frozen=True)
@@ -108,8 +126,8 @@ class TorusSet:
 
     @staticmethod
     def from_intervals(pairs: Iterable) -> "TorusSet":
-        """Build from (lo, hi) pairs; endpoints may be any rationals."""
-        return TorusSet(_normalize_segments(pairs))
+        """Build from (lo, hi) pairs, each read by ``wrap``; endpoints may be any rationals."""
+        return TorusSet(_sort_merge(seg for lo, hi in pairs for seg in wrap(lo, hi)))
 
     @staticmethod
     def interval(lo, hi) -> "TorusSet":
@@ -130,7 +148,7 @@ class TorusSet:
         return sum((hi - lo for lo, hi in self.intervals), ZERO)
 
     def union(self, other: "TorusSet") -> "TorusSet":
-        return TorusSet(_normalize_segments(self.intervals + other.intervals))
+        return TorusSet(_sort_merge(self.intervals + other.intervals))
 
     def complement(self) -> "TorusSet":
         gaps = []
@@ -216,11 +234,14 @@ class TorusEndomorphism:
         c(y) = (y mod 1)/N is the first of ``preimages(y)``.  Empty pieces are
         dropped; the pieces are disjoint and union back to s.
         """
-        out = []
-        for k in range(self.N):
-            sheet = TorusSet.interval(Fraction(k, self.N), Fraction(k + 1, self.N))
-            piece = s.intersect(sheet)
-            if piece:
-                zeta = Fraction((self.N - k) % self.N, self.N)
-                out.append((zeta, piece))
-        return out
+        images = [[] for _ in range(self.N)]
+        for k, a, b, _ in self.branch_images((lo, hi, None) for lo, hi in s.intervals):
+            images[k].append((a, b, None))
+        return [
+            (
+                Fraction((self.N - k) % self.N, self.N),
+                TorusSet(tuple((a, b) for a, b, _ in self.branch_preimages(parts, k))),
+            )
+            for k, parts in enumerate(images)
+            if parts
+        ]

@@ -17,7 +17,9 @@ from itertools import chain, starmap
 
 import numpy as np
 
-from .torus import GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, grid_cells, mod1, overlay
+from .torus import (
+    GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, coalesce, grid_cells, mod1, overlay,
+)
 
 _QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
 _QUARTER_PHASES = np.array(_QUARTER_TURNS)
@@ -110,20 +112,9 @@ def _sum_terms(payloads) -> Terms:
     return terms
 
 
-def _coalesce(pieces):
-    """Merge adjacent pieces of an ascending tiling that carry equal terms."""
-    merged = []
-    for lo, hi, terms in pieces:
-        if merged and terms == merged[-1][2]:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi, terms])
-    return tuple((lo, hi, terms) for lo, hi, terms in merged)
-
-
 def _swept(pieces, combine) -> "TrigPoly":
     """The poly carrying combine(payloads) on each cell of ``overlay(pieces)``."""
-    return TrigPoly(_coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
+    return TrigPoly(coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
 
 
 def _nonzero_pieces(p: "TrigPoly"):
@@ -211,7 +202,7 @@ class TrigPoly:
     def _map_terms(self, term) -> "TrigPoly":
         """The poly whose pieces carry term(nu, c) for each of their terms, merged."""
         return TrigPoly(
-            _coalesce(
+            coalesce(
                 (lo, hi, _merge_terms(starmap(term, terms))) for lo, hi, terms in self.pieces
             )
         )

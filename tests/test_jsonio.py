@@ -7,6 +7,8 @@ import pytest
 from gmra import catalog
 from gmra.errors import ProblemFileError
 from gmra.jsonio import (
+    CENTERED,
+    UNIT,
     dump_json,
     filter_to_json,
     multiplicity_to_json,
@@ -14,16 +16,14 @@ from gmra.jsonio import (
     parse_multiplicity,
     parse_problem,
     parse_rat,
-    parse_section,
     parse_torus_set,
     parse_trigpoly,
     problem_to_json,
     rat_str,
-    section_to_json,
     torus_set_to_json,
     trigpoly_to_json,
 )
-from gmra.ruelle import SectionVector, random_section
+from gmra.multiplicity import sigma_sets
 from gmra.torus import TorusSet
 
 F = Fraction
@@ -77,24 +77,24 @@ class TestFunctions:
             for j in range(entry.H.cols):
                 assert back.entry(i, j).deviation_from(entry.H.entry(i, j)) < 1e-15
 
-    def test_section_roundtrip(self):
-        import random
-
-        entry = catalog.get("journe")
-        v = random_section(tuple(entry.H.row_sets), random.Random(3), degree=3)
-        back = parse_section(section_to_json(v))
-        assert (back - v).norm() < 1e-12
-
 
 class TestProblemFiles:
     def test_catalog_roundtrip(self):
-        for name in ("haar", "journe", "cantor3"):
+        for name in catalog.names():
             entry = catalog.get(name)
             problem = parse_problem(json.loads(dump_json(problem_to_json(entry))))
-            assert problem.e == entry.e
-            assert problem.m == entry.m
-            assert problem.H.rows == entry.H.rows
-            assert problem.G.rows == entry.G.rows
+            assert (problem.e, problem.m) == (entry.e, entry.m)
+            assert (problem.H, problem.G) == (entry.H, entry.G)
+            filters = [H for H in (entry.H, entry.G) if H is not None]
+            polys = [h for H in filters for row in H.entries for h in row]
+            sets = [h.support() for h in polys] + [entry.m.support(), *sigma_sets(entry.m)]
+            sets += [s for H in filters for s in (*H.row_sets, *H.column_sets)]
+            for convention in (UNIT, CENTERED):
+                assert parse_multiplicity(multiplicity_to_json(entry.m, convention)) == entry.m
+                for h in polys:
+                    assert parse_trigpoly(trigpoly_to_json(h, convention)) == h
+                for s in sets:
+                    assert parse_torus_set(torus_set_to_json(s, convention)) == s
 
     def test_null_filters_treated_as_absent(self):
         data = {
@@ -146,7 +146,8 @@ class TestOptions:
 
 
 class TestInputBounds:
-    """N and every input denominator are checked before anything is built from them."""
+    """N, every input denominator and every multiplicity value are checked before
+    anything is built from them."""
 
     @pytest.mark.parametrize("bad", [1, 0, -3, 2**10 + 1, 2**80, 2.0, True, "2", None])
     def test_dilation_factor_rejected_with_path(self, bad):
@@ -157,6 +158,19 @@ class TestInputBounds:
     def test_dilation_factor_range_ends(self):
         for N in (2, 2**10):
             assert parse_problem({"endomorphism": {"N": N}, "multiplicity": []}).e.N == N
+
+    @pytest.mark.parametrize("bad", [True, -1, 2**10 + 1, "2"])
+    def test_multiplicity_value_rejected_with_path(self, bad):
+        data = problem_to_json(catalog.get("haar"))
+        data["multiplicity"][0]["value"] = bad
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(data, "p")
+        assert info.value.path == "p.multiplicity[0].value"
+
+    def test_multiplicity_value_range_end(self):
+        data = problem_to_json(catalog.get("haar"))
+        data["multiplicity"][0]["value"] = 2**10
+        assert parse_problem(data).m.max_value() == 2**10
 
     KEYS = [
         ("multiplicity", 0, "interval", 1),

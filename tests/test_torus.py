@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmra.torus import TorusEndomorphism, TorusSet, mod1
+from gmra.jsonio import CENTERED, rat_str, torus_set_to_json
+from gmra.torus import TorusEndomorphism, TorusSet, mod1, wrap
 
 from conftest import random_torus_set
 
@@ -25,6 +26,62 @@ interval_lists = st.lists(
     max_size=5,
 )
 torus_sets = interval_lists.map(TorusSet.from_intervals)
+# any pairs: reversed, empty and longer than the circle included
+raw_pairs = st.lists(st.tuples(rationals, rationals), max_size=5)
+
+
+def in_pair(x, lo, hi) -> bool:
+    """x in [lo, hi) read mod 1, straight from the definition."""
+    length = hi - lo if hi > lo else (hi - lo) % 1
+    return length >= 1 or (x - lo) % 1 < length
+
+
+def in_set(x, intervals) -> bool:
+    return any(lo <= x < hi for lo, hi in intervals)
+
+
+def is_canonical(intervals) -> bool:
+    flat = [x for iv in intervals for x in iv]
+    return all(0 <= x <= 1 for x in flat) and all(a < b for a, b in zip(flat, flat[1:]))
+
+
+def probe_points(pairs, intervals):
+    """Every endpoint mod 1 and every midpoint between consecutive endpoints."""
+    ends = {F(0), F(1), *(x for iv in intervals for x in iv)}
+    ends = sorted(ends.union(mod1(x) for p in pairs for x in p))
+    return [x for x in ends if x < 1] + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+
+
+def sheet_tau_partition(e, s):
+    """The branch pieces by definition: s cut by each sheet [k/N, (k+1)/N)."""
+    out = []
+    for k in range(e.N):
+        piece = s.intersect(TorusSet.interval(F(k, e.N), F(k + 1, e.N)))
+        if piece:
+            out.append((F((e.N - k) % e.N, e.N), piece))
+    return out
+
+
+def sort_merge_centered(s):
+    """The centered [-1/2, 1/2) intervals of s by splitting at 1/2 and merging."""
+    half = F(1, 2)
+    shifted = []
+    for lo, hi in s.intervals:
+        if hi <= half:
+            shifted.append((lo, hi))
+        elif lo >= half:
+            shifted.append((lo - 1, hi - 1))
+        else:
+            shifted.append((lo, half))
+            shifted.append((-half, hi - 1))
+    shifted.sort()
+    merged = []
+    for lo, hi in shifted:
+        if merged and merged[-1][1] == lo:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return [[rat_str(lo), rat_str(hi)] for lo, hi in merged]
 
 
 class TestTorusSet:
@@ -64,6 +121,24 @@ class TestTorusSet:
     def test_subset(self):
         assert ts(("1/8", "1/4")).is_subset(ts((0, "1/2")))
         assert not ts(("1/8", "3/4")).is_subset(ts((0, "1/2")))
+
+    @given(rationals, rationals)
+    def test_wrap_is_the_pair_mod_1(self, lo, hi):
+        segments = wrap(lo, hi)
+        assert is_canonical(segments)
+        for x in probe_points([(lo, hi)], segments):
+            assert in_set(x, segments) == in_pair(x, lo, hi)
+
+    @given(raw_pairs)
+    def test_from_intervals_is_the_union_of_pairs(self, pairs):
+        intervals = TorusSet.from_intervals(pairs).intervals
+        assert is_canonical(intervals)
+        for x in probe_points(pairs, intervals):
+            assert in_set(x, intervals) == any(in_pair(x, lo, hi) for lo, hi in pairs)
+
+    @given(torus_sets)
+    def test_centered_matches_sort_merge(self, s):
+        assert torus_set_to_json(s, CENTERED) == sort_merge_centered(s)
 
     @given(torus_sets)
     def test_normalization_idempotent(self, s):
@@ -132,6 +207,11 @@ class TestEndomorphism:
         s = ts(("1/10", "4/5"))
         for _, piece in e.tau_partition(s):
             assert e.image_set(piece).measure() == 3 * piece.measure()
+
+    @given(st.integers(2, 5), torus_sets)
+    def test_tau_partition_is_the_sheet_split(self, N, s):
+        e = TorusEndomorphism(N)
+        assert e.tau_partition(s) == sheet_tau_partition(e, s)
 
     def test_tau_partition_reassembles(self, rng):
         for _ in range(50):
