@@ -43,7 +43,7 @@ from .multiplicity import (
 )
 from .ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
 from .torus import TorusEndomorphism, TorusSet
-from .trigpoly import TrigPoly, compress_branch, dilate_branch, inner
+from .trigpoly import TrigPoly, gated_compress, gated_dilate, inner
 
 
 @dataclass(frozen=True)
@@ -242,37 +242,28 @@ def _branch_k(zeta: Fraction, e: TorusEndomorphism) -> int:
     return (e.N - int(zeta * e.N)) % e.N
 
 
-def _dilate_components(
-    g: CanonicalGMRA, n: int, comps
-) -> list[TrigPoly]:
-    """Push level-n components one level up (the isometry D, exact)."""
-    parents = g.w_levels[n]
-    children = g.w_levels[n + 1]
+def _dilate_components(g: CanonicalGMRA, n: int, comps) -> list[TrigPoly]:
+    """Push level-n components one level up (the isometry D, exact): one sweep per child."""
     scale = 1.0 / math.sqrt(g.e.N)
-    parent_of = {
-        (slot.index, slot.branch): f for slot, f in zip(parents, comps)
-    }
+    parent_of = {(slot.index, slot.branch): f for slot, f in zip(g.w_levels[n], comps)}
     out = []
-    for child in children:
+    for child in g.w_levels[n + 1]:
         f = parent_of[(child.index, child.branch[:-1])]
-        k = _branch_k(child.branch[-1], g.e)
-        out.append((dilate_branch(f, g.e, k) * scale).restrict(child.base))
+        out.append(gated_dilate(f, g.e, _branch_k(child.branch[-1], g.e), child.base, scale))
     return out
 
 
-def _compress_components(
-    g: CanonicalGMRA, n: int, comps
-) -> list[TrigPoly]:
-    """Pull level-(n+1) components down one level (the inverse of D)."""
+def _compress_components(g: CanonicalGMRA, n: int, comps) -> list[TrigPoly]:
+    """Pull level-(n+1) components down one level (the inverse of D): one sweep per parent."""
     parents = g.w_levels[n]
     children = g.w_levels[n + 1]
     scale = math.sqrt(g.e.N)
     parts = {(slot.index, slot.branch): [] for slot in parents}
     for child, f in zip(children, comps):
-        k = _branch_k(child.branch[-1], g.e)
-        parts[(child.index, child.branch[:-1])].append(compress_branch(f, g.e, k) * scale)
+        parts[(child.index, child.branch[:-1])].append((f, _branch_k(child.branch[-1], g.e)))
     return [
-        TrigPoly.sum(parts[(slot.index, slot.branch)]).restrict(slot.base) for slot in parents
+        gated_compress(parts[(slot.index, slot.branch)], g.e, slot.base, scale)
+        for slot in parents
     ]
 
 
@@ -280,12 +271,8 @@ def apply_T(g: CanonicalGMRA, v: LedgerVector) -> LedgerVector:
     """The ledger shift: V0 <- S_H(V0) + S_G(W0), W_n <- D^{-1}(W_{n+1})."""
     conform(g, v)
     new_v0 = apply_S(g.H, _v0_section(g, v)) + apply_S(g.G, _w0_section(g, v))
-    new_w = []
-    for n in range(len(g.w_levels)):
-        if n + 1 < len(g.w_levels):
-            new_w.append(tuple(_compress_components(g, n, v.w[n + 1])))
-        else:
-            new_w.append(tuple(TrigPoly.zero() for _ in g.w_levels[n]))
+    new_w = [tuple(_compress_components(g, n, v.w[n + 1])) for n in range(len(g.w_levels) - 1)]
+    new_w.append(tuple(TrigPoly.zero() for _ in g.w_levels[-1]))
     return LedgerVector(tuple(new_v0.components), tuple(new_w))
 
 

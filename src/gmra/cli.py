@@ -16,7 +16,9 @@ import sys
 
 from . import builder, catalog, equivalence
 from .errors import ContextMismatch, GmraError, ProblemFileError
-from .filters import DEFAULT_TOL, complement_numeric, verify_complementary, verify_filter
+from .filters import (
+    DEFAULT_TOL, _check_dims, complement_numeric, verify_complementary, verify_filter,
+)
 from .jsonio import (
     CENTERED,
     UNIT,
@@ -106,10 +108,14 @@ def _fmt_set(ts, conv) -> str:
 
 
 def _require_filters(problem, need_g=False):
+    """The filters a subcommand needs are present and as large as the multiplicities ask."""
     if problem.H is None:
         raise ProblemFileError("filters.H", "missing filter")
     if need_g and problem.G is None:
         raise ProblemFileError("filters.G", "missing complementary filter")
+    for F in (problem.H, problem.G):
+        if F is not None:
+            _check_dims(F)
 
 
 def _filter_reports(args, problem, payload: dict) -> bool:

@@ -28,7 +28,7 @@ from .filters import (
     worst_residual,
 )
 from .torus import TorusSet
-from .trigpoly import TrigPoly, compose_endomorphism, fold, inner
+from .trigpoly import TrigPoly, compose_endomorphism, fold, gated_sum, inner
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,12 @@ def apply_S(F: FilterMatrix, f: SectionVector) -> SectionVector:
     lifted = [compose_endomorphism(c, F.e) for c in f.components]
     out = []
     for j, sj in enumerate(col_sets):
-        acc = TrigPoly.sum(
+        products = (
             F.entry(i, j) * lifted[i]
             for i in range(min(F.rows, len(lifted)))
             if not (F.entry(i, j).is_zero() or lifted[i].is_zero())
         )
-        out.append(acc.restrict(sj))
+        out.append(gated_sum(products, sj))
     return SectionVector(tuple(out), col_sets)
 
 
@@ -127,12 +127,12 @@ def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
     row_sets = F.row_sets
     out = []
     for i, si in enumerate(row_sets):
-        acc = TrigPoly.sum(
+        folds = (
             fold(F.e, g.components[j], F.entry(i, j))
             for j in range(min(F.cols, len(g.components)))
             if not (F.entry(i, j).is_zero() or g.components[j].is_zero())
         )
-        out.append((acc * (1.0 / F.e.N)).restrict(si))
+        out.append(gated_sum(folds, si, 1.0 / F.e.N))
     return SectionVector(tuple(out), row_sets)
 
 

@@ -210,6 +210,13 @@ class TorusEndomorphism:
             for k in range(math.floor(lo), math.ceil(hi)):
                 yield k, max(lo - k, ZERO), min(hi - k, ONE), payload
 
+    def branch_image(self, pieces, k: int):
+        """The parts of ``branch_images`` on branch k alone, without splitting the others."""
+        for lo, hi, payload in pieces:
+            lo, hi = lo * self.N - k, hi * self.N - k
+            if lo < 1 and hi > 0:
+                yield k, max(lo, ZERO), min(hi, ONE), payload
+
     def branch_preimages(self, pieces, k: int):
         """The preimages ((lo + k)/N, (hi + k)/N, payload) on branch k of pieces of [0, 1]."""
         return [((lo + k) / self.N, (hi + k) / self.N, payload) for lo, hi, payload in pieces]

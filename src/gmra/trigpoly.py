@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain
 
 import numpy as np
 
@@ -112,9 +112,31 @@ def _sum_terms(payloads) -> Terms:
     return terms
 
 
-def _swept(pieces, combine) -> "TrigPoly":
-    """The poly carrying combine(payloads) on each cell of ``overlay(pieces)``."""
-    return TrigPoly(coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
+def _scaled(terms: Terms, c: complex) -> Terms:
+    """Each coefficient times c, exact zeros dropped; the frequencies keep their order."""
+    out = []
+    for nu, co in terms:
+        co *= c
+        if co:
+            out.append((nu, co))
+    return tuple(out)
+
+
+_GATE = object()  # overlay payload of a gate interval
+_MINUS_ONE = complex(-1)
+
+
+def _swept(pieces, combine, gate: TorusSet | None = None) -> "TrigPoly":
+    """The poly carrying combine(payloads) on each cell of ``overlay(pieces)``; the
+    gate's intervals join the overlay ahead of the pieces, and cells outside it carry ()."""
+    if gate is None:
+        cells = ((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces))
+    else:
+        marked = overlay(chain(((lo, hi, _GATE) for lo, hi in gate.intervals), pieces))
+        cells = (
+            (lo, hi, combine(ps[1:]) if ps and ps[0] is _GATE else ()) for lo, hi, ps in marked
+        )
+    return TrigPoly(coalesce(cells))
 
 
 def _nonzero_pieces(p: "TrigPoly"):
@@ -152,7 +174,7 @@ class TrigPoly:
     @staticmethod
     def sum(polys) -> "TrigPoly":
         """The sum of ``polys`` in one sweep, with the coefficients of repeated ``+``."""
-        return _swept(chain.from_iterable(map(_nonzero_pieces, polys)), _sum_terms)
+        return gated_sum(polys)
 
     @staticmethod
     def zero() -> "TrigPoly":
@@ -179,7 +201,9 @@ class TrigPoly:
         return TrigPoly.sum((self, other))
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (other * -1)
+        """self + other * -1 in one sweep, with the coefficients of that chain."""
+        negated = ((lo, hi, _scaled(t, _MINUS_ONE)) for lo, hi, t in _nonzero_pieces(other))
+        return _swept(chain(_nonzero_pieces(self), negated), _sum_terms)
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
@@ -192,28 +216,21 @@ class TrigPoly:
 
             return _swept(chain(_nonzero_pieces(self), _nonzero_pieces(other)), product)
         c = complex(other)
-        return self._map_terms(lambda nu, co: (nu, co * c))
+        return self._map_terms(lambda terms: _scaled(terms, c))
 
     __rmul__ = __mul__
 
     def conj(self) -> "TrigPoly":
-        return self._map_terms(lambda nu, c: (-nu, c.conjugate()))
+        return self._map_terms(lambda ts: tuple((-nu, c.conjugate()) for nu, c in reversed(ts)))
 
-    def _map_terms(self, term) -> "TrigPoly":
-        """The poly whose pieces carry term(nu, c) for each of their terms, merged."""
-        return TrigPoly(
-            coalesce(
-                (lo, hi, _merge_terms(starmap(term, terms))) for lo, hi, terms in self.pieces
-            )
-        )
+    def _map_terms(self, terms_map) -> "TrigPoly":
+        """The poly whose pieces carry terms_map(terms): a map keeping frequencies distinct and
+        in order, so no re-merge."""
+        return TrigPoly(coalesce((lo, hi, terms_map(terms)) for lo, hi, terms in self.pieces))
 
     def restrict(self, ts: TorusSet) -> "TrigPoly":
         """Zero the function outside ts (exact piece surgery)."""
-        inside = ((lo, hi, None) for lo, hi in ts.intervals)
-        return _swept(
-            chain(_nonzero_pieces(self), inside),
-            lambda payloads: payloads[0] if len(payloads) == 2 else (),
-        )
+        return gated_sum((self,), ts)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -328,7 +345,7 @@ class TrigPoly:
     def shift_frequencies(self, gamma) -> "TrigPoly":
         """Multiply by e^(2*pi*i*gamma*w): shift every frequency by gamma."""
         gamma = Fraction(gamma)
-        return self._map_terms(lambda nu, c: (nu + gamma, c))
+        return self._map_terms(lambda terms: tuple((nu + gamma, c) for nu, c in terms))
 
     def __str__(self) -> str:
         def fmt_terms(terms):
@@ -341,44 +358,68 @@ class TrigPoly:
         )
 
 
-# ---- dilation branch maps ------------------------------------------------
+# ---- one-sweep sums and branch maps: a scale or gate of None is no scale or gate
 
 
-def _dilated_terms(terms: Terms, e: TorusEndomorphism, k: int) -> Terms:
-    """Substitute z = (w + k)/N in the terms of a piece on branch k.
+def gated_sum(polys, gate: TorusSet | None = None, scale=None) -> TrigPoly:
+    """(TrigPoly.sum(polys) * scale).restrict(gate) in one sweep, with its coefficients."""
+    c = None if scale is None else complex(scale)
+    combine = _sum_terms if c is None else lambda payloads: _scaled(_sum_terms(payloads), c)
+    return _swept(chain.from_iterable(map(_nonzero_pieces, polys)), combine, gate)
 
-    A term c*e^(2*pi*i*nu*z) becomes frequency nu/N with the rational phase
-    e^(2*pi*i*nu*k/N) folded into the coefficient.
+
+def _branch_terms(terms: Terms, k: int, den: int, factor, scale) -> Terms:
+    """(nu * factor, c * e^(2*pi*i*nu*k/den) * scale) per term (nu, c), exact zeros dropped.
+
+    Substituting z = (w + k)/N on branch k is factor 1/N, den N; the inverse
+    g(N*w - k) is factor N, den 1 and -k.  factor > 0 keeps the order.
     """
-    return _merge_terms(
-        (nu / e.N, c * _turn(nu.numerator * k, nu.denominator * e.N)) for nu, c in terms
-    )
+    out = []
+    for nu, c in terms:
+        c *= _turn(nu.numerator * k, nu.denominator * den)
+        if scale is not None:
+            c *= scale
+        if c:
+            out.append((nu * factor, c))
+    return tuple(out)
+
+
+def _dilated(branches, e: TorusEndomorphism, scale=None):
+    """z = (w + k)/N substituted in each branch image (k, a, b, terms) of ``branch_images``."""
+    shrink = Fraction(1, e.N)
+    return ((a, b, _branch_terms(t, k, e.N, shrink, scale)) for k, a, b, t in branches)
+
+
+def gated_dilate(p: TrigPoly, e: TorusEndomorphism, k: int, gate=None, scale=None) -> TrigPoly:
+    """(dilate_branch(p, e, k) * scale).restrict(gate) in one sweep; splits off branch k only."""
+    c = None if scale is None else complex(scale)
+    return _swept(_dilated(e.branch_image(_nonzero_pieces(p), k), e, c), _sum_terms, gate)
 
 
 def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
     """Substitute z = (w + k)/N: branch k of p stretched across the circle."""
-    branch = ((a, b, terms) for j, a, b, terms in e.branch_images(_nonzero_pieces(p)) if j == k)
-    return _swept(((a, b, _dilated_terms(t, e, k)) for a, b, t in branch), _sum_terms)
+    return gated_dilate(p, e, k)
 
 
-def _compressed_pieces(g: TrigPoly, e: TorusEndomorphism, k: int):
-    """The pieces of g(N*w - k) on branch [k/N, (k+1)/N)."""
-    return [
-        (a, b, [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator)) for nu, c in terms])
-        for a, b, terms in e.branch_preimages(g.pieces, k)
-    ]
+def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPoly:
+    """TrigPoly.sum(compress_branch(g, e, k) * scale for g, k in parts).restrict(gate) in one
+    sweep: each piece is scaled before the cells add in ``parts`` order."""
+    c = None if scale is None else complex(scale)
+    pieces = (
+        (a, b, _branch_terms(t, -k, 1, e.N, c))
+        for g, k in parts for a, b, t in e.branch_preimages(_nonzero_pieces(g), k)
+    )
+    return _swept(pieces, _sum_terms, gate)
 
 
 def compress_branch(g: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
     """Inverse of dilate_branch: g(N*w - k) on branch [k/N, (k+1)/N), 0 elsewhere."""
-    return TrigPoly.from_pieces(_compressed_pieces(g, e, k))
+    return gated_compress(((g, k),), e)
 
 
 def compose_endomorphism(f: TrigPoly, e: TorusEndomorphism) -> TrigPoly:
     """f(N*w mod 1) as a trig poly: the N branches of compress_branch in one."""
-    return TrigPoly.from_pieces(
-        piece for k in range(e.N) for piece in _compressed_pieces(f, e, k)
-    )
+    return gated_compress([(f, k) for k in range(e.N)], e)
 
 
 def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
@@ -389,8 +430,7 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
     by N.  All N branch images go through one sweep, and on each cell the
     branches add in the order k = 0 .. N-1.
     """
-    branches = e.branch_images(_nonzero_pieces(f * g.conj()))
-    return _swept(((a, b, _dilated_terms(t, e, k)) for k, a, b, t in branches), _sum_terms)
+    return _swept(_dilated(e.branch_images(_nonzero_pieces(f * g.conj())), e), _sum_terms)
 
 
 # ---- integration ---------------------------------------------------------

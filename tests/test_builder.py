@@ -28,7 +28,7 @@ from gmra.errors import DepthExceeded, FilterInvalid, NotPureIsometry
 from gmra.filters import FilterMatrix
 from gmra.multiplicity import MultiplicityFunction, folded_sum
 from gmra.torus import TorusEndomorphism, TorusSet
-from gmra.trigpoly import TrigPoly, inner
+from gmra.trigpoly import TrigPoly, compress_branch, dilate_branch, fold, inner
 
 F = Fraction
 N2 = TorusEndomorphism(2)
@@ -53,6 +53,97 @@ def vector_distance(g, a, b):
             d = x - y
             total += max(inner(d, d).real, 0.0)
     return math.sqrt(total)
+
+
+PURE_SYSTEMS = [
+    name
+    for name in catalog.names()
+    if any(x.key == "purity" and x.value == "pure" for x in catalog.get(name).expected)
+]
+
+
+def chain_S(F, comps):
+    """S_F as a sum sweep and then a restrict sweep per column."""
+    lifted = [TrigPoly.sum(compress_branch(f, F.e, k) for k in range(F.e.N)) for f in comps]
+    out = []
+    for j, sj in enumerate(F.column_sets):
+        products = [
+            F.entry(i, j) * lifted[i]
+            for i in range(min(F.rows, len(lifted)))
+            if not (F.entry(i, j).is_zero() or lifted[i].is_zero())
+        ]
+        out.append(TrigPoly.sum(products).restrict(sj))
+    return out
+
+
+def chain_S_adjoint(F, comps):
+    """S_F* as a sum sweep, a scale sweep and a restrict sweep per row."""
+    out = []
+    for i, si in enumerate(F.row_sets):
+        folds = [
+            fold(F.e, comps[j], F.entry(i, j))
+            for j in range(min(F.cols, len(comps)))
+            if not (F.entry(i, j).is_zero() or comps[j].is_zero())
+        ]
+        out.append((TrigPoly.sum(folds) * (1.0 / F.e.N)).restrict(si))
+    return out
+
+
+def branch_of(slot, e):
+    return (e.N - int(slot.branch[-1] * e.N)) % e.N
+
+
+def restricted(comps, slots):
+    return [f.restrict(s.base) for f, s in zip(comps, slots)]
+
+
+def chain_T(g, v):
+    """The ledger shift with every branch map, scale, sum and restrict a sweep of its own."""
+    v0 = chain_S(g.H, restricted(v.v0, g.v0_slots))
+    w0 = chain_S(g.G, restricted(v.w[0], g.w_levels[0]))
+    new_w = []
+    for n, parents in enumerate(g.w_levels):
+        parts = {(s.index, s.branch): [] for s in parents}
+        if n + 1 < len(g.w_levels):
+            for child, f in zip(g.w_levels[n + 1], v.w[n + 1]):
+                k = branch_of(child, g.e)
+                parts[(child.index, child.branch[:-1])].append(
+                    compress_branch(f, g.e, k) * math.sqrt(g.e.N)
+                )
+        new_w.append(
+            tuple(TrigPoly.sum(parts[(s.index, s.branch)]).restrict(s.base) for s in parents)
+        )
+    return LedgerVector(tuple(a + b for a, b in zip(v0, w0)), tuple(new_w))
+
+
+def chain_T_inverse(g, v):
+    """The inverse shift with every branch map, scale, sum and restrict a sweep of its own."""
+    v0 = restricted(v.v0, g.v0_slots)
+    new_w = [tuple(chain_S_adjoint(g.G, v0))]
+    for n in range(len(g.w_levels) - 1):
+        parent_of = {(s.index, s.branch): f for s, f in zip(g.w_levels[n], v.w[n])}
+        new_w.append(
+            tuple(
+                (
+                    dilate_branch(parent_of[(c.index, c.branch[:-1])], g.e, branch_of(c, g.e))
+                    * (1.0 / math.sqrt(g.e.N))
+                ).restrict(c.base)
+                for c in g.w_levels[n + 1]
+            )
+        )
+    return LedgerVector(tuple(chain_S_adjoint(g.H, v0)), tuple(new_w))
+
+
+@pytest.mark.parametrize("name", PURE_SYSTEMS)
+def test_shift_equals_the_chain_of_sweeps(name):
+    """T and T^-1 build each component in one gated sweep; the coefficients are those of
+    the chain of separate dilate/compress, scale, sum and restrict sweeps."""
+    g = built(name, depth=4)
+    v = random_ledger_vector(g, random.Random(name), degree=3)
+    shifted = apply_T(g, v)
+    assert shifted == chain_T(g, v)
+    assert apply_T_inverse(g, shifted) == chain_T_inverse(g, shifted)
+    assert apply_T_inverse(g, v) == chain_T_inverse(g, v)
 
 
 class TestBuild:

@@ -375,3 +375,36 @@ class TestProblemOptions:
         assert code == 4
         assert "filters.H[0][0]" in err
         assert "overlap" in err
+
+
+class TestUndersizedFilter:
+    """A filter smaller than its multiplicities ask for is an input error in every subcommand."""
+
+    @pytest.fixture
+    def haar_m2(self, tmp_path):
+        data = problem_to_json(catalog.get("haar"))
+        data["multiplicity"][0]["value"] = 2  # H and G stay 1x1
+        path = tmp_path / "haar_m2.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["purity", "{m2}"],
+            ["cuntz", "{m2}", "--trials", "1"],
+            ["equiv", "{m2}", "{haar}"],
+            ["equiv", "{haar}", "{m2}"],
+            ["construct", "{m2}"],
+            ["cascade", "{m2}"],
+            ["validate", "{m2}"],
+            ["check-filter", "{m2}"],
+        ],
+    )
+    def test_exits_4_naming_the_shape(self, haar_m2, problems, capsys, argv):
+        paths = {"m2": haar_m2, "haar": problems("haar")}
+        code, out, err = run(capsys, ["--json"] + [a.format(**paths) for a in argv])
+        assert code == 4
+        assert out == ""
+        assert "matrix is 1x1 but multiplicities require at least 2x2" in err
+        assert "Traceback" not in err

@@ -23,8 +23,8 @@ from gmra.equivalence import (
     purity_test,
 )
 from gmra.errors import NotApplicable
-from gmra.filters import FilterMatrix, conjugate_filter, verify_filter
-from gmra.multiplicity import MultiplicityFunction
+from gmra.filters import FilterMatrix, _structure_violations, conjugate_filter, verify_filter
+from gmra.multiplicity import MultiplicityFunction, sigma_sets
 from gmra.torus import TorusEndomorphism
 from gmra.trigpoly import TrigPoly, compose_endomorphism
 
@@ -58,6 +58,46 @@ class TestEigenfilter:
     def test_unimodular_nonconstant_is_not(self):
         found, _ = is_eigenfilter(scalar(poly((1, 1.0))), 1e-9)
         assert not found
+
+
+@st.composite
+def unimodular_multipliers(draw, entry):
+    """A block-unitary multiplier of non-constant phase for the entry's m: on each level
+    set, e^(2*pi*i*k*w) times a piecewise-constant unimodular with breakpoints j/12."""
+    sets = sigma_sets(entry.m)
+    size = max(len(sets), 1)
+    rows = [[TrigPoly.zero()] * size for _ in range(size)]
+    cuts = st.sets(st.integers(1, 11).map(lambda j: F(j, 12)), min_size=1, max_size=3)
+    for i, s in enumerate(sets):
+        bounds = [F(0)] + sorted(draw(cuts)) + [F(1)]
+        turns = [draw(st.floats(0, 1, exclude_max=True)) for _ in bounds[1:]]
+        steps = TrigPoly.from_pieces(
+            (lo, hi, [(0, complex(math.cos(math.tau * t), math.sin(math.tau * t)))])
+            for lo, hi, t in zip(bounds, bounds[1:], turns)
+        )
+        k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        rows[i][i] = (steps * TrigPoly.exponential(k)).restrict(s)
+    return FilterMatrix.from_rows(rows, entry.m, entry.e, "m")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(catalog.names()), st.data())
+def test_verdicts_survive_unimodular_conjugation(name, data):
+    """Conjugation by a block unitary keeps supports and the purity of the isometry.
+
+    The certificates of a pure verdict read moduli and singular values, which the
+    conjugation keeps, so a pure filter stays pure.  A not-pure verdict rests on an
+    exact constant eigenvector, which a non-constant phase moves, so the conjugate of
+    the eigenfilter may read unknown, but never pure.
+    """
+    entry = catalog.get(name)
+    conjugated = conjugate_filter(entry.H, data.draw(unimodular_multipliers(entry)))
+    assert _structure_violations(conjugated) == _structure_violations(entry.H)
+    before, after = purity_test(entry.H).kind, purity_test(conjugated).kind
+    if before == NOT_PURE:
+        assert after in (NOT_PURE, UNKNOWN)
+    else:
+        assert after == before
 
 
 class TestPurity:

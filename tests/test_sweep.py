@@ -5,6 +5,10 @@ pointwise sums at cell midpoints, at breakpoints and at their preimages and
 images under w -> N*w, for N = 2, 3, 5.  Coefficients are held bit for bit
 to an independent left fold, so the order in which the sweep adds its
 payloads is pinned too.
+
+The gated one-sweep kernels (``gated_sum``, ``gated_dilate``,
+``gated_compress``, ``restrict`` and ``-``) are held with ``==`` to the
+composed chains of separate sweeps they replace, kept here as references.
 """
 
 from fractions import Fraction
@@ -15,8 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmra.multiplicity import MultiplicityFunction, folded_sum
-from gmra.torus import TorusEndomorphism, overlay
-from gmra.trigpoly import TrigPoly, dilate_branch, fold
+from gmra.torus import TorusEndomorphism, TorusSet, coalesce, overlay
+from gmra.trigpoly import (
+    TrigPoly,
+    _merge_terms,
+    _turn,
+    compress_branch,
+    dilate_branch,
+    fold,
+    gated_compress,
+    gated_dilate,
+    gated_sum,
+)
 
 F = Fraction
 dilations = st.sampled_from([TorusEndomorphism(2), TorusEndomorphism(3), TorusEndomorphism(5)])
@@ -172,3 +186,99 @@ def test_overlay_lists_covers_in_input_order():
         (F(1, 2), F(1), ["b"]),
     ]
     assert [ps for _, _, ps in overlay([(F(1, 3), F(2, 3), 1)])] == [[], [1], []]
+
+
+# ---- the composed chains the gated kernels replace, one sweep per step ------------
+
+any_dilation = st.integers(2, 5).map(TorusEndomorphism)
+# the builder's and S*'s scales, a sign flip, and coefficients that round
+scales = st.one_of(
+    st.sampled_from([1 / 2**0.5, 3**0.5, 1 / 5, -1, 0j, 1j]),
+    coefficients,
+)
+
+
+@st.composite
+def gates(draw):
+    """Sets of up to three wrapped intervals with small denominators, the circle and {}."""
+    ends = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return draw(st.sampled_from([TorusSet.from_intervals(pairs), TorusSet.full(), TorusSet()]))
+
+
+def nonzero(p):
+    return [(lo, hi, terms) for lo, hi, terms in p.pieces if terms]
+
+
+def ref_swept(pieces, combine):
+    return TrigPoly(coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
+
+
+def ref_sum(polys):
+    return ref_swept([piece for p in polys for piece in nonzero(p)], left_fold_terms)
+
+
+def ref_scale(p, c):
+    """``p * c`` as a re-merge of every piece's scaled terms."""
+    c = complex(c)
+    return TrigPoly(
+        coalesce((lo, hi, _merge_terms((nu, co * c) for nu, co in t)) for lo, hi, t in p.pieces)
+    )
+
+
+def ref_restrict(p, s):
+    inside = [(lo, hi, None) for lo, hi in s.intervals]
+    return ref_swept(nonzero(p) + inside, lambda ps: ps[0] if len(ps) == 2 else ())
+
+
+def ref_dilate_branch(p, e, k):
+    """All N branches split off, N - 1 of them dropped, the terms re-merged."""
+    pieces = [
+        (a, b, _merge_terms(
+            (nu / e.N, c * _turn(nu.numerator * k, nu.denominator * e.N)) for nu, c in t
+        ))
+        for j, a, b, t in e.branch_images(nonzero(p))
+        if j == k
+    ]
+    return ref_swept(pieces, left_fold_terms)
+
+
+def ref_compress_branch(g, e, k):
+    return TrigPoly.from_pieces(
+        (a, b, [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator)) for nu, c in t])
+        for a, b, t in e.branch_preimages(g.pieces, k)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_dilation, polys(), gates(), scales, st.data())
+def test_gated_dilate_is_dilate_scale_restrict(e, p, gate, scale, data):
+    k = data.draw(st.integers(0, e.N - 1))
+    want = ref_restrict(ref_scale(ref_dilate_branch(p, e, k), scale), gate)
+    assert gated_dilate(p, e, k, gate, scale) == want
+    assert dilate_branch(p, e, k) == ref_dilate_branch(p, e, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_dilation, st.lists(polys(), min_size=1, max_size=4), gates(), scales, st.data())
+def test_gated_compress_is_compress_scale_sum_restrict(e, gs, gate, scale, data):
+    parts = [(g, data.draw(st.integers(0, e.N - 1))) for g in gs]
+    scaled = [ref_scale(ref_compress_branch(g, e, k), scale) for g, k in parts]
+    assert gated_compress(parts, e, gate, scale) == ref_restrict(ref_sum(scaled), gate)
+    assert all(compress_branch(g, e, k) == ref_compress_branch(g, e, k) for g, k in parts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(polys(), max_size=5), gates(), scales)
+def test_gated_sum_is_sum_scale_restrict(ps, gate, scale):
+    assert gated_sum(ps, gate) == ref_restrict(ref_sum(ps), gate)
+    assert gated_sum(ps, gate, scale) == ref_restrict(ref_scale(ref_sum(ps), scale), gate)
+    assert TrigPoly.sum(ps) == ref_sum(ps)
+    assert all(p.restrict(gate) == ref_restrict(p, gate) for p in ps)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), polys())
+def test_sub_is_one_sweep_of_the_negated_sum(f, g):
+    assert f - g == ref_sum([f, ref_scale(g, -1)])
+    assert (f - f).is_zero()

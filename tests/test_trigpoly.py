@@ -8,9 +8,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmra.torus import TorusEndomorphism, TorusSet, mod1
+from gmra.torus import TorusEndomorphism, TorusSet, coalesce, mod1
 from gmra.trigpoly import (
     TrigPoly,
+    _merge_terms,
     _turn,
     compose_endomorphism,
     compress_branch,
@@ -270,3 +271,33 @@ class TestInnerKernel:
         assert copy == f and copy is not f
         assert abs(inner(f, f) - inner(f, copy)) <= 1e-12 * (1 + norm(f) ** 2)
         assert abs(integrate(f) - fraction_integrate(f)) <= 1e-12 * (1 + f.sup_bound())
+
+
+def merged_map(p: TrigPoly, term) -> TrigPoly:
+    """Reference: term(nu, c) on every term, each piece re-merged and re-sorted."""
+    return TrigPoly(
+        coalesce(
+            (lo, hi, _merge_terms(term(nu, c) for nu, c in terms)) for lo, hi, terms in p.pieces
+        )
+    )
+
+
+class TestTermMaps:
+    """Scalar ``*``, ``conj`` and ``shift_frequencies`` map terms in order, with no re-merge;
+    each equals the re-merging map it replaces."""
+
+    @given(
+        rational_polys(),
+        st.one_of(
+            st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+            st.sampled_from([0, 0.0, -1, 1 / SQRT2, 1e-320]),
+        ),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    def test_maps_equal_the_remerging_maps(self, f, c, gamma):
+        scaled = merged_map(f, lambda nu, co: (nu, co * complex(c)))
+        assert f * c == scaled
+        assert c * f == scaled
+        assert f.conj() == merged_map(f, lambda nu, co: (-nu, co.conjugate()))
+        assert f.conj().conj() == f
+        assert f.shift_frequencies(gamma) == merged_map(f, lambda nu, co: (nu + gamma, co))

@@ -10,8 +10,9 @@ directory; the change side is the working tree.  For each workload of
 ``bench/run.py --seed <seed0 + i>`` for the file's ``run_seconds``, one
 after the other, the first side alternating from pair to pair.  The file records
 each side's runs, medians and quartiles per end-to-end metric, the number
-of pairs the change won on each metric (ties count for neither side), the
-failed task counts, and the lines of ``src/gmra`` on both sides.
+of pairs the change won on each metric (ties count for neither side), a
+verdict per workload and metric (see ``verdict``), the failed task counts,
+and the lines of ``src/gmra`` on both sides.
 """
 
 from __future__ import annotations
@@ -63,9 +64,38 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict) -> dict:
+# the share of pairs a change must win to read as better
+WIN_SHARE = 0.9
+
+
+def verdict(parent: dict, change: dict, wins: int, pairs: int, direction: str, bound: float) -> str:
+    """One word for a metric on one workload, from each side's median and quartiles.
+
+    ``better``: the change won at least WIN_SHARE of the pairs and its median
+    is better than the parent's by more than the parent's interquartile
+    range.  ``worse``: its median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median.  ``unresolved``: the
+    parent's interquartile range is wider than ``bound`` times its median,
+    so a shift within the bound cannot be told apart.  ``same`` otherwise.
+    """
+    sign = 1 if direction == "higher" else -1
+    gap = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    base = abs(parent["median"])
+    if wins >= WIN_SHARE * pairs and gap > spread:
+        return "better"
+    if -gap > bound * base:
+        return "worse"
+    if spread > bound * base:
+        return "unresolved"
+    return "same"
+
+
+def summarize(parent_runs: list[dict], change_runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of ``end_to_end`` (BENCHMARK.json's entries): both sides, wins and verdict."""
     out = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction = metric["name"], metric["better"]
         sides = {}
         for side, runs in (("parent", parent_runs), ("change", change_runs)):
             values = [r["metrics"][name] for r in runs]
@@ -76,7 +106,15 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict) ->
             1 for p, c in zip(parent_runs, change_runs)
             if sign * (c["metrics"][name] - p["metrics"][name]) > 0
         )
-        out[name] = {"better": direction, **sides, "change_wins": wins}
+        out[name] = {
+            "better": direction,
+            "bound": metric["bound"],
+            **sides,
+            "change_wins": wins,
+            "verdict": verdict(
+                sides["parent"], sides["change"], wins, len(parent_runs), direction, metric["bound"]
+            ),
+        }
     return out
 
 
@@ -88,7 +126,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     report = {
         "pr": args.pr,
@@ -116,7 +153,7 @@ def main(argv=None) -> int:
             report["workloads"][name] = {
                 "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                 "all_correct": all(r["correct"] for rs in runs.values() for r in rs),
-                "metrics": summarize(runs["parent"], runs["change"], better),
+                "metrics": summarize(runs["parent"], runs["change"], spec["end_to_end"]),
             }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
