@@ -509,13 +509,7 @@ class TensorGMRA:
         kron = np.einsum("ijps,klqt->stpqikjl", *blocks).reshape(grid, grid, -1, c, c)
         acc = np.einsum("stbij,stbkj->stik", kron, kron.conj())
         devs = np.abs(acc - self.N * np.eye(c)).max(axis=(2, 3)).ravel()
-        worst = worst_residual(devs)
-        return VerificationReport(
-            passed=worst <= tol,
-            max_residual=worst,
-            tolerance=tol,
-            identities={"kronecker_fold": worst},
-        )
+        return VerificationReport.from_identities({"kronecker_fold": worst_residual(devs)}, tol)
 
 
 def tensor(a, b, tol: float = DEFAULT_TOL) -> TensorGMRA:

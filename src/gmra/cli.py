@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import builder, catalog, equivalence
-from .errors import ContextMismatch, GmraError, ProblemFileError
+from .errors import ContextMismatch, GmraError, ProblemFileError, UnknownName
 from .filters import (
     DEFAULT_TOL, _check_dims, complement_numeric, verify_complementary, verify_filter,
 )
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (ProblemFileError, ContextMismatch) as exc:
+    except (ProblemFileError, ContextMismatch, UnknownName) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GmraError as exc:

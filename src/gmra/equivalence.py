@@ -13,6 +13,7 @@ and a NotPure verdict carries an eigenvalue/eigenvector witness.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -26,10 +27,10 @@ from .filters import (
     conjugate_filter,
     identity_multiplier,
 )
-from .multiplicity import MultiplicityFunction
+from .multiplicity import MultiplicityFunction, sigma_sets
 from .ruelle import SectionVector
 from .torus import TorusSet
-from .trigpoly import TrigPoly, _terms_value, compose_endomorphism
+from .trigpoly import TrigPoly, _terms_value
 
 PURE = "pure"
 NOT_PURE = "not_pure"
@@ -326,127 +327,7 @@ def constant_ratio_obstruction(
     return Obstruction(CONSTANT_RATIO, {"ratio": c})
 
 
-# ---- coboundary search -------------------------------------------------------
-
-
-def coboundary_solve(
-    h: TrigPoly,
-    hp: TrigPoly,
-    degree: int,
-    e,
-    tol: float = DEFAULT_TOL,
-) -> TrigPoly | None:
-    """Search for a unimodular multiplier with  h'(w) = a(N w) h(w) conj(a(w)).
-
-    Multiplying through by a(w) linearizes to  h'(w) a(w) = a(N w) h(w);
-    matching Fourier coefficients over |n| <= degree gives a homogeneous
-    system whose null vectors are candidate multipliers.  A candidate is
-    accepted only if, after scaling to unit L2 norm, it is unimodular on a
-    grid and satisfies the defining identity exactly in the trig class to
-    tolerance.  Applies to single-piece integer-frequency filters.
-    """
-    if len(h.pieces) != 1 or len(hp.pieces) != 1:
-        return None
-    if any(nu.denominator != 1 for nu in h.frequencies() | hp.frequencies()):
-        return None
-    N = e.N
-    hc = {int(nu): c for nu, c in h.pieces[0][2]}
-    hpc = {int(nu): c for nu, c in hp.pieces[0][2]}
-    ns = list(range(-degree, degree + 1))
-    qs_set = set()
-    for n in ns:
-        qs_set.update(n + f for f in hpc)
-        qs_set.update(N * n + f for f in hc)
-    qs = sorted(qs_set)
-    A = np.zeros((len(qs), len(ns)), dtype=complex)
-    for row, q in enumerate(qs):
-        for col, n in enumerate(ns):
-            A[row, col] = hpc.get(q - n, 0j) - hc.get(q - N * n, 0j)
-    _, s, vh = np.linalg.svd(A)
-    smax = s.max() if len(s) else 1.0
-    candidates = [
-        vh[idx].conj()
-        for idx in range(len(ns) - 1, -1, -1)
-        if idx >= len(s) or s[idx] <= 1e-10 * max(smax, 1.0)
-    ]
-    for coeffs in candidates:
-        scale = float(np.linalg.norm(coeffs))
-        if scale == 0.0:
-            continue
-        coeffs = coeffs / scale
-        a = TrigPoly.from_pieces(
-            [(0, 1, [(Fraction(n), c) for n, c in zip(ns, coeffs)])]
-        )
-        on_grid = a.sample(np.arange(256) / 256.0)
-        if np.abs(np.abs(on_grid) - 1.0).max() > 1e-6:
-            continue
-        lhs = compose_endomorphism(a, e) * h * a.conj()
-        if lhs.deviation_from(hp) <= max(tol, 1e-9):
-            return a
-    return None
-
-
-# ---- grid search for matrix multipliers --------------------------------------
-
-
-def _polar_unitary(M: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(M)
-    return u @ vh
-
-
-def constant_multiplier_search(
-    H: FilterMatrix,
-    Hp: FilterMatrix,
-    grid: int = 64,
-    iters: int = 200,
-    restarts: int = 6,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray | None:
-    """Search for a constant unitary A with A H(w) A* = H'(w) on a grid.
-
-    Alternating Procrustes over the left and right factors of the bilinear
-    objective, with seeded random unitary restarts; the factors must agree
-    at convergence for a candidate to be returned.  Only the exact
-    conjugation check downstream certifies it.
-    """
-    r = H.m.max_value()
-    if H.m != MultiplicityFunction.constant(r) or r == 0:
-        return None
-    # the upper-left r x r blocks of H and H' at t/grid, as (grid, r, r) stacks
-    ts = np.arange(grid)
-    hv, hpv = (
-        np.ascontiguousarray(F.sample(ts, grid)[:r, :r].transpose(2, 0, 1)) for F in (H, Hp)
-    )
-    hv_h = hv.conj().transpose(0, 2, 1)
-    hpv_h = hpv.conj().transpose(0, 2, 1)
-    rng = np.random.default_rng(seed)
-
-    def objective(X, Y):
-        return float(np.abs(X @ hv @ Y.conj().T - hpv).max())
-
-    starts = [np.eye(r, dtype=complex)]
-    for _ in range(restarts - 1):
-        raw = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        starts.append(_polar_unitary(raw))
-    for X in starts:
-        X = X.copy()
-        Y = X.copy()
-        best = objective(X, Y)
-        for _ in range(iters):
-            X = _polar_unitary((hpv @ Y @ hv_h).sum(axis=0))
-            Y = _polar_unitary((hpv_h @ X @ hv).sum(axis=0))
-            cur = objective(X, Y)
-            if cur >= best - 1e-14:
-                best = min(best, cur)
-                break
-            best = cur
-        if best <= max(tol, 1e-8) and float(np.abs(X - Y).max()) <= 1e-6:
-            return _polar_unitary((X + Y) / 2)
-    return None
-
-
-# ---- the decision ------------------------------------------------------------
+# ---- the intertwiner kernel --------------------------------------------------
 
 
 def _entries_equal(H: FilterMatrix, Hp: FilterMatrix, tol: float) -> bool:
@@ -462,6 +343,120 @@ def _entries_equal(H: FilterMatrix, Hp: FilterMatrix, tol: float) -> bool:
     return True
 
 
+def _coefficients(block, r: int, adjoint: bool) -> dict:
+    """Frequency -> r x r coefficient matrix of one cell's block, zero-padded.
+
+    With ``adjoint``, those of the pointwise adjoint: frequency -nu carries
+    the conjugate transpose of the coefficient at nu.
+    """
+    out = {}
+    for i, row in enumerate(block):
+        for j, terms in enumerate(row):
+            for nu, c in terms:
+                key, at = (-nu, (j, i)) if adjoint else (nu, (i, j))
+                out.setdefault(key, np.zeros((r, r), dtype=complex))[at] = (
+                    c.conjugate() if adjoint else c
+                )
+    return out
+
+
+def _intertwiner_system(H: FilterMatrix, Hp: FilterMatrix, ns: range) -> np.ndarray:
+    """The matrix whose null vectors are the multipliers sum_n A_n e(n w), n in ns,
+    solving  A(N w) H(w) = H'(w) A(w)  and  A(w) H(w)* = H'(w)* A(N w).
+
+    Both sides are matched frequency by frequency on every cell of
+    ``_matrix_cells``: exponentials of distinct frequencies are independent on
+    any interval, so this is exact.  A null vector lists the row-major entries
+    of A_n for each n in turn.
+    """
+    r, N = H.m.max_value(), H.e.N
+    width = r * r
+    eye = np.eye(r)
+    equations = []
+    for _, _, (block, block_p) in _matrix_cells(H, Hp):
+        for adjoint in (False, True):
+            right_dilation, left_dilation = (1, N) if adjoint else (N, 1)
+            rows = defaultdict(lambda: np.zeros((width, len(ns) * width), dtype=complex))
+            for nu, C in _coefficients(block, r, adjoint).items():
+                term = np.kron(eye, C.T)  # A -> A C on row-major entries
+                for k, n in enumerate(ns):
+                    rows[right_dilation * n + nu][:, k * width : (k + 1) * width] += term
+            for nu, C in _coefficients(block_p, r, adjoint).items():
+                term = np.kron(C, eye)  # A -> C A
+                for k, n in enumerate(ns):
+                    rows[left_dilation * n + nu][:, k * width : (k + 1) * width] -= term
+            equations.extend(rows.values())
+    return np.vstack(equations) if equations else np.zeros((1, len(ns) * width))
+
+
+def _polar_unitary(M: np.ndarray) -> np.ndarray:
+    """The unitary factor U of a polar decomposition M = U P."""
+    u, _, vh = np.linalg.svd(M)
+    return u @ vh
+
+
+def _multiplier(coeffs: np.ndarray, ns: range, H: FilterMatrix) -> FilterMatrix:
+    """The r x r multiplier sum_n coeffs[n] e(n w), entry (i, j) cut to {m > max(i, j)}.
+
+    Coefficients of modulus 1e-12 or less are dropped.
+    """
+    sets = sigma_sets(H.m)
+    entries = tuple(
+        tuple(
+            TrigPoly.from_pieces(
+                (lo, hi, [(n, c) for n, c in zip(ns, coeffs[:, i, j]) if abs(c) > 1e-12])
+                for lo, hi in sets[max(i, j)].intervals
+            )
+            for j in range(len(sets))
+        )
+        for i in range(len(sets))
+    )
+    return FilterMatrix(entries, H.m, H.e, "m")
+
+
+def coboundary_solve(
+    H: FilterMatrix,
+    Hp: FilterMatrix,
+    degree: int,
+    tol: float = DEFAULT_TOL,
+) -> FilterMatrix | None:
+    """A multiplier of trig degree <= ``degree`` with  H'(w) = A(N w) H(w) A(w)*, or None.
+
+    The unknowns are the Fourier coefficients of an r x r multiplier, r the
+    largest value of m, and the null space of ``_intertwiner_system`` comes
+    from one SVD.  With the adjoint equations the constant null vectors form
+    the intertwiner space of two *-representations, which holds the polar
+    part of its invertible elements: for degree 0 the candidate is the polar
+    part of a fixed combination (weights 1, 1/2, 1/3, ...) of the null basis.
+    For degree > 0 each null vector, scaled to norm sqrt(r), is a candidate.
+    A candidate is returned only if ``conjugate_filter`` (which checks block
+    unitarity) reproduces H' to max(tol, 1e-9).
+    """
+    r = H.m.max_value()
+    if r == 0:
+        return None
+    ns = range(-degree, degree + 1)
+    _, s, vh = np.linalg.svd(_intertwiner_system(H, Hp, ns))
+    rank = int(np.count_nonzero(s > 1e-10 * max(s.max(initial=0.0), 1.0)))
+    null = vh[rank:][::-1].conj().reshape(-1, len(ns), r, r)
+    if degree == 0 and len(null):
+        generic = np.tensordot(1.0 / np.arange(1, len(null) + 1), null[:, 0], 1)
+        candidates = [_polar_unitary(generic)[None]]
+    else:
+        candidates = [v * (math.sqrt(r) / np.linalg.norm(v)) for v in null]
+    for coeffs in candidates:
+        A = _multiplier(coeffs, ns, H)
+        try:
+            if _entries_equal(conjugate_filter(H, A, tol), Hp, max(tol, 1e-9)):
+                return A
+        except NotUnitary:
+            pass
+    return None
+
+
+# ---- the decision ------------------------------------------------------------
+
+
 def _is_effectively_scalar(F: FilterMatrix) -> bool:
     if F.m.max_value() != 1:
         return False
@@ -470,6 +465,10 @@ def _is_effectively_scalar(F: FilterMatrix) -> bool:
             if (i, j) != (0, 0) and not F.entry(i, j).is_zero():
                 return False
     return True
+
+
+def _single_piece_integer(h: TrigPoly) -> bool:
+    return len(h.pieces) == 1 and all(nu.denominator == 1 for nu in h.frequencies())
 
 
 def decide(
@@ -482,9 +481,11 @@ def decide(
     equivalence of filters, decided with witnesses and obstructions.
 
     Order: multiplicity comparison, certified invariants, constant-ratio
-    obstruction, coboundary search up to ``degree``; matrix pairs fall back
-    to a grid search for a constant unitary multiplier, which must pass the
-    exact conjugation check.
+    obstruction, then ``coboundary_solve``: up to ``degree`` for scalar
+    filters of one piece with integer frequencies, at degree 0 for a
+    constant multiplicity, and not at all otherwise (the system over many
+    cells grows large and has not, in probes, found a witness).  An
+    ``unknown`` names the degree searched, or says why no search ran.
     """
     if H.e != Hp.e:
         raise ContextMismatch("filters live over different dilations")
@@ -508,39 +509,26 @@ def decide(
                 return EquivalenceVerdict(INEQUIVALENT, obstruction=obstruction)
         except NotApplicable:
             pass
-        a = coboundary_solve(h, hp, degree, H.e, tol)
-        if a is not None:
-            witness = FilterMatrix.scalar(a, H.m, H.e)
-            return EquivalenceVerdict(EQUIVALENT, witness=witness)
+        if not (_single_piece_integer(h) and _single_piece_integer(hp)):
+            return EquivalenceVerdict(
+                UNKNOWN,
+                diagnostics={"note": "no multiplier search: scalar filters are searched "
+                             "only with one piece and integer frequencies"},
+            )
+    elif H.m == MultiplicityFunction.constant(H.m.max_value()):
+        degree = 0
+    else:
         return EquivalenceVerdict(
             UNKNOWN,
-            obstruction=Obstruction(NO_SOLUTION_UP_TO_DEGREE, {"degree": degree}),
-            searched_degree=degree,
-            diagnostics={"note": "no trig-poly multiplier up to the degree bound"},
+            diagnostics={"note": "no multiplier search: matrix filters are searched "
+                         "only over a constant multiplicity"},
         )
-    # constant multipliers are the only grid solutions we can lift exactly,
-    # so target them directly; the conjugation check certifies the witness
-    const = constant_multiplier_search(H, Hp, tol=tol)
-    if const is not None:
-        r = H.m.max_value()
-        entries = tuple(
-            tuple(
-                TrigPoly.constant(const[i, j])
-                if abs(const[i, j]) > 1e-12
-                else TrigPoly.zero()
-                for j in range(r)
-            )
-            for i in range(r)
-        )
-        witness = FilterMatrix(entries, H.m, H.e, "m")
-        try:
-            lifted = conjugate_filter(H, witness, tol)
-            if _entries_equal(lifted, Hp, max(tol, 1e-8)):
-                return EquivalenceVerdict(EQUIVALENT, witness=witness)
-        except NotUnitary:
-            pass
+    witness = coboundary_solve(H, Hp, degree, tol)
+    if witness is not None:
+        return EquivalenceVerdict(EQUIVALENT, witness=witness)
     return EquivalenceVerdict(
         UNKNOWN,
+        obstruction=Obstruction(NO_SOLUTION_UP_TO_DEGREE, {"degree": degree}),
         searched_degree=degree,
-        diagnostics={"note": "no constant unitary multiplier from constant_multiplier_search"},
+        diagnostics={"note": "no trig-poly multiplier up to the degree bound"},
     )

@@ -63,6 +63,8 @@ class UnsupportedRepresentation(GmraError):
 class UnknownName(GmraError, KeyError):
     """No catalog entry under the requested name."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class NotApplicable(GmraError):
     """The requested obstruction test does not apply to these inputs."""

@@ -49,6 +49,14 @@ class VerificationReport:
     identities: dict[str, float] = field(default_factory=dict)
     violations: tuple[str, ...] = ()
 
+    @classmethod
+    def from_identities(
+        cls, identities: dict[str, float], tol: float, violations: tuple[str, ...] = ()
+    ) -> "VerificationReport":
+        """The report that passes when there are no violations and every residual is within tol."""
+        worst = worst_residual(identities.values())
+        return cls(not violations and worst <= tol, worst, tol, identities, violations)
+
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         return VerificationReport(
             passed=self.passed and other.passed,
@@ -208,14 +216,7 @@ def _fold_report(
         for k in range(F.rows):
             for i in range(cross.rows):
                 identities[f"gh({k + 1},{i + 1})"] = _pair_residual(F, cross, k, i, zero)
-    max_residual = worst_residual(identities.values())
-    return VerificationReport(
-        passed=not violations and max_residual <= tol,
-        max_residual=max_residual,
-        tolerance=tol,
-        identities=identities,
-        violations=violations,
-    )
+    return VerificationReport.from_identities(identities, tol, violations)
 
 
 def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -458,14 +459,8 @@ def complement_numeric(
         run_gg, run_gh = _grid_residuals(Gq[..., a:b], Hq[:w_dim, ..., a:b], mt[a:b], N)
         gg.append(run_gg)
         gh.append(run_gh)
-    max_gg, max_gh = worst_residual(gg), worst_residual(gh)
-    residual = worst_residual([max_gg, max_gh])
-    report = VerificationReport(
-        passed=bool(residual <= tol),
-        max_residual=residual,
-        tolerance=tol,
-        identities={"gg_grid": max_gg, "gh_grid": max_gh},
-    )
+    identities = {"gg_grid": worst_residual(gg), "gh_grid": worst_residual(gh)}
+    report = VerificationReport.from_identities(identities, tol)
     G = GridFilterMatrix(fine, Gq.reshape(g_rows, cols, fine), m, H.e, "mtilde")
     return G, report
 
@@ -483,10 +478,4 @@ def verify_complementary_grid(
     Gq = G.samples[:, :, :fine].reshape(G.rows, G.cols, N, grid)
     Hq = H.sample(np.arange(fine), fine)[:, : G.cols].reshape(H.rows, G.cols, N, grid)
     max_gg, max_gh = _grid_residuals(Gq, Hq, mt, N)
-    residual = worst_residual([max_gg, max_gh])
-    return VerificationReport(
-        passed=bool(residual <= tol),
-        max_residual=residual,
-        tolerance=tol,
-        identities={"gg_grid": max_gg, "gh_grid": max_gh},
-    )
+    return VerificationReport.from_identities({"gg_grid": max_gg, "gh_grid": max_gh}, tol)

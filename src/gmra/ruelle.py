@@ -172,13 +172,7 @@ def cuntz_check(
         "SH*SG=0": worst_residual(r_cross),
         "SHSH*+SGSG*=I": worst_residual(r_complete),
     }
-    worst = worst_residual(identities.values())
-    return VerificationReport(
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        identities=identities,
-    )
+    return VerificationReport.from_identities(identities, tol)
 
 
 # ---- grid-sampled application ----------------------------------------------

@@ -216,8 +216,8 @@ class TestValidateAndCatalog:
 
     def test_catalog_unknown_name(self, capsys):
         code, _, err = run(capsys, ["catalog", "show", "nope"])
-        assert code == 2 or code == 4  # UnknownName is an input-side error
-        assert "nope" in err
+        assert code == 4
+        assert err.startswith("input error: ") and "nope" in err
 
 
 class TestInputErrors:

@@ -214,20 +214,46 @@ class TestConstantRatio:
 
 class TestCoboundary:
     def test_exponential_witness(self):
-        hp = poly((0, 1 / SQRT2), (1, 1 / SQRT2))
-        a = coboundary_solve(haar_poly(), hp, 2, N2)
-        assert a is not None
+        hp = scalar(poly((0, 1 / SQRT2), (1, 1 / SQRT2)))
+        A = coboundary_solve(scalar(haar_poly()), hp, 2)
+        assert A is not None
         # witness satisfies the defining identity exactly in the class
+        a = A.entry(0, 0)
         lhs = compose_endomorphism(a, N2) * haar_poly() * a.conj()
-        assert lhs.deviation_from(hp) < 1e-9
+        assert lhs.deviation_from(hp.entry(0, 0)) < 1e-9
 
     def test_trivial_witness(self):
-        a = coboundary_solve(haar_poly(), haar_poly(), 0, N2)
-        assert a is not None
+        A = coboundary_solve(scalar(haar_poly()), scalar(haar_poly()), 0)
+        assert A is not None
+        a = A.entry(0, 0)
         assert a.deviation_from(TrigPoly.constant(a.evaluate(0))) < 1e-9
 
     def test_negated_has_no_witness(self):
-        assert coboundary_solve(haar_poly(), haar_poly() * -1.0, 16, N2) is None
+        assert coboundary_solve(scalar(haar_poly()), scalar(haar_poly() * -1.0), 16) is None
+
+    def test_sign_swapped_pair_has_a_constant_witness(self):
+        h = catalog.get("haar").H.entry(0, 0)
+        H, Hp = TestMatrixPairs._diag(h, h * -1.0), TestMatrixPairs._diag(h * -1.0, h)
+        A = coboundary_solve(H, Hp, 0)
+        assert A is not None
+        assert all(entry.frequencies() <= {0} for row in A.entries for entry in row)
+        assert _max_deviation(conjugate_filter(H, A), Hp) < 1e-9
+
+    def test_witness_vanishes_off_the_support_of_m(self):
+        # m = 1 on [0, 1/2) only, and e(w) on it takes h to e(w) h; the
+        # witness must be zero where m is
+        half = MultiplicityFunction.from_pieces([(0, F(1, 2), 1)])
+        h = TrigPoly.from_pieces([(0, F(1, 4), [(0, SQRT2)])])
+        H = FilterMatrix.scalar(h, half, N2)
+        A = coboundary_solve(H, FilterMatrix.scalar(h.shift_frequencies(1), half, N2), 1)
+        assert A is not None
+        assert A.entry(0, 0).support() == half.support()
+
+
+def _max_deviation(H, Hp):
+    return max(
+        H.entry(i, j).deviation_from(Hp.entry(i, j)) for i in range(Hp.rows) for j in range(Hp.cols)
+    )
 
 
 class TestDecide:
@@ -277,6 +303,31 @@ class TestDecide:
         if v.kind == UNKNOWN:
             assert v.searched_degree == 6
 
+    def test_unknown_names_the_search_that_ran(self):
+        # a piecewise-constant phase makes a multi-piece scalar: no search runs
+        steps = TrigPoly.from_pieces([(0, F(1, 3), [(0, 1.0)]), (F(1, 3), 1, [(0, 1j)])])
+        H = catalog.get("haar").H
+        v = decide(H, conjugate_filter(H, scalar(steps)))
+        assert (v.kind, v.obstruction, v.searched_degree) == (UNKNOWN, None, None)
+        assert v.diagnostics["note"].startswith("no multiplier search")
+        # a constant m: only a constant multiplier is searched
+        h = catalog.get("haar").H.entry(0, 0)
+        s = catalog.get("shannon").H.entry(0, 0)
+        twisted = TestMatrixPairs._diag(h.shift_frequencies(1) * 1j, s)
+        v = decide(TestMatrixPairs._diag(h, s), twisted)
+        assert (v.kind, v.searched_degree) == (UNKNOWN, 0)
+        assert v.obstruction.kind == equivalence.NO_SOLUTION_UP_TO_DEGREE
+        assert v.obstruction.detail == {"degree": 0}
+        # m not constant: no search runs
+        entry = catalog.get("journe")
+        rows = [[TrigPoly.zero()] * 2 for _ in range(2)]
+        for i, level in enumerate(sigma_sets(entry.m)):
+            rows[i][i] = TrigPoly.exponential(1).restrict(level)
+        A = FilterMatrix.from_rows(rows, entry.m, entry.e)
+        v = decide(entry.H, conjugate_filter(entry.H, A))
+        assert (v.kind, v.obstruction, v.searched_degree) == (UNKNOWN, None, None)
+        assert v.diagnostics["note"].startswith("no multiplier search")
+
 
 class TestMatrixPairs:
     @staticmethod
@@ -316,6 +367,54 @@ class TestMatrixPairs:
         base = self._diag(h, s)
         v = decide(base, twisted)
         assert v.kind in (UNKNOWN, EQUIVALENT)
+
+
+# ---- constant multipliers: the sign-swapped gap and random unitary conjugates ---
+
+
+def _scalar_filters(N):
+    """The catalog filters with m = 1 and dilation N that pass verify_filter."""
+    return [
+        name
+        for name in catalog.names()
+        if catalog.get(name).e.N == N
+        and catalog.get(name).m == M1
+        and verify_filter(catalog.get(name).H).passed
+    ]
+
+
+@st.composite
+def block_diagonal_conjugates(draw):
+    """diag(+-h_1, ..., +-h_r) of catalog scalars, r = 2 or 3, and its conjugate by
+    a constant unitary: a random one, or a permutation (which takes diag(h, -h)
+    to the sign-swapped diag(-h, h))."""
+    N = draw(st.sampled_from([2, 3]))
+    r = draw(st.sampled_from([2, 3]))
+    names = draw(st.lists(st.sampled_from(_scalar_filters(N)), min_size=r, max_size=r))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=r, max_size=r))
+    z = TrigPoly.zero()
+    m, e = MultiplicityFunction.constant(r), TorusEndomorphism(N)
+    rows = [[z] * r for _ in range(r)]
+    for i, (name, sign) in enumerate(zip(names, signs)):
+        rows[i][i] = catalog.get(name).H.entry(0, 0) * sign
+    H = FilterMatrix.from_rows(rows, m, e)
+    if draw(st.booleans()):
+        U = np.eye(r)[draw(st.permutations(range(r)))]
+    else:
+        parts = st.floats(-1, 1, allow_nan=False)
+        raw = np.array(draw(st.lists(parts, min_size=2 * r * r, max_size=2 * r * r)))
+        U, _ = np.linalg.qr(raw[: r * r].reshape(r, r) + 1j * raw[r * r :].reshape(r, r))
+    A = FilterMatrix.from_rows([[TrigPoly.constant(U[i, j]) for j in range(r)] for i in range(r)], m, e)
+    return H, conjugate_filter(H, A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_diagonal_conjugates())
+def test_constant_unitary_conjugates_are_equivalent(pair):
+    H, Hp = pair
+    v = decide(H, Hp)
+    assert v.kind == EQUIVALENT
+    assert _max_deviation(conjugate_filter(H, v.witness), Hp) < 1e-9
 
 
 class TestCatalogSweep:

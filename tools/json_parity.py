@@ -1,0 +1,85 @@
+"""Fingerprints of the CLI's ``--json`` output on the catalog, for diffing two trees.
+
+Run from the repository root:
+
+    python3 tools/json_parity.py > tree.txt
+    python3 tools/json_parity.py --src /path/to/other/src > other.txt
+    diff other.txt tree.txt
+
+Every subcommand runs in process on each catalog problem (written once as
+problem JSON), in both interval conventions; ``equiv`` runs on every ordered
+pair of problems that share the dilation N, the pair of a problem with itself
+included, and ``catalog list`` once.  Each run prints one line: the
+convention, the command, its exit code and the SHA-256 of its stdout.
+``--names`` restricts the problems (and so the pairs) to the names given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# each subcommand that takes one problem file, in the order it runs
+ONE_FILE = ("validate", "mtilde", "sigma", "check-filter", "complement", "purity",
+            "construct", "cascade", "cuntz")
+
+
+def fingerprint(cli, argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout SHA-256 of ``gmra <argv>``; stderr is discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def runs(names: list[str], paths: dict[str, str], dilation: dict[str, int]):
+    """Yield (label, argv) for every run, in a fixed order."""
+    yield "catalog list", ["--json", "catalog", "list"]
+    for conv in ("centered", "unit"):
+        flags = ["--json", "--convention", conv]
+        for name in names:
+            yield f"{conv} catalog show {name}", flags + ["catalog", "show", name]
+            for command in ONE_FILE:
+                yield f"{conv} {command} {name}", flags + [command, paths[name]]
+        for a in names:
+            for b in names:
+                if dilation[a] == dilation[b]:
+                    yield f"{conv} equiv {a} {b}", flags + ["equiv", paths[a], paths[b]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the gmra package to run (default: this tree's)")
+    parser.add_argument("--names", nargs="+", help="catalog problems to run (default: all)")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    import gmra
+    from gmra import catalog, cli
+    from gmra.jsonio import dump_json, problem_to_json
+
+    if not Path(gmra.__file__).resolve().is_relative_to(src):
+        parser.error(f"gmra is already imported from {gmra.__file__}, not from {src}")
+    names = args.names or catalog.names()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in names:
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(dump_json(problem_to_json(catalog.get(name))))
+        dilation = {name: catalog.get(name).e.N for name in names}
+        for label, run_argv in runs(names, paths, dilation):
+            code, digest = fingerprint(cli, run_argv)
+            print(f"{label}\t{code}\t{digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
