@@ -100,6 +100,8 @@ class CanonicalGMRA:
     v0_slots: tuple[SpaceSlot, ...]
     w_levels: tuple[tuple[SpaceSlot, ...], ...]
     purity: PurityVerdict = field(compare=False)
+    # per step n, (parent's position in w_levels[n], branch k) for each slot of w_levels[n + 1]
+    plan: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
 
     @property
     def slots(self) -> tuple[SpaceSlot, ...]:
@@ -179,8 +181,14 @@ def build(
         for k, base in enumerate(sigma_sets(mtilde))
     ]
     levels = [tuple(w0)]
+    plan = []
     for _ in range(depth):
         levels.append(tuple(dilate_slots(levels[-1], e)))
+        position = {(slot.index, slot.branch): p for p, slot in enumerate(levels[-2])}
+        plan.append(tuple(  # the branch k of a child is that of its kernel element (N-k)/N
+            (position[child.index, child.branch[:-1]], -int(child.branch[-1] * e.N) % e.N)
+            for child in levels[-1]
+        ))
     return CanonicalGMRA(
         m=m,
         mtilde=mtilde,
@@ -191,6 +199,7 @@ def build(
         v0_slots=v0,
         w_levels=tuple(levels),
         purity=verdict,
+        plan=tuple(plan),
     )
 
 
@@ -238,32 +247,23 @@ def _w0_section(g: CanonicalGMRA, v: LedgerVector) -> SectionVector:
     )
 
 
-def _branch_k(zeta: Fraction, e: TorusEndomorphism) -> int:
-    return (e.N - int(zeta * e.N)) % e.N
-
-
 def _dilate_components(g: CanonicalGMRA, n: int, comps) -> list[TrigPoly]:
     """Push level-n components one level up (the isometry D, exact): one sweep per child."""
     scale = 1.0 / math.sqrt(g.e.N)
-    parent_of = {(slot.index, slot.branch): f for slot, f in zip(g.w_levels[n], comps)}
-    out = []
-    for child in g.w_levels[n + 1]:
-        f = parent_of[(child.index, child.branch[:-1])]
-        out.append(gated_dilate(f, g.e, _branch_k(child.branch[-1], g.e), child.base, scale))
-    return out
+    return [
+        gated_dilate(comps[parent], g.e, k, child.base, scale)
+        for child, (parent, k) in zip(g.w_levels[n + 1], g.plan[n])
+    ]
 
 
 def _compress_components(g: CanonicalGMRA, n: int, comps) -> list[TrigPoly]:
     """Pull level-(n+1) components down one level (the inverse of D): one sweep per parent."""
-    parents = g.w_levels[n]
-    children = g.w_levels[n + 1]
     scale = math.sqrt(g.e.N)
-    parts = {(slot.index, slot.branch): [] for slot in parents}
-    for child, f in zip(children, comps):
-        parts[(child.index, child.branch[:-1])].append((f, _branch_k(child.branch[-1], g.e)))
+    parts = [[] for _ in g.w_levels[n]]
+    for f, (parent, k) in zip(comps, g.plan[n]):
+        parts[parent].append((f, k))
     return [
-        gated_compress(parts[(slot.index, slot.branch)], g.e, slot.base, scale)
-        for slot in parents
+        gated_compress(parts[p], g.e, slot.base, scale) for p, slot in enumerate(g.w_levels[n])
     ]
 
 

@@ -29,7 +29,7 @@ from .filters import (
 )
 from .multiplicity import MultiplicityFunction, sigma_sets
 from .ruelle import SectionVector
-from .torus import TorusSet
+from .torus import TorusSet, _sort_merge
 from .trigpoly import TrigPoly, _terms_value
 
 PURE = "pure"
@@ -87,50 +87,54 @@ def is_eigenfilter(H: FilterMatrix, tol: float = DEFAULT_TOL):
 # ---- certified pointwise windows --------------------------------------------
 
 
-def _rationalize_down(r: float) -> Fraction:
-    return Fraction(max(int(math.floor(r * 2**30)), 0), 2**30)
-
-
-def _certified_windows(cells, samples: int):
+def _certified_windows(cells, den: int, samples: int):
     """Yield (window, gap) for the windows on which a pointwise bound holds.
 
-    Each cell is (lo, hi, L, gap_at): the bound is gap_at(x) > 0 and L
-    bounds the Lipschitz constant of gap_at on [lo, hi).  A cell with
-    L = 0 is constant and is decided by one sample.  Otherwise ``samples``
-    midpoints are tried, and a sample x with gap d > 0 certifies the
-    window of radius d / (2 L) around it, rounded down to a multiple of
-    2^-30 and clipped to the cell.
+    Each cell is (lo, hi, L, gap_at), the piece [lo/den, hi/den): the bound
+    is gap_at(p, q) > 0 at the point p/q and L bounds the Lipschitz constant
+    of gap_at there.  A cell with L = 0 is constant and is decided by one
+    sample.  Otherwise ``samples`` midpoints are tried, and a sample x with
+    gap d > 0 certifies the window of radius d / (2 L) around it, rounded
+    down to a multiple of 2^-30 and clipped to the cell: (a, b), integer
+    numerators over den * 2 * samples * 2^30.
     """
+    q = 2 * samples * den
+    unit = 2 * samples * 2**30  # a cell end point over den, as a window numerator
     for lo, hi, lipschitz, gap_at in cells:
-        width = hi - lo
         if lipschitz == 0.0:
-            gap = gap_at(lo + width / 2)
+            gap = gap_at(lo + hi, 2 * den)
             if gap > 0:
-                yield (lo, hi), gap
+                yield (lo * unit, hi * unit), gap
             continue
         for s in range(samples):
-            x = lo + width * Fraction(2 * s + 1, 2 * samples)
-            gap = gap_at(x)
+            p = 2 * samples * lo + (2 * s + 1) * (hi - lo)  # the sample point p/q
+            gap = gap_at(p, q)
             if not gap > 0:
                 continue
-            r = _rationalize_down(gap / (2 * lipschitz))
-            a, b = max(lo, x - r), min(hi, x + r)
+            r = max(math.floor(gap / (2 * lipschitz) * 2**30), 0) * q  # the radius, over q * 2^30
+            a, b = max(lo * unit, p * 2**30 - r), min(hi * unit, p * 2**30 + r)
             if a < b:
                 yield (a, b), gap
 
 
-def _lipschitz(terms) -> float:
-    """Derivative bound sum |c| * 2*pi*|nu| of the terms of one piece."""
-    return sum(abs(c) * math.tau * abs(float(nu)) for nu, c in terms)
+def _window_set(found, den: int, samples: int) -> TorusSet:
+    """The union of the windows of ``_certified_windows(cells, den, samples)``."""
+    w, spans = den * 2 * samples * 2**30, _sort_merge(window for window, _ in found)
+    return TorusSet(tuple((Fraction(a, w), Fraction(b, w)) for a, b in spans))
 
 
-def _block_at(block, x: Fraction) -> np.ndarray:
-    return np.array([[_terms_value(t, x) for t in row] for row in block], dtype=complex)
+def _lipschitz(fden: int, terms) -> float:
+    """Derivative bound sum |c| * 2*pi*|n/fden| of the terms of one piece."""
+    return sum(abs(c) * math.tau * abs(n / fden) for n, c in terms)
+
+
+def _block_at(block, p: int, q: int) -> np.ndarray:
+    return np.array([[_terms_value(t, d, p, q) for d, t in row] for row in block], dtype=complex)
 
 
 def _block_lipschitz(block) -> float:
     # sorted singular values are 1-Lipschitz in the Frobenius norm
-    return math.sqrt(sum(_lipschitz(t) ** 2 for row in block for t in row))
+    return math.sqrt(sum(_lipschitz(*entry) ** 2 for row in block for entry in row))
 
 
 def certified_deviation_set(
@@ -144,51 +148,52 @@ def certified_deviation_set(
     sum |c| * 2*pi*|nu| of the piece.
     """
 
-    def gap_at(terms, x):
-        return abs(_terms_value(terms, x) - target) - margin
+    def gap_at(terms, a, b):
+        return abs(_terms_value(terms, p.fden, a, b) - target) - margin
 
-    cells = ((lo, hi, _lipschitz(terms), partial(gap_at, terms)) for lo, hi, terms in p.pieces)
-    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples=24))
+    cells = ((lo, hi, _lipschitz(p.fden, t), partial(gap_at, t)) for lo, hi, t in p.cells)
+    return _window_set(_certified_windows(cells, p.den, 24), p.den, 24)
 
 
 # ---- purity ------------------------------------------------------------------
 
 
 def _matrix_cells(*filters: FilterMatrix):
-    """Yield (lo, hi, blocks) on the common refinement of filters sharing (m, N).
+    """The common refinement of filters sharing (m, N): (den, cells), each cell
+    (lo, hi, blocks) the piece [lo/den, hi/den).
 
     The cuts are the breakpoints of m, their dilation preimages (the
     breakpoints of m(N w)) and every entry breakpoint, so the block
     dimensions m(N w) x m(w) and every entry piece are fixed on a cell.
-    blocks[f] holds the terms of filter f's active block, and is empty
-    when either dimension is zero.
+    blocks[f] holds (fden, terms) per entry of filter f's active block, and
+    is empty when either dimension is zero.
     """
     m, e = filters[0].m, filters[0].e
     points = set(m.breakpoints())
     for b in m.breakpoints():
         points.update((b + k) / e.N for k in range(e.N))
-    for F in filters:
-        for row in F.entries:
-            for h in row:
-                points.update(lo for lo, _, _ in h.pieces)
-    cuts = sorted(points) + [Fraction(1)]
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        row_dim, col_dim = m.value_at(e.image(mid)), m.value_at(mid)
-        if col_dim == 0:
-            row_dim = 0
-        blocks = [
-            [[_piece_terms(F.entry(i, j), mid) for j in range(col_dim)] for i in range(row_dim)]
-            for F in filters
-        ]
-        yield a, b, blocks
+    entries = [h for F in filters for row in F.entries for h in row]
+    den = math.lcm(*[x.denominator for x in points], *[h.den for h in entries])
+    cuts = {x.numerator * (den // x.denominator) for x in points}
+    cuts.update(lo * (den // h.den) for h in entries for lo, _, _ in h.cells)
+    cuts = sorted(cuts) + [den]
 
+    def at(h, p):  # the entry's (fden, terms) at the point p/(2 den)
+        return h.fden, h._terms_at(p, 2 * den)
 
-def _piece_terms(h: TrigPoly, x: Fraction):
-    for lo, hi, terms in h.pieces:
-        if lo <= x < hi:
-            return terms
-    return ()
+    def cells():
+        for a, b in zip(cuts, cuts[1:]):
+            mid = Fraction(a + b, 2 * den)
+            row_dim, col_dim = m.value_at(e.image(mid)), m.value_at(mid)
+            if col_dim == 0:
+                row_dim = 0
+            blocks = [
+                [[at(F.entry(i, j), a + b) for j in range(col_dim)] for i in range(row_dim)]
+                for F in filters
+            ]
+            yield a, b, blocks
+
+    return den, cells()
 
 
 def low_singular_certificate(
@@ -202,17 +207,18 @@ def low_singular_certificate(
     window.
     """
 
-    def gap_at(block, x):
+    def gap_at(block, p, q):
         if not block:
             return math.inf
-        top = np.linalg.svd(_block_at(block, x), compute_uv=False).max()
+        top = np.linalg.svd(_block_at(block, p, q), compute_uv=False).max()
         return (1.0 - tol) - float(top)
 
+    den, matrix_cells = _matrix_cells(H)
     cells = (
         (a, b, _block_lipschitz(block), partial(gap_at, block))
-        for a, b, (block,) in _matrix_cells(H)
+        for a, b, (block,) in matrix_cells
     )
-    return TorusSet.from_intervals(w for w, _ in _certified_windows(cells, samples=16))
+    return _window_set(_certified_windows(cells, den, 16), den, 16)
 
 
 def purity_test(H: FilterMatrix, tol: float = DEFAULT_TOL) -> PurityVerdict:
@@ -277,22 +283,23 @@ def invariant_check(
         return None
     margin = max(tol, 1e-7)
 
-    def gap_at(blocks, x):
+    def gap_at(blocks, p, q):
         sv = [
-            np.sort(np.linalg.svd(_block_at(block, x), compute_uv=False))[::-1]
+            np.sort(np.linalg.svd(_block_at(block, p, q), compute_uv=False))[::-1]
             for block in blocks
         ]
         return float(np.abs(sv[0] - sv[1]).max()) - margin
 
+    den, matrix_cells = _matrix_cells(H, Hp)
     cells = (
         (a, b, sum(_block_lipschitz(block) for block in blocks), partial(gap_at, blocks))
-        for a, b, blocks in _matrix_cells(H, Hp)
+        for a, b, blocks in matrix_cells
         if blocks[0]
     )
-    for (a, b), gap in _certified_windows(cells, 16):
+    for window, gap in _certified_windows(cells, den, 16):
         return Obstruction(
             SINGULAR_VALUE_MISMATCH,
-            {"set": TorusSet.interval(a, b), "gap": gap + margin},
+            {"set": _window_set([(window, gap)], den, 16), "gap": gap + margin},
         )
     return None
 
@@ -351,8 +358,9 @@ def _coefficients(block, r: int, adjoint: bool) -> dict:
     """
     out = {}
     for i, row in enumerate(block):
-        for j, terms in enumerate(row):
-            for nu, c in terms:
+        for j, (fden, terms) in enumerate(row):
+            for n, c in terms:
+                nu = Fraction(n, fden)
                 key, at = (-nu, (j, i)) if adjoint else (nu, (i, j))
                 out.setdefault(key, np.zeros((r, r), dtype=complex))[at] = (
                     c.conjugate() if adjoint else c
@@ -373,7 +381,7 @@ def _intertwiner_system(H: FilterMatrix, Hp: FilterMatrix, ns: range) -> np.ndar
     width = r * r
     eye = np.eye(r)
     equations = []
-    for _, _, (block, block_p) in _matrix_cells(H, Hp):
+    for _, _, (block, block_p) in _matrix_cells(H, Hp)[1]:
         for adjoint in (False, True):
             right_dilation, left_dilation = (1, N) if adjoint else (N, 1)
             rows = defaultdict(lambda: np.zeros((width, len(ns) * width), dtype=complex))
@@ -468,7 +476,7 @@ def _is_effectively_scalar(F: FilterMatrix) -> bool:
 
 
 def _single_piece_integer(h: TrigPoly) -> bool:
-    return len(h.pieces) == 1 and all(nu.denominator == 1 for nu in h.frequencies())
+    return len(h.cells) == 1 and h.fden == 1
 
 
 def decide(

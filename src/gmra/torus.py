@@ -7,12 +7,12 @@ exact -- no floats -- so set identities can be asserted with ``==``.
 
 This is the one module that normalises interval data: ``wrap`` reads a
 pair mod 1, ``_sort_merge`` makes segments canonical, ``coalesce`` merges
-equal neighbours of a tiling and ``branch_images`` splits at the branches.
+equal neighbours of a tiling and ``branch_images`` splits at the branches;
+those with an ``end`` take Fractions over 1, or integer numerators over end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -31,39 +31,34 @@ def mod1(x) -> Fraction:
     return Fraction(x) % 1
 
 
-def grid_cells(cuts, ps: np.ndarray, den: int) -> np.ndarray:
+def grid_cells(cuts, ps: np.ndarray, den: int, end=ONE) -> np.ndarray:
     """Index i of the cell [cuts[i], cuts[i+1]) holding each grid point p/den.
 
-    ``cuts`` ascend from 0 and ``ps`` lie in [0, den).  Since p/den >= c
-    exactly when p >= ceil(c*den), comparing the integers p against the
-    integer thresholds ceil(c*den) keeps the half-open rule at breakpoints
-    without rounding.
+    ``cuts`` ascend from 0 in units of 1/end and ``ps`` lie in [0, den).
+    Since p/den >= c/end exactly when p >= ceil(c*den/end), comparing the
+    integers p against the integer thresholds keeps the half-open rule at
+    breakpoints without rounding.
     """
-    thresholds = np.array(
-        [-((-c.numerator * den) // c.denominator) for c in cuts], dtype=np.int64
-    )
+    thresholds = np.array([-((-c * den) // end) for c in cuts], dtype=np.int64)
     return np.searchsorted(thresholds, ps, side="right") - 1
 
 
-def overlay(pieces):
-    """The cells of [0, 1) cut at every piece boundary, each with its cover.
+def overlay(pieces, end=ONE):
+    """The cells of [0, end) cut at every piece boundary, each with its cover.
 
-    ``pieces`` are (lo, hi, payload) with Fractions 0 <= lo <= hi <= 1 and
-    may overlap.  Returns (lo, hi, payloads) per cell in ascending order,
+    ``pieces`` are (lo, hi, payload) with 0 <= lo <= hi <= end and may
+    overlap.  Returns (lo, hi, payloads) per cell in ascending order,
     ``payloads`` listing the payloads of the pieces that cover the cell in
-    input order (empty where none does).  Cut points are keyed by
-    (numerator, denominator), since hashing a Fraction is slow.
+    input order (empty where none does).
     """
     pieces = list(pieces)
-    cuts = {(0, 1): ZERO, (1, 1): ONE}
-    for lo, hi, _ in pieces:
-        cuts[lo.numerator, lo.denominator] = lo
-        cuts[hi.numerator, hi.denominator] = hi
-    points = sorted(cuts.values())
-    index = {(p.numerator, p.denominator): i for i, p in enumerate(points)}
+    cuts = {end * 0, end}
+    cuts.update(x for lo, hi, _ in pieces for x in (lo, hi))
+    points = sorted(cuts)
+    index = {p: i for i, p in enumerate(points)}
     cells = [[] for _ in points[1:]]
     for lo, hi, payload in pieces:
-        for i in range(index[lo.numerator, lo.denominator], index[hi.numerator, hi.denominator]):
+        for i in range(index[lo], index[hi]):
             cells[i].append(payload)
     return zip(points, points[1:], cells)
 
@@ -198,33 +193,36 @@ class TorusEndomorphism:
         x = mod1(x)
         return [(x + k) / self.N for k in range(self.N)]
 
-    def branch_images(self, pieces):
-        """Split (lo, hi, payload) pieces of [0, 1] at the multiples of 1/N.
+    def branch_images(self, pieces, end=ONE):
+        """Split (lo, hi, payload) pieces of [0, end] at the multiples of end/N.
 
-        Yields (k, N*a - k, N*b - k, payload), the image of each nonempty
-        part [a, b) of a piece on branch [k/N, (k+1)/N); piece by piece,
-        each piece's parts in ascending k.
+        Yields (k, N*a - k*end, N*b - k*end, payload), the image of each
+        nonempty part [a, b) of a piece on branch [k*end/N, (k+1)*end/N);
+        piece by piece, each piece's parts in ascending k.
         """
+        steps = [end * k for k in range(self.N)]  # k*end, so steps[0] is a zero of end's type
         for lo, hi, payload in pieces:
             lo, hi = lo * self.N, hi * self.N
-            for k in range(math.floor(lo), math.ceil(hi)):
-                yield k, max(lo - k, ZERO), min(hi - k, ONE), payload
+            for k in range(lo // end, -(-hi // end)):
+                a, b = lo - steps[k], hi - steps[k]
+                yield k, a if a > steps[0] else steps[0], b if b < end else end, payload
 
-    def branch_image(self, pieces, k: int):
+    def branch_image(self, pieces, k: int, end=ONE):
         """The parts of ``branch_images`` on branch k alone, without splitting the others."""
+        zero, shift = end * 0, end * k
         for lo, hi, payload in pieces:
-            lo, hi = lo * self.N - k, hi * self.N - k
-            if lo < 1 and hi > 0:
-                yield k, max(lo, ZERO), min(hi, ONE), payload
+            lo, hi = lo * self.N - shift, hi * self.N - shift
+            if lo < end and hi > zero:
+                yield k, lo if lo > zero else zero, hi if hi < end else end, payload
 
-    def branch_preimages(self, pieces, k: int):
-        """The preimages ((lo + k)/N, (hi + k)/N, payload) on branch k of pieces of [0, 1]."""
-        return [((lo + k) / self.N, (hi + k) / self.N, payload) for lo, hi, payload in pieces]
+    def branch_preimages(self, pieces, k: int, end: int):
+        """The preimages on branch k of pieces of [0, end], as numerators over N*end:
+        (lo + k*end, hi + k*end, payload), which divided by N are the preimage proper."""
+        return [(lo + k * end, hi + k * end, payload) for lo, hi, payload in pieces]
 
     def preimage_set(self, s: TorusSet) -> TorusSet:
-        pieces = [(lo, hi, None) for lo, hi in s.intervals]
         return TorusSet.from_intervals(
-            (a, b) for k in range(self.N) for a, b, _ in self.branch_preimages(pieces, k)
+            ((lo + k) / self.N, (hi + k) / self.N) for k in range(self.N) for lo, hi in s.intervals
         )
 
     def image_set(self, s: TorusSet) -> TorusSet:
@@ -247,7 +245,7 @@ class TorusEndomorphism:
         return [
             (
                 Fraction((self.N - k) % self.N, self.N),
-                TorusSet(tuple((a, b) for a, b, _ in self.branch_preimages(parts, k))),
+                TorusSet(tuple(((a + k) / self.N, (b + k) / self.N) for a, b, _ in parts)),
             )
             for k, parts in enumerate(images)
             if parts

@@ -4,8 +4,9 @@ Values are finite sums  sum_j c_j * e^(2*pi*i*nu_j*w)  on each piece of a
 rational-breakpoint partition.  Frequencies are rationals (not just
 integers): substituting a dilation branch z = (w + k)/N divides every
 frequency by N, so rational frequencies make the class closed under the
-preimage fold that drives all filter identities.  Breakpoints stay exact;
-coefficients are complex floats.
+preimage fold that drives all filter identities.  Breakpoints and
+frequencies are exact, integer numerators over two reduced denominators
+(``Fraction`` only at the boundary); coefficients are complex floats.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .torus import (
-    GRID_BLOCK, ONE, ZERO, TorusEndomorphism, TorusSet, coalesce, grid_cells, mod1, overlay,
+    GRID_BLOCK, TorusEndomorphism, TorusSet, _sort_merge, coalesce, grid_cells, mod1, overlay,
 )
 
 _QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
@@ -45,10 +46,9 @@ def unit_phase(q) -> complex:
     return _turn(q.numerator, q.denominator)
 
 
-def _terms_value(terms, x: Fraction) -> complex:
-    """sum c * e^(2*pi*i*nu*x) over the (nu, c) terms, at a rational x."""
-    a, b = x.numerator, x.denominator
-    return sum((c * _turn(nu.numerator * a, nu.denominator * b) for nu, c in terms), 0j)
+def _terms_value(terms, fden: int, a: int, b: int) -> complex:
+    """sum c * e^(2*pi*i*(n/fden)*(a/b)) over the (n, c) terms, at the rational a/b."""
+    return sum((c * _turn(n * a, fden * b) for n, c in terms), 0j)
 
 
 def _grid_phase(nu: Fraction, ps: np.ndarray, den: int) -> np.ndarray:
@@ -78,26 +78,17 @@ def _grid_phase(nu: Fraction, ps: np.ndarray, den: int) -> np.ndarray:
     return out
 
 
-Terms = tuple[tuple[Fraction, complex], ...]
+# (n, c): the term c * e^(2*pi*i*(n/fden)*w) of a poly with frequency denominator fden
+Terms = tuple[tuple[int, complex], ...]
 
 
 def _merge_terms(pairs) -> Terms:
-    # keyed by (num, den) -- int-tuple hashing is much cheaper than Fraction
-    acc: dict[tuple[int, int], list] = {}
-    for nu, c in pairs:
-        if type(nu) is not Fraction:
-            nu = Fraction(nu)
-        if type(c) is not complex:
-            c = complex(c)
-        key = (nu.numerator, nu.denominator)
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [nu, c]
-        else:
-            slot[1] += c
-    out = [(nu, c) for nu, c in acc.values() if c != 0]
-    out.sort(key=lambda term: term[0])
-    return tuple(out)
+    """Canonical terms of (n, c) pairs: equal frequencies added in input order, exact
+    zeros dropped, sorted by frequency."""
+    acc: dict[int, complex] = {}
+    for n, c in pairs:
+        acc[n] = acc[n] + c if n in acc else c
+    return tuple(sorted(term for term in acc.items() if term[1] != 0))
 
 
 def _sum_terms(payloads) -> Terms:
@@ -115,61 +106,108 @@ def _sum_terms(payloads) -> Terms:
 def _scaled(terms: Terms, c: complex) -> Terms:
     """Each coefficient times c, exact zeros dropped; the frequencies keep their order."""
     out = []
-    for nu, co in terms:
+    for n, co in terms:
         co *= c
         if co:
-            out.append((nu, co))
+            out.append((n, co))
     return tuple(out)
+
+
+def _canonical(den: int, fden: int, cells) -> "TrigPoly":
+    """The poly of coalesced cells over den with frequencies over fden, both reduced."""
+    g = math.gcd(den, *[lo for lo, _, _ in cells]) if den > 1 else 1
+    h = math.gcd(fden, *[n for _, _, t in cells for n, _ in t]) if fden > 1 else 1
+    if g > 1 or h > 1:
+        cells = tuple((lo // g, hi // g, tuple((n // h, c) for n, c in t)) for lo, hi, t in cells)
+    return TrigPoly(den // g, fden // h, cells)
+
+
+def _over(x: Fraction, den: int) -> int:
+    """The numerator of x over den, a multiple of its denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def _nonzero_cells(p: "TrigPoly", den: int, fden: int):
+    """The nonzero cells of p over den, frequencies over fden: multiples of p's own."""
+    a, b = den // p.den, fden // p.fden
+    return (
+        (lo * a, hi * a, terms if b == 1 else tuple((n * b, c) for n, c in terms))
+        for lo, hi, terms in p.cells if terms
+    )
+
+
+def _aligned(polys, gate: TorusSet | None = None):
+    """(den, fden, cells): the polys' (and gate's) common denominators, their cells over them."""
+    ends = [x.denominator for interval in gate.intervals for x in interval] if gate else []
+    den = math.lcm(*ends, *[p.den for p in polys])
+    fden = math.lcm(*[p.fden for p in polys])
+    return den, fden, [_nonzero_cells(p, den, fden) for p in polys]
 
 
 _GATE = object()  # overlay payload of a gate interval
 _MINUS_ONE = complex(-1)
 
 
-def _swept(pieces, combine, gate: TorusSet | None = None) -> "TrigPoly":
-    """The poly carrying combine(payloads) on each cell of ``overlay(pieces)``; the
-    gate's intervals join the overlay ahead of the pieces, and cells outside it carry ()."""
+def _swept(den: int, fden: int, pieces, combine, gate: TorusSet | None = None) -> "TrigPoly":
+    """The poly carrying combine(payloads) on each cell of ``overlay(pieces, den)``; the
+    gate's intervals (over den) join the overlay first, and cells outside them carry ()."""
     if gate is None:
-        cells = ((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces))
+        cells = ((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces, den))
     else:
-        marked = overlay(chain(((lo, hi, _GATE) for lo, hi in gate.intervals), pieces))
+        marks = ((_over(lo, den), _over(hi, den), _GATE) for lo, hi in gate.intervals)
         cells = (
-            (lo, hi, combine(ps[1:]) if ps and ps[0] is _GATE else ()) for lo, hi, ps in marked
+            (lo, hi, combine(ps[1:]) if ps and ps[0] is _GATE else ())
+            for lo, hi, ps in overlay(chain(marks, pieces), den)
         )
-    return TrigPoly(coalesce(cells))
-
-
-def _nonzero_pieces(p: "TrigPoly"):
-    return ((lo, hi, terms) for lo, hi, terms in p.pieces if terms)
+    return _canonical(den, fden, coalesce(cells))
 
 
 @dataclass(frozen=True)
 class TrigPoly:
     """A piecewise trig polynomial in canonical form.
 
-    Pieces tile [0, 1); per piece, terms are sorted by frequency with exact
-    zeros dropped, and adjacent pieces with identical terms are merged.
+    ``cells`` (lo, hi, terms) tile [0, den): the pieces [lo/den, hi/den), a
+    term (n, c) of frequency n/fden.  Per cell, terms are sorted by frequency
+    with exact zeros dropped, adjacent cells with identical terms are merged,
+    and den and fden are reduced, so ``==`` and ``hash`` are structural.
     """
 
-    pieces: tuple[tuple[Fraction, Fraction, Terms], ...]
+    den: int
+    fden: int
+    cells: tuple[tuple[int, int, Terms], ...]
+
+    @property
+    def pieces(self) -> tuple:
+        """The cells as (lo, hi, terms) with Fraction breakpoints and frequencies."""
+        den, fden = self.den, self.fden
+        return tuple(
+            (Fraction(lo, den), Fraction(hi, den), tuple((Fraction(n, fden), c) for n, c in terms))
+            for lo, hi, terms in self.cells
+        )
 
     @staticmethod
     def from_pieces(raw) -> "TrigPoly":
-        """Build from (lo, hi, terms) with lo/hi in [0, 1]; gaps filled with 0."""
+        """Build from (lo, hi, terms) with lo/hi in [0, 1], terms (nu, c); gaps filled with 0."""
         cleaned = []
         for lo, hi, terms in raw:
             lo, hi = Fraction(lo), Fraction(hi)
             if lo < hi:
                 if lo < 0 or hi > 1:
                     raise ValueError("pieces must lie in [0, 1]")
-                cleaned.append((lo, hi, _merge_terms(terms)))
+                cleaned.append((lo, hi, [(Fraction(nu), complex(c)) for nu, c in terms]))
+        den = math.lcm(*(x.denominator for lo, hi, _ in cleaned for x in (lo, hi)))
+        fden = math.lcm(*(nu.denominator for _, _, terms in cleaned for nu, _ in terms))
+        pieces = (
+            (_over(lo, den), _over(hi, den), _merge_terms((_over(nu, fden), c) for nu, c in t))
+            for lo, hi, t in cleaned
+        )
 
         def only(payloads):
             if len(payloads) > 1:
                 raise ValueError("pieces overlap")
             return payloads[0] if payloads else ()
 
-        return _swept(cleaned, only)
+        return _swept(den, fden, pieces, only)
 
     @staticmethod
     def sum(polys) -> "TrigPoly":
@@ -178,22 +216,20 @@ class TrigPoly:
 
     @staticmethod
     def zero() -> "TrigPoly":
-        return TrigPoly(((ZERO, ONE, ()),))
+        return TrigPoly(1, 1, ((0, 1, ()),))
 
     @staticmethod
     def constant(c) -> "TrigPoly":
-        return TrigPoly(((ZERO, ONE, _merge_terms([(ZERO, c)])),))
+        return TrigPoly.exponential(0, c)
 
     @staticmethod
     def exponential(freq, coef=1.0) -> "TrigPoly":
         """coef * e^(2*pi*i*freq*w) on the whole circle."""
-        return TrigPoly(((ZERO, ONE, _merge_terms([(Fraction(freq), coef)])),))
+        return TrigPoly.from_pieces([(0, 1, [(freq, coef)])])
 
     @staticmethod
     def indicator(ts: TorusSet, coef=1.0) -> "TrigPoly":
-        return TrigPoly.from_pieces(
-            (lo, hi, [(ZERO, coef)]) for lo, hi in ts.intervals
-        )
+        return TrigPoly.from_pieces((lo, hi, [(0, coef)]) for lo, hi in ts.intervals)
 
     # ---- algebra ---------------------------------------------------------
 
@@ -202,8 +238,9 @@ class TrigPoly:
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         """self + other * -1 in one sweep, with the coefficients of that chain."""
-        negated = ((lo, hi, _scaled(t, _MINUS_ONE)) for lo, hi, t in _nonzero_pieces(other))
-        return _swept(chain(_nonzero_pieces(self), negated), _sum_terms)
+        den, fden, (mine, theirs) = _aligned((self, other))
+        negated = ((lo, hi, _scaled(t, _MINUS_ONE)) for lo, hi, t in theirs)
+        return _swept(den, fden, chain(mine, negated), _sum_terms)
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
@@ -214,19 +251,21 @@ class TrigPoly:
                 ta, tb = payloads
                 return _merge_terms((na + nb, ca * cb) for na, ca in ta for nb, cb in tb)
 
-            return _swept(chain(_nonzero_pieces(self), _nonzero_pieces(other)), product)
+            den, fden, cells = _aligned((self, other))
+            return _swept(den, fden, chain(*cells), product)
         c = complex(other)
         return self._map_terms(lambda terms: _scaled(terms, c))
 
     __rmul__ = __mul__
 
     def conj(self) -> "TrigPoly":
-        return self._map_terms(lambda ts: tuple((-nu, c.conjugate()) for nu, c in reversed(ts)))
+        return self._map_terms(lambda ts: tuple((-n, c.conjugate()) for n, c in reversed(ts)))
 
-    def _map_terms(self, terms_map) -> "TrigPoly":
-        """The poly whose pieces carry terms_map(terms): a map keeping frequencies distinct and
-        in order, so no re-merge."""
-        return TrigPoly(coalesce((lo, hi, terms_map(terms)) for lo, hi, terms in self.pieces))
+    def _map_terms(self, terms_map, fden: int | None = None) -> "TrigPoly":
+        """The poly whose cells carry terms_map(terms), frequencies over ``fden`` (default
+        this poly's): a map keeping frequencies distinct and in order, so no re-merge."""
+        cells = coalesce((lo, hi, terms_map(terms)) for lo, hi, terms in self.cells)
+        return _canonical(self.den, fden or self.fden, cells)
 
     def restrict(self, ts: TorusSet) -> "TrigPoly":
         """Zero the function outside ts (exact piece surgery)."""
@@ -237,16 +276,22 @@ class TrigPoly:
     def evaluate(self, x) -> complex:
         """Exact-point evaluation (half-open rule at breakpoints)."""
         x = mod1(Fraction(x))
-        for lo, hi, terms in self.pieces:
-            if lo <= x < hi:
-                return _terms_value(terms, x)
-        raise AssertionError("canonical pieces cover [0,1)")
+        a, b = x.numerator, x.denominator
+        return _terms_value(self._terms_at(a, b), self.fden, a, b)
+
+    def _terms_at(self, a: int, b: int) -> Terms:
+        """The terms of the cell holding the point a/b of [0, 1)."""
+        at = a * self.den
+        for lo, hi, terms in self.cells:
+            if lo * b <= at < hi * b:
+                return terms
+        raise AssertionError("canonical cells cover [0,1)")
 
     def sample(self, xs: np.ndarray, den: int | None = None) -> np.ndarray:
         """Vectorized evaluation at many points.
 
         With ``den``, ``xs`` is a 1-d array of integers p and the points are
-        exactly p/den: pieces are located and phases reduced in integer
+        exactly p/den: cells are located and phases reduced in integer
         arithmetic (see ``grid_cells`` and ``_grid_phase``), so the values
         are those of ``evaluate`` up to rounding in cos/sin.  Points go
         through in blocks of ``GRID_BLOCK``, so temporaries stay small at
@@ -263,21 +308,21 @@ class TrigPoly:
             return out
         xs = np.asarray(xs, dtype=float) % 1.0
         out = np.zeros(xs.shape, dtype=complex)
-        for lo, hi, terms in self.pieces:
-            mask = (xs >= float(lo)) & (xs < float(hi))
+        for lo, hi, terms in self.cells:
+            mask = (xs >= lo / self.den) & (xs < hi / self.den)
             if not mask.any():
                 continue
             acc = np.zeros(mask.sum(), dtype=complex)
-            for nu, c in terms:
-                acc += c * np.exp(2j * math.pi * float(nu) * xs[mask])
+            for n, c in terms:
+                acc += c * np.exp(2j * math.pi * (n / self.fden) * xs[mask])
             out[mask] = acc
         return out
 
     def _sample_grid(self, ps: np.ndarray, den: int) -> np.ndarray:
         ps = np.mod(ps, den)
-        cells = grid_cells([lo for lo, _, _ in self.pieces], ps, den)
+        cells = grid_cells([lo for lo, _, _ in self.cells], ps, den, self.den)
         out = np.zeros(ps.shape, dtype=complex)
-        for index, (_, _, terms) in enumerate(self.pieces):
+        for index, (_, _, terms) in enumerate(self.cells):
             if not terms:
                 continue
             here = cells == index
@@ -285,8 +330,8 @@ class TrigPoly:
                 continue
             at = ps[here]
             acc = np.zeros(at.shape, dtype=complex)
-            for nu, c in terms:
-                phase = _grid_phase(nu, at, den)
+            for n, c in terms:
+                phase = _grid_phase(Fraction(n, self.fden), at, den)
                 phase *= c
                 acc += phase
             out[here] = acc
@@ -300,19 +345,16 @@ class TrigPoly:
         A nonzero trig polynomial vanishes only on a null set, so this is
         the a.e. support.
         """
-        return TorusSet.from_intervals(
-            (lo, hi) for lo, hi, terms in self.pieces if terms
-        )
+        spans = _sort_merge((lo, hi) for lo, hi, terms in self.cells if terms)
+        return TorusSet(tuple((Fraction(lo, self.den), Fraction(hi, self.den)) for lo, hi in spans))
 
     def is_zero(self) -> bool:
-        return all(not terms for _, _, terms in self.pieces)
+        return all(not terms for _, _, terms in self.cells)
 
     def sup_bound(self) -> float:
-        """Upper bound for the sup norm: max over pieces of sum |coef|."""
-        return max(
-            (sum(abs(c) for _, c in terms) for _, _, terms in self.pieces),
-            default=0.0,
-        )
+        """Max over pieces of sum |coef|, a sup-norm bound; NaN if any is, so ``<= tol`` fails."""
+        bounds = [sum(abs(c) for _, c in terms) for _, _, terms in self.cells]
+        return math.nan if any(b != b for b in bounds) else max(bounds, default=0.0)
 
     def deviation_from(self, other: "TrigPoly") -> float:
         return (self - other).sup_bound()
@@ -321,10 +363,10 @@ class TrigPoly:
         """The constant this function equals everywhere, or None."""
         dev = 0.0
         value = None
-        for _, _, terms in self.pieces:
+        for _, _, terms in self.cells:
             c0 = 0j
-            for nu, c in terms:
-                if nu == 0:
+            for n, c in terms:
+                if n == 0:
                     c0 = c
                 else:
                     dev += abs(c)
@@ -337,15 +379,14 @@ class TrigPoly:
         return None
 
     def frequencies(self) -> set[Fraction]:
-        out: set[Fraction] = set()
-        for _, _, terms in self.pieces:
-            out.update(nu for nu, _ in terms)
-        return out
+        return {Fraction(n, self.fden) for _, _, terms in self.cells for n, _ in terms}
 
     def shift_frequencies(self, gamma) -> "TrigPoly":
         """Multiply by e^(2*pi*i*gamma*w): shift every frequency by gamma."""
         gamma = Fraction(gamma)
-        return self._map_terms(lambda terms: tuple((nu + gamma, c) for nu, c in terms))
+        fden = math.lcm(self.fden, gamma.denominator)
+        scale, shift = fden // self.fden, gamma.numerator * (fden // gamma.denominator)
+        return self._map_terms(lambda terms: tuple((n * scale + shift, c) for n, c in terms), fden)
 
     def __str__(self) -> str:
         def fmt_terms(terms):
@@ -365,35 +406,38 @@ def gated_sum(polys, gate: TorusSet | None = None, scale=None) -> TrigPoly:
     """(TrigPoly.sum(polys) * scale).restrict(gate) in one sweep, with its coefficients."""
     c = None if scale is None else complex(scale)
     combine = _sum_terms if c is None else lambda payloads: _scaled(_sum_terms(payloads), c)
-    return _swept(chain.from_iterable(map(_nonzero_pieces, polys)), combine, gate)
+    den, fden, cells = _aligned(list(polys), gate)
+    return _swept(den, fden, chain(*cells), combine, gate)
 
 
-def _branch_terms(terms: Terms, k: int, den: int, factor, scale) -> Terms:
-    """(nu * factor, c * e^(2*pi*i*nu*k/den) * scale) per term (nu, c), exact zeros dropped.
+def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale) -> Terms:
+    """(n * factor, c * e^(2*pi*i*n*k/period) * scale) per term (n, c), exact zeros dropped.
 
-    Substituting z = (w + k)/N on branch k is factor 1/N, den N; the inverse
-    g(N*w - k) is factor N, den 1 and -k.  factor > 0 keeps the order.
+    Substituting z = (w + k)/N on branch k keeps the numerators over N times
+    the frequency denominator: factor 1, period N*fden; the inverse
+    g(N*w - k) is factor N, period fden and -k.  factor > 0 keeps the order.
     """
     out = []
-    for nu, c in terms:
-        c *= _turn(nu.numerator * k, nu.denominator * den)
+    for n, c in terms:
+        c *= _turn(n * k, period)
         if scale is not None:
             c *= scale
         if c:
-            out.append((nu * factor, c))
+            out.append((n * factor, c))
     return tuple(out)
 
 
-def _dilated(branches, e: TorusEndomorphism, scale=None):
+def _dilated(branches, period: int, scale=None):
     """z = (w + k)/N substituted in each branch image (k, a, b, terms) of ``branch_images``."""
-    shrink = Fraction(1, e.N)
-    return ((a, b, _branch_terms(t, k, e.N, shrink, scale)) for k, a, b, t in branches)
+    return ((a, b, _branch_terms(t, 1, k, period, scale)) for k, a, b, t in branches)
 
 
 def gated_dilate(p: TrigPoly, e: TorusEndomorphism, k: int, gate=None, scale=None) -> TrigPoly:
     """(dilate_branch(p, e, k) * scale).restrict(gate) in one sweep; splits off branch k only."""
     c = None if scale is None else complex(scale)
-    return _swept(_dilated(e.branch_image(_nonzero_pieces(p), k), e, c), _sum_terms, gate)
+    den, fden, (cells,) = _aligned((p,), gate)
+    branch = e.branch_image(cells, k, den)
+    return _swept(den, fden * e.N, _dilated(branch, fden * e.N, c), _sum_terms, gate)
 
 
 def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
@@ -405,11 +449,15 @@ def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPo
     """TrigPoly.sum(compress_branch(g, e, k) * scale for g, k in parts).restrict(gate) in one
     sweep: each piece is scaled before the cells add in ``parts`` order."""
     c = None if scale is None else complex(scale)
+    parts = list(parts)
+    up, fden, _ = _aligned([g for g, _ in parts])
+    den = math.lcm(up * e.N, _aligned((), gate)[0])  # the gate's denominators join N*up
+    up = den // e.N  # the preimages of cells over up are numerators over den
     pieces = (
-        (a, b, _branch_terms(t, -k, 1, e.N, c))
-        for g, k in parts for a, b, t in e.branch_preimages(_nonzero_pieces(g), k)
+        (a, b, _branch_terms(t, e.N, -k, fden, c))
+        for g, k in parts for a, b, t in e.branch_preimages(_nonzero_cells(g, up, fden), k, up)
     )
-    return _swept(pieces, _sum_terms, gate)
+    return _swept(den, fden, pieces, _sum_terms, gate)
 
 
 def compress_branch(g: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
@@ -430,36 +478,38 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
     by N.  All N branch images go through one sweep, and on each cell the
     branches add in the order k = 0 .. N-1.
     """
-    return _swept(_dilated(e.branch_images(_nonzero_pieces(f * g.conj())), e), _sum_terms)
+    p = f * g.conj()
+    den, fden, (cells,) = _aligned((p,))
+    return _swept(den, fden * e.N, _dilated(e.branch_images(cells, den), fden * e.N), _sum_terms)
 
 
 # ---- integration ---------------------------------------------------------
 
 
-def _cell_inner(ta: Terms, tb: Terms, lo: Fraction, hi: Fraction) -> complex:
-    """int_lo^hi (sum_j c_j e(nu_j w)) * conj(sum_k d_k e(mu_k w)) dw in closed form, pair by pair.
+def _cell_inner(ta: Terms, tb: Terms, lo: int, hi: int, den: int, fden: int) -> complex:
+    """int_lo^hi (sum_j c_j e(nu_j w)) * conj(sum_k d_k e(mu_k w)) dw in closed form, pair by
+    pair, on the cell [lo/den, hi/den) with frequencies over fden.
 
     e(t) = e^(2*pi*i*t).  lambda = nu_j - mu_k is formed in integers, so the
     zero test is exact and its float is correctly rounded.
     """
-    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    width = (bn * ad - an * bd) / (ad * bd)
+    width = (hi - lo) / den
+    period = fden * den
 
-    def phased(terms):  # (num, den, c, e(nu*lo), e(nu*hi)) per term (nu, c)
-        nds = [(nu.numerator, nu.denominator, c) for nu, c in terms]
-        return [(n, d, c, _turn(n * an, d * ad), _turn(n * bn, d * bd)) for n, d, c in nds]
+    def phased(terms):  # (n, c, e(nu*lo), e(nu*hi)) per term (n, c)
+        return [(n, c, _turn(n * lo, period), _turn(n * hi, period)) for n, c in terms]
 
     left, right = phased(ta), phased(tb)
     total = 0j
-    for n1, d1, c, pa, pb in left:
-        for n2, d2, d, qa, qb in right:
-            lam = n1 * d2 - n2 * d1
+    for n1, c, pa, pb in left:
+        for n2, d, qa, qb in right:
+            lam = n1 - n2
             w = c * d.conjugate()
             if lam == 0:
                 total += w * width
             else:
                 delta = pb * qb.conjugate() - pa * qa.conjugate()
-                total += w * delta / (2j * math.pi * (lam / (d1 * d2)))
+                total += w * delta / (2j * math.pi * (lam / fden))
     return total
 
 
@@ -467,10 +517,14 @@ def inner(f: TrigPoly, g: TrigPoly) -> complex:
     """int f * conj(g) over the circle without forming the product: cell by cell over
     ``overlay`` of the nonzero pieces of f and g, or over f's own pieces when g is f."""
     if f is g:
-        cells = ((lo, hi, (t, t)) for lo, hi, t in _nonzero_pieces(f))
+        den, fden = f.den, f.fden
+        cells = ((lo, hi, (t, t)) for lo, hi, t in f.cells if t)
     else:
-        cells = overlay(chain(_nonzero_pieces(f), _nonzero_pieces(g)))
-    return sum((_cell_inner(*ts, lo, hi) for lo, hi, ts in cells if len(ts) == 2), 0j)
+        den, fden, both = _aligned((f, g))
+        cells = overlay(chain(*both), den)
+    return sum(
+        (_cell_inner(*ts, lo, hi, den, fden) for lo, hi, ts in cells if len(ts) == 2), 0j
+    )
 
 
 def integrate(f: TrigPoly) -> complex:

@@ -19,3 +19,13 @@ def random_torus_set(rng, max_intervals=4, max_den=64):
         hi = lo + Fraction(rng.randint(1, d2), d2)
         pairs.append((lo, hi))
     return TorusSet.from_intervals(pairs)
+
+
+def merge_fraction_terms(pairs):
+    """Reference term merge keyed by Fraction frequencies: equal frequencies added in
+    input order, exact zeros dropped, sorted by frequency."""
+    acc = {}
+    for nu, c in pairs:
+        nu, c = Fraction(nu), complex(c)
+        acc[nu] = acc[nu] + c if nu in acc else c
+    return tuple(sorted((nu, c) for nu, c in acc.items() if c != 0))

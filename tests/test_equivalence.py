@@ -25,8 +25,8 @@ from gmra.equivalence import (
 from gmra.errors import NotApplicable
 from gmra.filters import FilterMatrix, _structure_violations, conjugate_filter, verify_filter
 from gmra.multiplicity import MultiplicityFunction, sigma_sets
-from gmra.torus import TorusEndomorphism
-from gmra.trigpoly import TrigPoly, compose_endomorphism
+from gmra.torus import TorusEndomorphism, TorusSet
+from gmra.trigpoly import TrigPoly, compose_endomorphism, unit_phase
 
 F = Fraction
 SQRT2 = math.sqrt(2.0)
@@ -509,6 +509,30 @@ def diagonal_pairs(draw):
     )
 
 
+def fraction_deviation_set(p, target, margin, samples=24):
+    """Reference windows of ``certified_deviation_set``: Fraction sample points and radii
+    on the Fraction pieces, each window read by ``TorusSet.from_intervals``."""
+    windows = []
+    for lo, hi, terms in p.pieces:
+        lipschitz = sum(abs(c) * math.tau * abs(float(nu)) for nu, c in terms)
+
+        def gap_at(x):
+            return abs(sum((c * unit_phase(nu * x) for nu, c in terms), 0j) - target) - margin
+
+        if lipschitz == 0.0:
+            if gap_at((lo + hi) / 2) > 0:
+                windows.append((lo, hi))
+            continue
+        for s in range(samples):
+            x = lo + (hi - lo) * F(2 * s + 1, 2 * samples)
+            gap = gap_at(x)
+            if gap > 0:
+                r = F(max(math.floor(gap / (2 * lipschitz) * 2**30), 0), 2**30)
+                if max(lo, x - r) < min(hi, x + r):
+                    windows.append((max(lo, x - r), min(hi, x + r)))
+    return TorusSet.from_intervals(windows)
+
+
 def _points_across(ts):
     """The points lo + (hi - lo) * k/11, k = 0..10, of every interval of ts."""
     for lo, hi in ts.intervals:
@@ -535,6 +559,17 @@ class TestCertifiedWindowSoundness:
     def test_deviation_set(self, p, target, margin):
         for x in _points_across(certified_deviation_set(p, target, margin)):
             assert abs(p.evaluate(x) - target) > margin, x
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        piecewise_polys(),
+        st.sampled_from([0.0, 1.0, 0.5j]),
+        st.sampled_from([1e-9, 0.25]),
+    )
+    def test_deviation_set_is_that_of_fraction_points(self, p, target, margin):
+        assert certified_deviation_set(p, target, margin) == fraction_deviation_set(
+            p, target, margin
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(diagonal_pairs())

@@ -42,3 +42,19 @@ def test_fingerprint_is_the_sha256_of_stdout(capsys, tmp_path):
     assert cli.main(["--json", "--convention", "unit", "mtilde", str(path)]) == 0
     want = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert lines_of(capsys, ["haar"])["unit mtilde haar"] == (0, want)
+
+
+def test_pool_runs_cover_every_problem_text_and_pair(capsys):
+    runs = json_parity.main(["--src", SRC, "--names", "haar", "--pool", "identities:1", "grid:1"],
+                            smoke=True)
+    assert runs == 0
+    out = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    pool = {label: (int(code), digest) for label, code, digest in out if label.startswith("pool ")}
+    equivs = [label for label in pool if " equiv " in label]
+    checks = {label.split(" ", 3)[3] for label in pool if " check-filter " in label}
+    assert checks == {label.split(" ", 3)[3] for label in pool if " purity " in label}
+    # identities: each base conjugated once in the smoke pool; grid: four block-diagonal pairs
+    assert len([label for label in equivs if label.startswith("pool identities:1")]) == 9
+    assert len([label for label in equivs if label.startswith("pool grid:1")]) == 4
+    assert pool["pool identities:1 purity haar~P2/0"][0] == 0
+    assert all(code in (0, 2, 3) and len(digest) == 64 for code, digest in pool.values())

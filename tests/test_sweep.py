@@ -8,13 +8,17 @@ payloads is pinned too.
 
 The gated one-sweep kernels (``gated_sum``, ``gated_dilate``,
 ``gated_compress``, ``restrict`` and ``-``) are held with ``==`` to the
-composed chains of separate sweeps they replace, kept here as references.
+composed chains of separate sweeps they replace, kept here as references on
+Fraction pieces and compared through ``TrigPoly.from_pieces``.
 """
 
+import math
+import struct
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
+from conftest import merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +26,6 @@ from gmra.multiplicity import MultiplicityFunction, folded_sum
 from gmra.torus import TorusEndomorphism, TorusSet, coalesce, overlay
 from gmra.trigpoly import (
     TrigPoly,
-    _merge_terms,
     _turn,
     compress_branch,
     dilate_branch,
@@ -30,6 +33,8 @@ from gmra.trigpoly import (
     gated_compress,
     gated_dilate,
     gated_sum,
+    inner,
+    unit_phase,
 )
 
 F = Fraction
@@ -211,7 +216,7 @@ def nonzero(p):
 
 
 def ref_swept(pieces, combine):
-    return TrigPoly(coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
+    return TrigPoly.from_pieces(coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
 
 
 def ref_sum(polys):
@@ -221,8 +226,10 @@ def ref_sum(polys):
 def ref_scale(p, c):
     """``p * c`` as a re-merge of every piece's scaled terms."""
     c = complex(c)
-    return TrigPoly(
-        coalesce((lo, hi, _merge_terms((nu, co * c) for nu, co in t)) for lo, hi, t in p.pieces)
+    return TrigPoly.from_pieces(
+        coalesce(
+            (lo, hi, merge_fraction_terms((nu, co * c) for nu, co in t)) for lo, hi, t in p.pieces
+        )
     )
 
 
@@ -234,7 +241,7 @@ def ref_restrict(p, s):
 def ref_dilate_branch(p, e, k):
     """All N branches split off, N - 1 of them dropped, the terms re-merged."""
     pieces = [
-        (a, b, _merge_terms(
+        (a, b, merge_fraction_terms(
             (nu / e.N, c * _turn(nu.numerator * k, nu.denominator * e.N)) for nu, c in t
         ))
         for j, a, b, t in e.branch_images(nonzero(p))
@@ -245,8 +252,9 @@ def ref_dilate_branch(p, e, k):
 
 def ref_compress_branch(g, e, k):
     return TrigPoly.from_pieces(
-        (a, b, [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator)) for nu, c in t])
-        for a, b, t in e.branch_preimages(g.pieces, k)
+        (a / e.N, b / e.N, [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator))
+                            for nu, c in t])
+        for a, b, t in e.branch_preimages(g.pieces, k, 1)
     )
 
 
@@ -282,3 +290,93 @@ def test_gated_sum_is_sum_scale_restrict(ps, gate, scale):
 def test_sub_is_one_sweep_of_the_negated_sum(f, g):
     assert f - g == ref_sum([f, ref_scale(g, -1)])
     assert (f - f).is_zero()
+
+
+# ---- Fraction references at the largest denominators jsonio accepts --------------------
+
+# distinct primes below 2^32, the bound on a problem file's denominators
+BIG_PRIMES = (4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161)
+
+
+@st.composite
+def big_rationals(draw, bound):
+    q = draw(st.sampled_from(BIG_PRIMES))
+    return F(draw(st.integers(-bound * q, bound * q)), q)
+
+
+@st.composite
+def coprime_polys(draw):
+    """Polys whose breakpoint and frequency denominators are primes near 2^32, so the
+    common denominators of two of them and of their products reach about 2^128."""
+    cuts = draw(st.sets(big_rationals(1).filter(lambda x: 0 < x < 1), max_size=2))
+    bounds = [F(0)] + sorted(cuts) + [F(1)]
+    frequency = st.one_of(big_rationals(4), st.integers(-4, 4).map(F))
+    return TrigPoly.from_pieces(
+        (lo, hi, draw(st.lists(st.tuples(frequency, coefficients), max_size=3)))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+
+
+@st.composite
+def big_gates(draw):
+    ends = big_rationals(2)
+    return TorusSet.from_intervals(draw(st.lists(st.tuples(ends, ends), max_size=2)))
+
+
+def ref_conj(p):
+    return TrigPoly.from_pieces(
+        (lo, hi, [(-nu, c.conjugate()) for nu, c in t]) for lo, hi, t in p.pieces
+    )
+
+
+def ref_mul(f, g):
+    def product(ps):
+        if len(ps) < 2:
+            return ()
+        ta, tb = ps
+        return merge_fraction_terms((na + nb, ca * cb) for na, ca in ta for nb, cb in tb)
+
+    return ref_swept(nonzero(f) + nonzero(g), product)
+
+
+def ref_inner(f, g):
+    """The closed-form inner product on Fraction cells and frequencies, pair by pair
+    within a cell, and cell by cell."""
+    total = 0j
+    for lo, hi, ts in overlay(nonzero(f) + nonzero(g)):
+        if len(ts) < 2:
+            continue
+        cell = 0j
+        for nu, c in ts[0]:
+            for mu, d in ts[1]:
+                w = c * d.conjugate()
+                if nu == mu:
+                    cell += w * float(hi - lo)
+                else:
+                    delta = (unit_phase(nu * hi) * unit_phase(mu * hi).conjugate()
+                             - unit_phase(nu * lo) * unit_phase(mu * lo).conjugate())
+                    cell += w * delta / (2j * math.pi * float(nu - mu))
+        total += cell
+    return total
+
+
+def bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_dilation, coprime_polys(), coprime_polys(), big_gates(), scales, st.data())
+def test_integer_kernels_match_fraction_references_bit_for_bit(e, f, g, gate, scale, data):
+    k = data.draw(st.integers(0, e.N - 1))
+    assert f + g == ref_sum([f, g])
+    assert f * g == ref_mul(f, g)
+    product = ref_mul(f, ref_conj(g))
+    assert fold(e, f, g) == ref_sum([ref_dilate_branch(product, e, j) for j in range(e.N)])
+    assert gated_sum([f, g], gate, scale) == ref_restrict(ref_scale(ref_sum([f, g]), scale), gate)
+    want = ref_restrict(ref_scale(ref_dilate_branch(f, e, k), scale), gate)
+    assert gated_dilate(f, e, k, gate, scale) == want
+    compressed = [ref_scale(ref_compress_branch(h, e, j), scale) for h, j in ((f, k), (g, 0))]
+    assert gated_compress([(f, k), (g, 0)], e, gate, scale) == ref_restrict(
+        ref_sum(compressed), gate
+    )
+    assert bits(inner(f, g)) == bits(ref_inner(f, g))

@@ -5,13 +5,13 @@ import struct
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given
+from conftest import merge_fraction_terms
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmra.torus import TorusEndomorphism, TorusSet, coalesce, mod1
 from gmra.trigpoly import (
     TrigPoly,
-    _merge_terms,
     _turn,
     compose_endomorphism,
     compress_branch,
@@ -274,10 +274,12 @@ class TestInnerKernel:
 
 
 def merged_map(p: TrigPoly, term) -> TrigPoly:
-    """Reference: term(nu, c) on every term, each piece re-merged and re-sorted."""
-    return TrigPoly(
+    """Reference: term(nu, c) on every term of the Fraction pieces, each piece re-merged
+    and re-sorted."""
+    return TrigPoly.from_pieces(
         coalesce(
-            (lo, hi, _merge_terms(term(nu, c) for nu, c in terms)) for lo, hi, terms in p.pieces
+            (lo, hi, merge_fraction_terms(term(nu, c) for nu, c in terms))
+            for lo, hi, terms in p.pieces
         )
     )
 
@@ -301,3 +303,71 @@ class TestTermMaps:
         assert f.conj() == merged_map(f, lambda nu, co: (-nu, co.conjugate()))
         assert f.conj().conj() == f
         assert f.shift_frequencies(gamma) == merged_map(f, lambda nu, co: (nu + gamma, co))
+
+
+# ---- the integer form: numerators over one reduced den and fden ---------------
+
+# distinct primes below 2^32, the largest denominator jsonio accepts
+BIG_PRIMES = (4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161)
+big_fractions = st.tuples(st.integers(1, 2**32 - 1), st.sampled_from(BIG_PRIMES)).map(
+    lambda t: F(t[0] % t[1] or 1, t[1])
+)
+
+
+def is_reduced(p: TrigPoly) -> bool:
+    """den and fden are the lcm of the Fraction view's denominators, gcd 1 with the numerators."""
+    cuts = [x for lo, hi, _ in p.pieces for x in (lo, hi)]
+    freqs = [nu for _, _, terms in p.pieces for nu, _ in terms]
+    return (
+        p.den == math.lcm(*(x.denominator for x in cuts))
+        and p.fden == math.lcm(*(nu.denominator for nu in freqs))
+        and math.gcd(p.den, *(lo for lo, _, _ in p.cells)) == 1
+        and math.gcd(p.fden, *(n for _, _, terms in p.cells for n, _ in terms)) == 1
+    )
+
+
+class TestIntegerForm:
+    @given(rational_polys(), big_fractions, big_fractions)
+    def test_one_function_over_other_denominators_is_one_poly(self, f, x, nu):
+        """Split at a point x, with zero terms at frequency nu: the same function."""
+        split = []
+        for lo, hi, terms in f.pieces:
+            padded = list(terms) + [(nu, 0.0)]
+            cuts = [lo, x, hi] if lo < x < hi else [lo, hi]
+            split.extend((a, b, padded) for a, b in zip(cuts, cuts[1:]))
+        g = TrigPoly.from_pieces(split)
+        assert g == f and hash(g) == hash(f)
+        gated = f.restrict(TorusSet.interval(x, x + 1))
+        assert gated == f and hash(gated) == hash(f)
+        shifted = f.shift_frequencies(nu).shift_frequencies(-nu)
+        assert shifted == f and hash(shifted) == hash(f)
+
+    @given(rational_polys(), rational_polys(), st.sampled_from([N2, N3]))
+    def test_pieces_round_trip_with_reduced_denominators(self, f, g, e):
+        for p in (f, f * g, f - f, fold(e, f, g), compose_endomorphism(g, e), f.conj() * 0):
+            assert TrigPoly.from_pieces(p.pieces) == p
+            assert is_reduced(p)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(big_fractions, st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                                             allow_infinity=False)),
+                 min_size=1, max_size=3),
+        st.sampled_from([64, 1000, 2**30 + 7]),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=8),
+    )
+    def test_grid_sampling_past_2_53_matches_evaluate(self, terms, den, ps):
+        """Frequency denominators near 2^32 put the unreduced period fden * den, and at the
+        larger grids the reduced one too, past 2^53."""
+        f = TrigPoly.from_pieces([(0, F(1, 3), terms), (F(1, 3), 1, terms[:1])])
+        values = f.sample(np.array(ps), den)
+        for p, value in zip(ps, values):
+            assert abs(value - f.evaluate(F(p, den))) <= 1e-12 * (1 + f.sup_bound())
+
+    def test_sup_bound_keeps_nan(self):
+        """inf - inf on one piece is NaN there: no tolerance test may pass on it."""
+        p = TrigPoly.from_pieces([(0, F(1, 2), [(0, 1.0)]), (F(1, 2), 1, [(0, 1e200)])])
+        r = p * p - p * p
+        assert math.isnan(r.sup_bound())
+        assert not r.deviation_from(TrigPoly.zero()) <= 1e-9
+        assert not r.is_zero()

@@ -12,6 +12,13 @@ pair of problems that share the dilation N, the pair of a problem with itself
 included, and ``catalog list`` once.  Each run prints one line: the
 convention, the command, its exit code and the SHA-256 of its stdout.
 ``--names`` restricts the problems (and so the pairs) to the names given.
+
+``--pool WORKLOAD:SEED ...`` adds the benchmark's generated problems, whose
+mixed denominators and many-piece conjugates the catalog lacks: ``bench/``
+builds the pool of each workload and seed as ``bench/run.py`` would (read
+only), and ``check-filter`` and ``purity`` run on each distinct problem
+text, and ``equiv`` on each task's pair of texts (a base and its conjugate,
+or a block-diagonal pair), in the unit convention.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,12 +61,43 @@ def runs(names: list[str], paths: dict[str, str], dilation: dict[str, int]):
                     yield f"{conv} equiv {a} {b}", flags + ["equiv", paths[a], paths[b]]
 
 
-def main(argv=None) -> int:
+def pool_runs(specs: list[str], tmp: str, smoke: bool):
+    """Yield (label, argv) for the problems of each WORKLOAD:SEED pool, in a fixed order."""
+    if not specs:
+        return
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for spec in specs:
+        workload, seed = spec.split(":")
+        files: dict[str, str] = {}
+        for task in workloads.Workload(workload, int(seed), smoke).tasks:
+            for i, text in enumerate(task.texts):
+                if text in files:
+                    continue
+                path = files[text] = str(Path(tmp) / f"{workload}-{seed}-{len(files)}.json")
+                Path(path).write_text(text)
+                for command in ("check-filter", "purity"):
+                    yield f"pool {spec} {command} {task.label}/{i}", ["--json", command, path]
+            if len(task.texts) == 2:
+                paths = [files[text] for text in task.texts]
+                yield f"pool {spec} equiv {task.label}", ["--json", "equiv", *paths]
+
+
+def main(argv=None, smoke: bool = False) -> int:
+    """Print the fingerprints; ``smoke`` builds each pool as ``bench/run.py --smoke`` does."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the gmra package to run (default: this tree's)")
     parser.add_argument("--names", nargs="+", help="catalog problems to run (default: all)")
+    parser.add_argument("--pool", nargs="+", default=[], metavar="WORKLOAD:SEED",
+                        help="also run the benchmark pool of each workload and seed")
     args = parser.parse_args(argv)
+    for spec in args.pool:
+        workload, _, seed = spec.partition(":")
+        if workload not in ("identities", "ledger", "grid") or not seed.isdigit():
+            parser.error(f"--pool expects WORKLOAD:SEED, got {spec!r}")
     src = args.src.resolve()
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))
@@ -75,7 +114,8 @@ def main(argv=None) -> int:
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(dump_json(problem_to_json(catalog.get(name))))
         dilation = {name: catalog.get(name).e.N for name in names}
-        for label, run_argv in runs(names, paths, dilation):
+        all_runs = chain(runs(names, paths, dilation), pool_runs(args.pool, tmp, smoke))
+        for label, run_argv in all_runs:
             code, digest = fingerprint(cli, run_argv)
             print(f"{label}\t{code}\t{digest}")
     return 0
