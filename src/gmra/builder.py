@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -71,20 +72,12 @@ def dilate_slots(slots, e: TorusEndomorphism) -> list[SpaceSlot]:
     Per branch the map is injective, the image has N times the branch
     measure, and the total weighted dimension is preserved.
     """
-    out = []
-    for slot in slots:
-        for zeta, piece in e.tau_partition(slot.base):
-            out.append(
-                SpaceSlot(
-                    kind=slot.kind,
-                    index=slot.index,
-                    level=slot.level + 1,
-                    branch=slot.branch + (zeta,),
-                    base=e.image_set(piece),
-                    weight=slot.weight * e.N,
-                )
-            )
-    return out
+    return [
+        SpaceSlot(s.kind, s.index, s.level + 1, s.branch + (zeta,), e.image_set(part),
+                  s.weight * e.N)
+        for s in slots
+        for zeta, part in e.tau_partition(s.base)
+    ]
 
 
 @dataclass(frozen=True)
@@ -182,13 +175,11 @@ def build(
     ]
     levels = [tuple(w0)]
     plan = []
-    for _ in range(depth):
-        levels.append(tuple(dilate_slots(levels[-1], e)))
-        position = {(slot.index, slot.branch): p for p, slot in enumerate(levels[-2])}
-        plan.append(tuple(  # the branch k of a child is that of its kernel element (N-k)/N
-            (position[child.index, child.branch[:-1]], -int(child.branch[-1] * e.N) % e.N)
-            for child in levels[-1]
-        ))
+    for _ in range(depth):  # each parent dilated in turn, so its children know its position
+        pairs = [(p, c) for p, slot in enumerate(levels[-1]) for c in dilate_slots((slot,), e)]
+        levels.append(tuple(c for _, c in pairs))
+        # the branch k of a child is that of its kernel element (N-k)/N
+        plan.append(tuple((p, -e.kernel.index(c.branch[-1]) % e.N) for p, c in pairs))
     return CanonicalGMRA(
         m=m,
         mtilde=mtilde,
@@ -343,10 +334,10 @@ def _propagate_supports(F: FilterMatrix, sets: list[TorusSet]) -> list[TorusSet]
     """
     preimages = [F.e.preimage_set(s) for s in sets[: F.rows]]
     return [
-        TorusSet.from_intervals(
-            iv
-            for i, pre in enumerate(preimages)
-            for iv in F.entry(i, j).support().intersect(pre).intervals
+        reduce(
+            TorusSet.union,
+            (F.entry(i, j).support().intersect(pre) for i, pre in enumerate(preimages)),
+            TorusSet.empty(),
         )
         for j in range(len(F.column_sets))
     ]

@@ -37,9 +37,7 @@ _INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
 
 def _ts(*pairs) -> TorusSet:
-    return TorusSet.from_intervals(
-        (Fraction(a), Fraction(b)) for a, b in pairs
-    )
+    return TorusSet.from_intervals(pairs)
 
 
 def _poly(*terms) -> TrigPoly:

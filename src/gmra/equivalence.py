@@ -29,7 +29,7 @@ from .filters import (
 )
 from .multiplicity import MultiplicityFunction, sigma_sets
 from .ruelle import SectionVector
-from .torus import TorusSet, _sort_merge
+from .torus import TorusSet
 from .trigpoly import TrigPoly, _terms_value
 
 PURE = "pure"
@@ -119,8 +119,7 @@ def _certified_windows(cells, den: int, samples: int):
 
 def _window_set(found, den: int, samples: int) -> TorusSet:
     """The union of the windows of ``_certified_windows(cells, den, samples)``."""
-    w, spans = den * 2 * samples * 2**30, _sort_merge(window for window, _ in found)
-    return TorusSet(tuple((Fraction(a, w), Fraction(b, w)) for a, b in spans))
+    return TorusSet.from_spans(den * 2 * samples * 2**30, (window for window, _ in found))
 
 
 def _lipschitz(fden: int, terms) -> float:
@@ -169,12 +168,11 @@ def _matrix_cells(*filters: FilterMatrix):
     is empty when either dimension is zero.
     """
     m, e = filters[0].m, filters[0].e
-    points = set(m.breakpoints())
-    for b in m.breakpoints():
-        points.update((b + k) / e.N for k in range(e.N))
     entries = [h for F in filters for row in F.entries for h in row]
-    den = math.lcm(*[x.denominator for x in points], *[h.den for h in entries])
-    cuts = {x.numerator * (den // x.denominator) for x in points}
+    den = math.lcm(e.N * m.den, *[h.den for h in entries])
+    up = den // (e.N * m.den)  # a numerator over N * m.den, over den
+    cuts = {lo * e.N * up for lo, _, _ in m.cells}
+    cuts.update((lo + k * m.den) * up for lo, _, _ in m.cells for k in range(e.N))
     cuts.update(lo * (den // h.den) for h in entries for lo, _, _ in h.cells)
     cuts = sorted(cuts) + [den]
 

@@ -159,27 +159,15 @@ def _check_dims(F: FilterMatrix):
 def _structure_violations(F: FilterMatrix) -> tuple[str, ...]:
     """Exact support and block constraints, as canonical set inclusions."""
     out = []
-    col_sets = F.column_sets
-    row_sets = F.row_sets
+    col_sets, row_sets = F.column_sets, F.row_sets
     for i, row in enumerate(F.entries):
-        row_ok = (
-            F.e.preimage_set(row_sets[i]) if i < len(row_sets) else TorusSet.empty()
-        )
+        row_ok = F.e.preimage_set(row_sets[i]) if i < len(row_sets) else TorusSet.empty()
         for j, h in enumerate(row):
             supp = h.support()
-            if not supp:
-                continue
             col_ok = col_sets[j] if j < len(col_sets) else TorusSet.empty()
-            if not supp.is_subset(col_ok):
-                out.append(
-                    f"entry ({i + 1},{j + 1}) leaks outside column support "
-                    f"{col_ok}: support {supp}"
-                )
-            if not supp.is_subset(row_ok):
-                out.append(
-                    f"entry ({i + 1},{j + 1}) leaks outside row block "
-                    f"{row_ok}: support {supp}"
-                )
+            for what, ok in (("column support", col_ok), ("row block", row_ok)):
+                if supp and not supp.is_subset(ok):
+                    out.append(f"entry ({i + 1},{j + 1}) leaks outside {what} {ok}: support {supp}")
     return tuple(out)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ProblemFileError
 from .filters import DEFAULT_TOL, FilterMatrix, GridFilterMatrix
 from .multiplicity import MultiplicityFunction
-from .torus import TorusEndomorphism, TorusSet, wrap
+from .torus import TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly
 
 UNIT = "unit"
@@ -53,42 +53,37 @@ def parse_rat(text, path="value") -> Fraction:
     return q
 
 
-def _centered_intervals(ts: TorusSet):
-    """The intervals of ts in [-1/2, 1/2]: the canonical form of ts turned by 1/2, turned back."""
-    half = Fraction(1, 2)
-    turned = TorusSet.from_intervals((lo + half, hi + half) for lo, hi in ts.intervals)
-    return [(lo - half, hi - half) for lo, hi in turned.intervals]
-
-
 def torus_set_to_json(ts: TorusSet, convention: str = UNIT) -> list:
-    pairs = ts.intervals if convention == UNIT else _centered_intervals(ts)
+    """The ["lo", "hi"] pairs of ts in the convention: its intervals in [0, 1], or in
+    [-1/2, 1/2] the canonical form of ts turned by 1/2, turned back."""
+    pairs = ts.intervals
+    if convention != UNIT:
+        half = Fraction(1, 2)
+        turned = TorusSet.from_intervals((lo + half, hi + half) for lo, hi in pairs)
+        pairs = [(lo - half, hi - half) for lo, hi in turned.intervals]
     return [[rat_str(lo), rat_str(hi)] for lo, hi in pairs]
+
+
+def _parse_interval(data, path) -> tuple[Fraction, Fraction]:
+    """The rationals of a ["lo", "hi"] pair."""
+    if not isinstance(data, list) or len(data) != 2:
+        raise ProblemFileError(path, "expected [lo, hi]")
+    return parse_rat(data[0], f"{path}[0]"), parse_rat(data[1], f"{path}[1]")
 
 
 def parse_torus_set(data, path="set") -> TorusSet:
     if not isinstance(data, list):
         raise ProblemFileError(path, "expected a list of [lo, hi] pairs")
-    pairs = []
-    for idx, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ProblemFileError(f"{path}[{idx}]", "expected [lo, hi]")
-        pairs.append(
-            (
-                parse_rat(pair[0], f"{path}[{idx}][0]"),
-                parse_rat(pair[1], f"{path}[{idx}][1]"),
-            )
-        )
-    return TorusSet.from_intervals(pairs)
+    return TorusSet.from_intervals(
+        _parse_interval(pair, f"{path}[{idx}]") for idx, pair in enumerate(data)
+    )
 
 
 def multiplicity_to_json(m: MultiplicityFunction, convention: str = UNIT) -> list:
     out = []
     for lo, hi, value in m.pieces:
-        piece_set = TorusSet(((lo, hi),))
-        for a, b in (
-            piece_set.intervals if convention == UNIT else _centered_intervals(piece_set)
-        ):
-            out.append({"interval": [rat_str(a), rat_str(b)], "value": value})
+        for pair in torus_set_to_json(TorusSet.interval(lo, hi), convention):
+            out.append({"interval": pair, "value": value})
     return out
 
 
@@ -100,20 +95,11 @@ def parse_multiplicity(data, path="multiplicity") -> MultiplicityFunction:
         here = f"{path}[{idx}]"
         if not isinstance(item, dict) or "interval" not in item or "value" not in item:
             raise ProblemFileError(here, "expected {interval: [lo, hi], value: int}")
-        interval = item["interval"]
-        if not isinstance(interval, list) or len(interval) != 2:
-            raise ProblemFileError(f"{here}.interval", "expected [lo, hi]")
+        lo, hi = _parse_interval(item["interval"], f"{here}.interval")
         try:
-            value = check_setting("multiplicity", item["value"])
+            pieces.append((lo, hi, check_setting("multiplicity", item["value"])))
         except ValueError as exc:
             raise ProblemFileError(f"{here}.value", str(exc)) from None
-        pieces.append(
-            (
-                parse_rat(interval[0], f"{here}.interval[0]"),
-                parse_rat(interval[1], f"{here}.interval[1]"),
-                value,
-            )
-        )
     try:
         return MultiplicityFunction.from_pieces(pieces)
     except ValueError as exc:
@@ -123,14 +109,10 @@ def parse_multiplicity(data, path="multiplicity") -> MultiplicityFunction:
 def trigpoly_to_json(f: TrigPoly, convention: str = UNIT) -> dict:
     pieces = []
     for lo, hi, terms in f.pieces:
-        piece_set = TorusSet(((lo, hi),))
-        spans = (
-            piece_set.intervals if convention == UNIT else _centered_intervals(piece_set)
-        )
-        for a, b in spans:
+        for pair in torus_set_to_json(TorusSet.interval(lo, hi), convention):
             pieces.append(
                 {
-                    "interval": [rat_str(a), rat_str(b)],
+                    "interval": pair,
                     "terms": [
                         {"freq": rat_str(nu), "re": c.real, "im": c.imag}
                         for nu, c in terms
@@ -148,11 +130,7 @@ def parse_trigpoly(data, path="entry") -> TrigPoly:
         here = f"{path}.pieces[{idx}]"
         if not isinstance(piece, dict) or "interval" not in piece:
             raise ProblemFileError(here, "expected {interval, terms}")
-        interval = piece["interval"]
-        if not isinstance(interval, list) or len(interval) != 2:
-            raise ProblemFileError(f"{here}.interval", "expected [lo, hi]")
-        lo = parse_rat(interval[0], f"{here}.interval[0]")
-        hi = parse_rat(interval[1], f"{here}.interval[1]")
+        lo, hi = _parse_interval(piece["interval"], f"{here}.interval")
         terms = []
         for tdx, term in enumerate(piece.get("terms", [])):
             there = f"{here}.terms[{tdx}]"
@@ -166,8 +144,8 @@ def parse_trigpoly(data, path="entry") -> TrigPoly:
             if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
                 raise ProblemFileError(there, f"re/im must be finite, got {coef}")
             terms.append((freq, coef))
-        # wrap the declared interval into [0, 1) pieces, same terms on each
-        for a, b in wrap(lo, hi):
+        # the declared interval read mod 1 into [0, 1) pieces, same terms on each
+        for a, b in TorusSet.interval(lo, hi).intervals:
             raw.append((a, b, list(terms)))
     try:
         return TrigPoly.from_pieces(raw)

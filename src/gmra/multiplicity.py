@@ -7,94 +7,109 @@ dilation preimages: consistency demands
     m(w) <= sum over the N preimages z of w of m(z),
 
 and the complementary multiplicity is the (nonnegative) difference.
-All computations refine partitions exactly; the grid sampler reads values
-at points p/q in integer arithmetic, so it is exact too.
+Like a ``TorusSet``, a multiplicity holds int cells over one reduced
+denominator, and every computation, the grid sampler's included, runs in
+integers; ``Fraction`` appears only at the boundary.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConsistencyViolated
 from .torus import (
-    ONE, ZERO, TorusEndomorphism, TorusSet, coalesce, grid_cells, mod1, overlay, wrap,
+    TorusEndomorphism, TorusSet, _numerators, coalesce, grid_cells, mod1, overlay, wrap,
 )
 
 
-def _normalize_pieces(raw):
-    flat: list[tuple[Fraction, Fraction, int]] = []
-    for lo, hi, value in raw:
-        value = int(value)
-        if value < 0:
-            raise ValueError("multiplicity values must be nonnegative")
-        if value:
-            flat.extend((a, b, value) for a, b in wrap(lo, hi))
-    cells = coalesce(overlay(flat))
-    if any(len(values) > 1 for _, _, values in cells):
-        raise ValueError("multiplicity pieces overlap")
-    return tuple((lo, hi, values[0]) for lo, hi, values in cells if values)
+def _tiled(den: int, cells) -> "MultiplicityFunction":
+    """The function of an ascending tiling of [0, den) by (lo, hi, value) cells."""
+    cells = coalesce(cells)
+    g = math.gcd(den, *[lo for lo, _, _ in cells])
+    if g > 1:
+        den, cells = den // g, tuple((lo // g, hi // g, v) for lo, hi, v in cells)
+    return MultiplicityFunction(den, cells)
 
 
 @dataclass(frozen=True)
 class MultiplicityFunction:
-    """Piecewise-constant nonnegative-integer function, 0 off its pieces."""
+    """Piecewise-constant nonnegative-integer function in canonical form.
 
-    pieces: tuple[tuple[Fraction, Fraction, int], ...] = ()
+    ``cells`` (lo, hi, value) tile [0, den) with the value on [lo/den,
+    hi/den); adjacent cells with equal values are merged and den is reduced,
+    so ``==`` and ``hash`` are structural.
+    """
+
+    den: int
+    cells: tuple[tuple[int, int, int], ...]
+
+    @property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction, int], ...]:
+        """The cells of nonzero value as (lo, hi, value) with Fraction end points."""
+        den = self.den
+        return tuple((Fraction(lo, den), Fraction(hi, den), v) for lo, hi, v in self.cells if v)
 
     @staticmethod
     def from_pieces(raw) -> "MultiplicityFunction":
-        """Build from (lo, hi, value) triples; intervals may wrap."""
-        return MultiplicityFunction(_normalize_pieces(raw))
+        """Build from (lo, hi, value) triples, each interval read by ``wrap``; 0 off them."""
+        raw = list(raw)
+        den, ends = _numerators(x for lo, hi, _ in raw for x in (lo, hi))
+        flat = []
+        for (_, _, value), lo, hi in zip(raw, ends[::2], ends[1::2]):
+            value = int(value)
+            if value < 0:
+                raise ValueError("multiplicity values must be nonnegative")
+            if value:
+                flat.extend((a, b, value) for a, b in wrap(lo, hi, den))
+        cells = list(overlay(flat, den))
+        if any(len(values) > 1 for _, _, values in cells):
+            raise ValueError("multiplicity pieces overlap")
+        return _tiled(den, ((lo, hi, values[0] if values else 0) for lo, hi, values in cells))
 
     @staticmethod
     def constant(value: int) -> "MultiplicityFunction":
-        if value == 0:
-            return MultiplicityFunction()
-        return MultiplicityFunction(((ZERO, ONE, int(value)),))
-
-    @cached_property
-    def _cells(self) -> tuple[list[Fraction], list[int]]:
-        """The partition of [0, 1) into cells [cuts[i], cuts[i+1]) and their values."""
-        cells = list(overlay(self.pieces))
-        return [lo for lo, _, _ in cells], [sum(values) for _, _, values in cells]
+        return MultiplicityFunction(1, ((0, 1, int(value)),))
 
     def value_at(self, x) -> int:
-        cuts, values = self._cells
-        return values[bisect_right(cuts, mod1(x)) - 1]
+        x = mod1(x)
+        at = x.numerator * self.den // x.denominator  # lo <= x * den exactly when lo <= at
+        return self.cells[bisect_right(self.cells, at, key=lambda cell: cell[0]) - 1][2]
 
     def sample(self, ps: np.ndarray, den: int) -> np.ndarray:
         """Values at the grid points p/den for integers p, exactly, as int64."""
-        cuts, values = self._cells
         ps = np.mod(np.asarray(ps, dtype=np.int64), den)
-        return np.array(values, dtype=np.int64)[grid_cells(cuts, ps, den)]
+        values = np.array([v for _, _, v in self.cells], dtype=np.int64)
+        return values[grid_cells([lo for lo, _, _ in self.cells], self.den, ps, den)]
 
     def max_value(self) -> int:
-        return max((v for _, _, v in self.pieces), default=0)
+        return max(v for _, _, v in self.cells)
 
     def support(self) -> TorusSet:
-        return TorusSet.from_intervals((lo, hi) for lo, hi, _ in self.pieces)
+        return TorusSet.from_spans(self.den, ((lo, hi) for lo, hi, v in self.cells if v))
 
     def integral(self) -> Fraction:
-        return sum(((hi - lo) * v for lo, hi, v in self.pieces), Fraction(0))
-
-    def breakpoints(self) -> list[Fraction]:
-        return list(self._cells[0])
+        return Fraction(sum((hi - lo) * v for lo, hi, v in self.cells), self.den)
 
     def __str__(self) -> str:
-        if not self.pieces:
-            return "0"
-        return ", ".join(f"{v} on [{lo},{hi})" for lo, hi, v in self.pieces)
+        return ", ".join(f"{v} on [{lo},{hi})" for lo, hi, v in self.pieces) or "0"
+
+
+def _images(m: MultiplicityFunction, e: TorusEndomorphism):
+    """(a, b, value) over m.den: the branch images of m's cells of nonzero value."""
+    nonzero = ((lo, hi, v) for lo, hi, v in m.cells if v)
+    return ((a, b, v) for _, a, b, v in e.branch_images(nonzero, m.den))
 
 
 def folded_sum(m: MultiplicityFunction, e: TorusEndomorphism) -> MultiplicityFunction:
     """w -> sum of m over the N preimages of w, exactly: the sum of m's branch images."""
-    images = ((a, b, value) for _, a, b, value in e.branch_images(m.pieces))
-    return MultiplicityFunction.from_pieces((lo, hi, sum(vs)) for lo, hi, vs in overlay(images))
+    return _tiled(m.den, ((lo, hi, sum(vs)) for lo, hi, vs in overlay(_images(m, e), m.den)))
 
 
 @dataclass(frozen=True)
@@ -104,18 +119,18 @@ class ConsistencyReport:
 
 
 def _fold_excess(m: MultiplicityFunction, e: TorusEndomorphism):
-    """(lo, hi, fold(m) - m) on the cells of the common refinement of m and its fold."""
-    pieces = folded_sum(m, e).pieces + tuple((lo, hi, -v) for lo, hi, v in m.pieces)
-    return [(lo, hi, sum(vs)) for lo, hi, vs in overlay(pieces)]
+    """(lo, hi, fold(m) - m) over m.den on the cells of the common refinement of m and its fold."""
+    minus = ((lo, hi, -v) for lo, hi, v in m.cells)
+    return [(lo, hi, sum(vs)) for lo, hi, vs in overlay(chain(_images(m, e), minus), m.den)]
 
 
-def _negative_set(excess) -> TorusSet:
-    return TorusSet.from_intervals((a, b) for a, b, d in excess if d < 0)
+def _negative_set(den: int, excess) -> TorusSet:
+    return TorusSet.from_spans(den, ((a, b) for a, b, d in excess if d < 0))
 
 
 def check_consistency(m: MultiplicityFunction, e: TorusEndomorphism) -> ConsistencyReport:
     """Exact set where the preimage sum falls below m (empty iff consistent)."""
-    violation = _negative_set(_fold_excess(m, e))
+    violation = _negative_set(m.den, _fold_excess(m, e))
     return ConsistencyReport(holds=not violation, violation=violation)
 
 
@@ -126,16 +141,16 @@ def compute_mtilde(m: MultiplicityFunction, e: TorusEndomorphism) -> Multiplicit
     Cached per (m, e), both frozen; the result is immutable.
     """
     excess = _fold_excess(m, e)
-    violation = _negative_set(excess)
+    violation = _negative_set(m.den, excess)
     if violation:
         raise ConsistencyViolated(f"consistency inequality fails on {violation}", violation)
-    return MultiplicityFunction.from_pieces(excess)
+    return _tiled(m.den, excess)
 
 
 def sigma_sets(m: MultiplicityFunction) -> list[TorusSet]:
     """Nested superlevel sets {m >= i} for i = 1 .. max(m)."""
     return [
-        TorusSet.from_intervals((lo, hi) for lo, hi, v in m.pieces if v >= i)
+        TorusSet.from_spans(m.den, ((lo, hi) for lo, hi, v in m.cells if v >= i))
         for i in range(1, m.max_value() + 1)
     ]
 

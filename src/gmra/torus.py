@@ -5,22 +5,22 @@ intervals with rational endpoints, and the dilation w -> N*w (mod 1) comes
 with its branch split and branch partition.  Everything here is
 exact -- no floats -- so set identities can be asserted with ``==``.
 
-This is the one module that normalises interval data: ``wrap`` reads a
-pair mod 1, ``_sort_merge`` makes segments canonical, ``coalesce`` merges
-equal neighbours of a tiling and ``branch_images`` splits at the branches;
-those with an ``end`` take Fractions over 1, or integer numerators over end.
+Every kernel (``wrap``, ``_sort_merge``, ``overlay``, ``grid_cells``, the
+branch maps) takes int numerators over a ``den`` that the caller passes,
+and a ``TorusSet`` holds int spans over one reduced ``den``; ``Fraction``
+appears only where rationals come in or go out.  No other module
+normalises interval data; ``coalesce`` merges equal neighbours of a tiling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # grid points handled per numpy batch: bounds temporaries, not results
 GRID_BLOCK = 1024
@@ -31,28 +31,35 @@ def mod1(x) -> Fraction:
     return Fraction(x) % 1
 
 
-def grid_cells(cuts, ps: np.ndarray, den: int, end=ONE) -> np.ndarray:
-    """Index i of the cell [cuts[i], cuts[i+1]) holding each grid point p/den.
+def _numerators(rationals) -> tuple[int, list[int]]:
+    """(den, nums): the lcm of the rationals' denominators and each rational over it."""
+    xs = [Fraction(x) for x in rationals]
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
-    ``cuts`` ascend from 0 in units of 1/end and ``ps`` lie in [0, den).
-    Since p/den >= c/end exactly when p >= ceil(c*den/end), comparing the
-    integers p against the integer thresholds keeps the half-open rule at
-    breakpoints without rounding.
+
+def grid_cells(cuts, den: int, ps: np.ndarray, q: int) -> np.ndarray:
+    """Index i of the cell [cuts[i], cuts[i+1]) over den holding each grid point p/q.
+
+    ``cuts`` ascend from 0 and ``ps`` lie in [0, q).  Since p/q >= c/den
+    exactly when p >= ceil(c*q/den), comparing the integers p against the
+    integer thresholds keeps the half-open rule at breakpoints without
+    rounding.
     """
-    thresholds = np.array([-((-c * den) // end) for c in cuts], dtype=np.int64)
+    thresholds = np.array([-((-c * q) // den) for c in cuts], dtype=np.int64)
     return np.searchsorted(thresholds, ps, side="right") - 1
 
 
-def overlay(pieces, end=ONE):
-    """The cells of [0, end) cut at every piece boundary, each with its cover.
+def overlay(pieces, den: int):
+    """The cells of [0, den) cut at every piece boundary, each with its cover.
 
-    ``pieces`` are (lo, hi, payload) with 0 <= lo <= hi <= end and may
+    ``pieces`` are (lo, hi, payload) with 0 <= lo <= hi <= den and may
     overlap.  Returns (lo, hi, payloads) per cell in ascending order,
     ``payloads`` listing the payloads of the pieces that cover the cell in
     input order (empty where none does).
     """
     pieces = list(pieces)
-    cuts = {end * 0, end}
+    cuts = {0, den}
     cuts.update(x for lo, hi, _ in pieces for x in (lo, hi))
     points = sorted(cuts)
     index = {p: i for i, p in enumerate(points)}
@@ -63,32 +70,31 @@ def overlay(pieces, end=ONE):
     return zip(points, points[1:], cells)
 
 
-def wrap(lo, hi) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The ascending [0, 1] segments of the pair [lo, hi) read mod 1.
+def wrap(lo: int, hi: int, den: int) -> tuple[tuple[int, int], ...]:
+    """The ascending [0, den] segments of the pair [lo, hi) over den read mod den.
 
-    hi <= lo wraps around (so (3/4, 1/4) means [0,1/4) u [3/4,1)), hi = lo
-    is empty and a pair of length >= 1 is the whole circle.
+    hi <= lo wraps around (so (3, 1) over 4 means [0,1) u [3,4)), hi = lo
+    is empty and a pair of length >= den is the whole circle.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if 0 <= lo < hi <= 1:
+    if 0 <= lo < hi <= den:
         return ((lo, hi),)
     length = hi - lo
     if length <= 0:
-        length = length % 1
+        length %= den
         if length == 0:
             return ()
-    if length >= 1:
-        return ((ZERO, ONE),)
-    start = lo % 1
-    end = start + length
-    if end <= 1:
-        return ((start, end),)
-    return ((ZERO, end - 1), (start, ONE))
+    if length >= den:
+        return ((0, den),)
+    start = lo % den
+    stop = start + length
+    if stop <= den:
+        return ((start, stop),)
+    return ((0, stop - den), (start, den))
 
 
-def _sort_merge(segments) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Canonical intervals of the union of [0, 1] segments: sorted, touching ones merged."""
-    merged: list[list[Fraction]] = []
+def _sort_merge(segments) -> tuple[tuple[int, int], ...]:
+    """Canonical spans of the union of [0, den] segments: sorted, touching ones merged."""
+    merged: list[list[int]] = []
     for lo, hi in sorted(segments):
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
@@ -110,19 +116,32 @@ def coalesce(pieces):
 
 @dataclass(frozen=True)
 class TorusSet:
-    """Finite union of half-open intervals [lo, hi) on the circle.
+    """Finite union of half-open intervals [lo/den, hi/den) on the circle.
 
-    Canonical form: intervals sorted, pairwise disjoint, adjacent pieces
-    merged, endpoints in [0, 1].  Two sets are equal (as a.e. classes of
-    interval unions) iff their canonical forms compare equal.
+    Canonical form: int ``spans`` (lo, hi) in [0, den], sorted, pairwise
+    disjoint and not touching, over a reduced ``den`` (no integer above 1
+    divides den and every end point).  Two sets are equal (as a.e. classes
+    of interval unions) iff their canonical forms compare equal.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...] = ()
+    den: int = 1
+    spans: tuple[tuple[int, int], ...] = ()
+
+    @staticmethod
+    def from_spans(den: int, segments) -> "TorusSet":
+        """The union of int [0, den] segments over den, in any order."""
+        spans = _sort_merge(segments)
+        g = math.gcd(den, *[x for span in spans for x in span])
+        if g > 1:
+            den, spans = den // g, tuple((lo // g, hi // g) for lo, hi in spans)
+        return TorusSet(den, spans)
 
     @staticmethod
     def from_intervals(pairs: Iterable) -> "TorusSet":
         """Build from (lo, hi) pairs, each read by ``wrap``; endpoints may be any rationals."""
-        return TorusSet(_sort_merge(seg for lo, hi in pairs for seg in wrap(lo, hi)))
+        den, ends = _numerators(x for pair in pairs for x in pair)
+        pairs = zip(ends[::2], ends[1::2])
+        return TorusSet.from_spans(den, (seg for lo, hi in pairs for seg in wrap(lo, hi, den)))
 
     @staticmethod
     def interval(lo, hi) -> "TorusSet":
@@ -130,31 +149,43 @@ class TorusSet:
 
     @staticmethod
     def full() -> "TorusSet":
-        return TorusSet(((ZERO, ONE),))
+        return TorusSet(1, ((0, 1),))
 
     @staticmethod
     def empty() -> "TorusSet":
-        return TorusSet(())
+        return TorusSet()
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The spans as (lo, hi) Fractions in [0, 1]."""
+        return tuple((Fraction(lo, self.den), Fraction(hi, self.den)) for lo, hi in self.spans)
+
+    def over(self, den: int) -> tuple[tuple[int, int], ...]:
+        """The spans as numerators over den, a multiple of this set's den."""
+        a = den // self.den
+        return self.spans if a == 1 else tuple((lo * a, hi * a) for lo, hi in self.spans)
 
     def __bool__(self) -> bool:
-        return bool(self.intervals)
+        return bool(self.spans)
 
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), ZERO)
+        return Fraction(sum(hi - lo for lo, hi in self.spans), self.den)
 
     def union(self, other: "TorusSet") -> "TorusSet":
-        return TorusSet(_sort_merge(self.intervals + other.intervals))
+        den = math.lcm(self.den, other.den)
+        return TorusSet.from_spans(den, self.over(den) + other.over(den))
 
     def complement(self) -> "TorusSet":
+        """The gaps, over the same den: they have the same end points but 0 and den."""
         gaps = []
-        cursor = ZERO
-        for lo, hi in self.intervals:
+        cursor = 0
+        for lo, hi in self.spans:
             if cursor < lo:
                 gaps.append((cursor, lo))
             cursor = hi
-        if cursor < ONE:
-            gaps.append((cursor, ONE))
-        return TorusSet(tuple(gaps))
+        if cursor < self.den:
+            gaps.append((cursor, self.den))
+        return TorusSet(self.den, tuple(gaps))
 
     def intersect(self, other: "TorusSet") -> "TorusSet":
         return self.complement().union(other.complement()).complement()
@@ -163,12 +194,10 @@ class TorusSet:
         return self.intersect(other.complement())
 
     def is_subset(self, other: "TorusSet") -> bool:
-        return self.intersect(other) == self
+        return self.union(other) == other
 
     def __str__(self) -> str:
-        if not self.intervals:
-            return "{}"
-        return " u ".join(f"[{lo},{hi})" for lo, hi in self.intervals)
+        return " u ".join(f"[{lo},{hi})" for lo, hi in self.intervals) or "{}"
 
 
 @dataclass(frozen=True)
@@ -185,6 +214,11 @@ class TorusEndomorphism:
         if self.N < 2:
             raise ValueError("dilation factor must be an integer >= 2")
 
+    @cached_property
+    def kernel(self) -> tuple[Fraction, ...]:
+        """The kernel elements k/N, ascending."""
+        return tuple(Fraction(k, self.N) for k in range(self.N))
+
     def image(self, x) -> Fraction:
         return mod1(Fraction(x) * self.N)
 
@@ -193,42 +227,40 @@ class TorusEndomorphism:
         x = mod1(x)
         return [(x + k) / self.N for k in range(self.N)]
 
-    def branch_images(self, pieces, end=ONE):
-        """Split (lo, hi, payload) pieces of [0, end] at the multiples of end/N.
+    def branch_images(self, pieces, den: int):
+        """Split (lo, hi, payload) pieces of [0, den] at the multiples of den/N.
 
-        Yields (k, N*a - k*end, N*b - k*end, payload), the image of each
-        nonempty part [a, b) of a piece on branch [k*end/N, (k+1)*end/N);
+        Yields (k, N*a - k*den, N*b - k*den, payload), the image of each
+        nonempty part [a, b) of a piece on branch [k*den/N, (k+1)*den/N);
         piece by piece, each piece's parts in ascending k.
         """
-        steps = [end * k for k in range(self.N)]  # k*end, so steps[0] is a zero of end's type
         for lo, hi, payload in pieces:
             lo, hi = lo * self.N, hi * self.N
-            for k in range(lo // end, -(-hi // end)):
-                a, b = lo - steps[k], hi - steps[k]
-                yield k, a if a > steps[0] else steps[0], b if b < end else end, payload
+            for k in range(lo // den, -(-hi // den)):
+                a, b = lo - k * den, hi - k * den
+                yield k, a if a > 0 else 0, b if b < den else den, payload
 
-    def branch_image(self, pieces, k: int, end=ONE):
+    def branch_image(self, pieces, k: int, den: int):
         """The parts of ``branch_images`` on branch k alone, without splitting the others."""
-        zero, shift = end * 0, end * k
+        shift = k * den
         for lo, hi, payload in pieces:
             lo, hi = lo * self.N - shift, hi * self.N - shift
-            if lo < end and hi > zero:
-                yield k, lo if lo > zero else zero, hi if hi < end else end, payload
+            if lo < den and hi > 0:
+                yield k, lo if lo > 0 else 0, hi if hi < den else den, payload
 
-    def branch_preimages(self, pieces, k: int, end: int):
-        """The preimages on branch k of pieces of [0, end], as numerators over N*end:
-        (lo + k*end, hi + k*end, payload), which divided by N are the preimage proper."""
-        return [(lo + k * end, hi + k * end, payload) for lo, hi, payload in pieces]
+    def branch_preimages(self, pieces, k: int, den: int):
+        """The preimages on branch k of pieces of [0, den], as numerators over N*den:
+        (lo + k*den, hi + k*den, payload), which divided by N are the preimage proper."""
+        return [(lo + k * den, hi + k * den, payload) for lo, hi, payload in pieces]
 
     def preimage_set(self, s: TorusSet) -> TorusSet:
-        return TorusSet.from_intervals(
-            ((lo + k) / self.N, (hi + k) / self.N) for k in range(self.N) for lo, hi in s.intervals
-        )
+        den = s.den
+        spans = ((lo + k * den, hi + k * den) for k in range(self.N) for lo, hi in s.spans)
+        return TorusSet.from_spans(self.N * den, spans)
 
     def image_set(self, s: TorusSet) -> TorusSet:
-        return TorusSet.from_intervals(
-            (a, b) for _, a, b, _ in self.branch_images((lo, hi, None) for lo, hi in s.intervals)
-        )
+        images = self.branch_images((span + (None,) for span in s.spans), s.den)
+        return TorusSet.from_spans(s.den, ((a, b) for _, a, b, _ in images))
 
     def tau_partition(self, s: TorusSet) -> list[tuple[Fraction, TorusSet]]:
         """Split s into the branch pieces on which the map is injective.
@@ -239,14 +271,12 @@ class TorusEndomorphism:
         c(y) = (y mod 1)/N is the first of ``preimages(y)``.  Empty pieces are
         dropped; the pieces are disjoint and union back to s.
         """
-        images = [[] for _ in range(self.N)]
-        for k, a, b, _ in self.branch_images((lo, hi, None) for lo, hi in s.intervals):
-            images[k].append((a, b, None))
+        den = s.den
+        parts = [[] for _ in range(self.N)]
+        for k, a, b, _ in self.branch_images((span + (None,) for span in s.spans), den):
+            parts[k].append((a + k * den, b + k * den))  # the part itself, over N*den
         return [
-            (
-                Fraction((self.N - k) % self.N, self.N),
-                TorusSet(tuple(((a + k) / self.N, (b + k) / self.N) for a, b, _ in parts)),
-            )
-            for k, parts in enumerate(images)
-            if parts
+            (self.kernel[-k % self.N], TorusSet.from_spans(self.N * den, spans))
+            for k, spans in enumerate(parts)
+            if spans
         ]

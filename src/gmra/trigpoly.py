@@ -18,9 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .torus import (
-    GRID_BLOCK, TorusEndomorphism, TorusSet, _sort_merge, coalesce, grid_cells, mod1, overlay,
-)
+from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet, coalesce, grid_cells, mod1, overlay
 
 _QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
 _QUARTER_PHASES = np.array(_QUARTER_TURNS)
@@ -138,8 +136,7 @@ def _nonzero_cells(p: "TrigPoly", den: int, fden: int):
 
 def _aligned(polys, gate: TorusSet | None = None):
     """(den, fden, cells): the polys' (and gate's) common denominators, their cells over them."""
-    ends = [x.denominator for interval in gate.intervals for x in interval] if gate else []
-    den = math.lcm(*ends, *[p.den for p in polys])
+    den = math.lcm(gate.den if gate is not None else 1, *[p.den for p in polys])
     fden = math.lcm(*[p.fden for p in polys])
     return den, fden, [_nonzero_cells(p, den, fden) for p in polys]
 
@@ -150,11 +147,12 @@ _MINUS_ONE = complex(-1)
 
 def _swept(den: int, fden: int, pieces, combine, gate: TorusSet | None = None) -> "TrigPoly":
     """The poly carrying combine(payloads) on each cell of ``overlay(pieces, den)``; the
-    gate's intervals (over den) join the overlay first, and cells outside them carry ()."""
+    gate's spans (over den, a multiple of its own) join the overlay first, and cells
+    outside them carry ()."""
     if gate is None:
         cells = ((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces, den))
     else:
-        marks = ((_over(lo, den), _over(hi, den), _GATE) for lo, hi in gate.intervals)
+        marks = ((lo, hi, _GATE) for lo, hi in gate.over(den))
         cells = (
             (lo, hi, combine(ps[1:]) if ps and ps[0] is _GATE else ())
             for lo, hi, ps in overlay(chain(marks, pieces), den)
@@ -229,7 +227,7 @@ class TrigPoly:
 
     @staticmethod
     def indicator(ts: TorusSet, coef=1.0) -> "TrigPoly":
-        return TrigPoly.from_pieces((lo, hi, [(0, coef)]) for lo, hi in ts.intervals)
+        return TrigPoly.constant(coef).restrict(ts)
 
     # ---- algebra ---------------------------------------------------------
 
@@ -320,7 +318,7 @@ class TrigPoly:
 
     def _sample_grid(self, ps: np.ndarray, den: int) -> np.ndarray:
         ps = np.mod(ps, den)
-        cells = grid_cells([lo for lo, _, _ in self.cells], ps, den, self.den)
+        cells = grid_cells([lo for lo, _, _ in self.cells], self.den, ps, den)
         out = np.zeros(ps.shape, dtype=complex)
         for index, (_, _, terms) in enumerate(self.cells):
             if not terms:
@@ -345,8 +343,7 @@ class TrigPoly:
         A nonzero trig polynomial vanishes only on a null set, so this is
         the a.e. support.
         """
-        spans = _sort_merge((lo, hi) for lo, hi, terms in self.cells if terms)
-        return TorusSet(tuple((Fraction(lo, self.den), Fraction(hi, self.den)) for lo, hi in spans))
+        return TorusSet.from_spans(self.den, ((lo, hi) for lo, hi, terms in self.cells if terms))
 
     def is_zero(self) -> bool:
         return all(not terms for _, _, terms in self.cells)

@@ -9,7 +9,9 @@ payloads is pinned too.
 The gated one-sweep kernels (``gated_sum``, ``gated_dilate``,
 ``gated_compress``, ``restrict`` and ``-``) are held with ``==`` to the
 composed chains of separate sweeps they replace, kept here as references on
-Fraction pieces and compared through ``TrigPoly.from_pieces``.
+Fraction pieces and compared through ``TrigPoly.from_pieces``.  The references
+cut and split Fraction pieces with their own ``frac_overlay`` and
+``frac_branch_images``, so they share no code with the integer kernels.
 """
 
 import math
@@ -183,14 +185,34 @@ def test_folded_sum_is_the_preimage_sum_exactly(e, m):
 
 
 def test_overlay_lists_covers_in_input_order():
-    pieces = [(F(0), F(1, 2), "a"), (F(1, 4), F(1), "b"), (F(1, 4), F(1, 2), "c")]
-    cells = [(lo, hi, list(ps)) for lo, hi, ps in overlay(pieces)]
-    assert cells == [
-        (F(0), F(1, 4), ["a"]),
-        (F(1, 4), F(1, 2), ["a", "b", "c"]),
-        (F(1, 2), F(1), ["b"]),
+    pieces = [(0, 2, "a"), (1, 4, "b"), (1, 2, "c")]  # [0,1/2), [1/4,1), [1/4,1/2) over 4
+    cells = [(lo, hi, list(ps)) for lo, hi, ps in overlay(pieces, 4)]
+    assert cells == [(0, 1, ["a"]), (1, 2, ["a", "b", "c"]), (2, 4, ["b"])]
+    assert [ps for _, _, ps in overlay([(1, 2, 1)], 3)] == [[], [1], []]
+    assert frac_overlay([(F(lo, 4), F(hi, 4), p) for lo, hi, p in pieces]) == [
+        (F(lo, 4), F(hi, 4), ps) for lo, hi, ps in cells
     ]
-    assert [ps for _, _, ps in overlay([(F(1, 3), F(2, 3), 1)])] == [[], [1], []]
+
+
+def frac_overlay(pieces):
+    """The cells of [0, 1) cut at every end point of the Fraction pieces, each with the
+    payloads of the pieces covering it in input order."""
+    pieces = list(pieces)
+    points = sorted({F(0), F(1)} | {x for lo, hi, _ in pieces for x in (lo, hi)})
+    return [
+        (a, b, [payload for lo, hi, payload in pieces if lo <= a and b <= hi])
+        for a, b in zip(points, points[1:])
+    ]
+
+
+def frac_branch_images(e, pieces):
+    """(k, N*a - k, N*b - k, payload) per nonempty part [a, b) of each Fraction piece on
+    the branch [k/N, (k+1)/N): piece by piece, in ascending k."""
+    for lo, hi, payload in pieces:
+        for k in range(e.N):
+            a, b = max(lo, F(k, e.N)), min(hi, F(k + 1, e.N))
+            if a < b:
+                yield k, e.N * a - k, e.N * b - k, payload
 
 
 # ---- the composed chains the gated kernels replace, one sweep per step ------------
@@ -216,7 +238,8 @@ def nonzero(p):
 
 
 def ref_swept(pieces, combine):
-    return TrigPoly.from_pieces(coalesce((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces)))
+    cells = frac_overlay(pieces)
+    return TrigPoly.from_pieces(coalesce((lo, hi, combine(ps)) for lo, hi, ps in cells))
 
 
 def ref_sum(polys):
@@ -244,7 +267,7 @@ def ref_dilate_branch(p, e, k):
         (a, b, merge_fraction_terms(
             (nu / e.N, c * _turn(nu.numerator * k, nu.denominator * e.N)) for nu, c in t
         ))
-        for j, a, b, t in e.branch_images(nonzero(p))
+        for j, a, b, t in frac_branch_images(e, nonzero(p))
         if j == k
     ]
     return ref_swept(pieces, left_fold_terms)
@@ -252,9 +275,9 @@ def ref_dilate_branch(p, e, k):
 
 def ref_compress_branch(g, e, k):
     return TrigPoly.from_pieces(
-        (a / e.N, b / e.N, [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator))
-                            for nu, c in t])
-        for a, b, t in e.branch_preimages(g.pieces, k, 1)
+        ((lo + k) / e.N, (hi + k) / e.N,
+         [(nu * e.N, c * _turn(-nu.numerator * k, nu.denominator)) for nu, c in t])
+        for lo, hi, t in g.pieces
     )
 
 
@@ -343,7 +366,7 @@ def ref_inner(f, g):
     """The closed-form inner product on Fraction cells and frequencies, pair by pair
     within a cell, and cell by cell."""
     total = 0j
-    for lo, hi, ts in overlay(nonzero(f) + nonzero(g)):
+    for lo, hi, ts in frac_overlay(nonzero(f) + nonzero(g)):
         if len(ts) < 2:
             continue
         cell = 0j

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,21 @@ interval_lists = st.lists(
     max_size=5,
 )
 torus_sets = interval_lists.map(TorusSet.from_intervals)
+
+
+# pairwise coprime, so two sets rarely share a factor and their common denominator is large
+DENOMINATORS = (2**6, 3**4, 5**3, 7, 11, 13, 97, 101, 4294967291)
+
+
+@st.composite
+def arcs(draw):
+    """A pair shorter than the circle over one of ``DENOMINATORS``; it may wrap past 1."""
+    q = draw(st.sampled_from(DENOMINATORS))
+    lo = draw(st.integers(0, q - 1))
+    return F(lo, q), F(lo + draw(st.integers(1, q - 1)), q)
+
+
+mixed_sets = st.lists(arcs(), max_size=4).map(TorusSet.from_intervals)
 # any pairs: reversed, empty and longer than the circle included
 raw_pairs = st.lists(st.tuples(rationals, rationals), max_size=5)
 
@@ -45,11 +61,24 @@ def is_canonical(intervals) -> bool:
     return all(0 <= x <= 1 for x in flat) and all(a < b for a, b in zip(flat, flat[1:]))
 
 
+def is_reduced(s: TorusSet) -> bool:
+    """No integer above 1 divides the set's den and every end point."""
+    return math.gcd(s.den, *[x for span in s.spans for x in span]) == 1
+
+
+def probes(ends):
+    """The end points in [0, 1) and the midpoints between consecutive ones, 0 and 1 added."""
+    ends = sorted({F(0), F(1), *(mod1(x) for x in ends)})
+    return [x for x in ends if x < 1] + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+
+
+def ends_of(*sets):
+    return [x for s in sets for iv in s.intervals for x in iv]
+
+
 def probe_points(pairs, intervals):
     """Every endpoint mod 1 and every midpoint between consecutive endpoints."""
-    ends = {F(0), F(1), *(x for iv in intervals for x in iv)}
-    ends = sorted(ends.union(mod1(x) for p in pairs for x in p))
-    return [x for x in ends if x < 1] + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return probes([x for iv in intervals for x in iv] + [x for p in pairs for x in p])
 
 
 def sheet_tau_partition(e, s):
@@ -122,9 +151,11 @@ class TestTorusSet:
         assert ts(("1/8", "1/4")).is_subset(ts((0, "1/2")))
         assert not ts(("1/8", "3/4")).is_subset(ts((0, "1/2")))
 
-    @given(rationals, rationals)
-    def test_wrap_is_the_pair_mod_1(self, lo, hi):
-        segments = wrap(lo, hi)
+    @given(rationals, rationals, st.integers(1, 6))
+    def test_wrap_is_the_pair_mod_1(self, lo, hi, factor):
+        # numerators over a common denominator, reduced or not
+        den = math.lcm(lo.denominator, hi.denominator) * factor
+        segments = [(F(a, den), F(b, den)) for a, b in wrap(int(lo * den), int(hi * den), den)]
         assert is_canonical(segments)
         for x in probe_points([(lo, hi)], segments):
             assert in_set(x, segments) == in_pair(x, lo, hi)
@@ -143,6 +174,36 @@ class TestTorusSet:
     @given(torus_sets)
     def test_normalization_idempotent(self, s):
         assert TorusSet.from_intervals(s.intervals) == s
+
+    @given(mixed_sets)
+    def test_int_form_round_trips(self, s):
+        assert is_reduced(s) and is_canonical(s.intervals)
+        assert TorusSet.from_intervals(s.intervals) == s
+        assert TorusSet.from_spans(3 * s.den, s.over(3 * s.den)) == s
+        assert s.measure() == sum((hi - lo for lo, hi in s.intervals), F(0))
+
+    @given(mixed_sets, mixed_sets)
+    def test_set_algebra_is_pointwise(self, a, b):
+        results = {
+            "union": a.union(b),
+            "intersect": a.intersect(b),
+            "complement": a.complement(),
+            "difference": a.difference(b),
+        }
+        for s in results.values():
+            assert is_reduced(s) and is_canonical(s.intervals)
+        for x in probes(ends_of(a, b, *results.values())):
+            in_a, in_b = in_set(x, a.intervals), in_set(x, b.intervals)
+            assert in_set(x, results["union"].intervals) == (in_a or in_b)
+            assert in_set(x, results["intersect"].intervals) == (in_a and in_b)
+            assert in_set(x, results["complement"].intervals) == (not in_a)
+            assert in_set(x, results["difference"].intervals) == (in_a and not in_b)
+
+    @given(mixed_sets, mixed_sets)
+    def test_is_subset_is_pointwise(self, a, b):
+        for s, t in ((a, b), (b, a), (a.intersect(b), b), (a, a.union(b)), (a.difference(b), b)):
+            points = [x for x in probes(ends_of(s, t)) if in_set(x, s.intervals)]
+            assert s.is_subset(t) == all(in_set(x, t.intervals) for x in points)
 
     @given(torus_sets, torus_sets)
     def test_measure_additivity(self, a, b):
@@ -207,6 +268,17 @@ class TestEndomorphism:
         s = ts(("1/10", "4/5"))
         for _, piece in e.tau_partition(s):
             assert e.image_set(piece).measure() == 3 * piece.measure()
+
+    @given(st.integers(2, 5), mixed_sets)
+    def test_preimage_and_image_are_pointwise(self, N, s):
+        e = TorusEndomorphism(N)
+        pre, image = e.preimage_set(s), e.image_set(s)
+        assert is_reduced(pre) and is_reduced(image)
+        for x in probes(ends_of(pre) + [z for b in ends_of(s) for z in e.preimages(b)]):
+            assert in_set(x, pre.intervals) == in_set(e.image(x), s.intervals)
+        for x in probes(ends_of(image) + [e.image(b) for b in ends_of(s)]):
+            covered = any(in_set(z, s.intervals) for z in e.preimages(x))
+            assert in_set(x, image.intervals) == covered
 
     @given(st.integers(2, 5), torus_sets)
     def test_tau_partition_is_the_sheet_split(self, N, s):

@@ -16,9 +16,11 @@ convention, the command, its exit code and the SHA-256 of its stdout.
 ``--pool WORKLOAD:SEED ...`` adds the benchmark's generated problems, whose
 mixed denominators and many-piece conjugates the catalog lacks: ``bench/``
 builds the pool of each workload and seed as ``bench/run.py`` would (read
-only), and ``check-filter`` and ``purity`` run on each distinct problem
-text, and ``equiv`` on each task's pair of texts (a base and its conjugate,
-or a block-diagonal pair), in the unit convention.
+only), and ``check-filter``, ``purity``, ``mtilde``, ``sigma`` and
+``construct --depth 3 --down 3`` run on each distinct problem text, and
+``equiv`` on each task's pair of texts (a base and its conjugate, or a
+block-diagonal pair), in the unit convention.  The last three print the
+generated sets and multiplicities on the pools' mixed denominators.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # each subcommand that takes one problem file, in the order it runs
 ONE_FILE = ("validate", "mtilde", "sigma", "check-filter", "complement", "purity",
             "construct", "cascade", "cuntz")
+# each run on a pool problem text, in order: its label and the argv before the file
+POOL_RUNS = (("check-filter", ["check-filter"]), ("purity", ["purity"]), ("mtilde", ["mtilde"]),
+             ("sigma", ["sigma"]), ("construct", ["construct", "--depth", "3", "--down", "3"]))
 
 
 def fingerprint(cli, argv: list[str]) -> tuple[int, str]:
@@ -78,8 +83,8 @@ def pool_runs(specs: list[str], tmp: str, smoke: bool):
                     continue
                 path = files[text] = str(Path(tmp) / f"{workload}-{seed}-{len(files)}.json")
                 Path(path).write_text(text)
-                for command in ("check-filter", "purity"):
-                    yield f"pool {spec} {command} {task.label}/{i}", ["--json", command, path]
+                for label, command in POOL_RUNS:
+                    yield f"pool {spec} {label} {task.label}/{i}", ["--json", *command, path]
             if len(task.texts) == 2:
                 paths = [files[text] for text in task.texts]
                 yield f"pool {spec} equiv {task.label}", ["--json", "equiv", *paths]
