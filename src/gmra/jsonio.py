@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ProblemFileError
 from .filters import DEFAULT_TOL, FilterMatrix, GridFilterMatrix
 from .multiplicity import MultiplicityFunction
-from .torus import TorusEndomorphism, TorusSet
+from .torus import TorusEndomorphism, TorusSet, wrap
 from .trigpoly import TrigPoly
 
 UNIT = "unit"
@@ -38,19 +38,29 @@ def rat_str(x: Fraction) -> str:
 _RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def parse_rat(text, path="value") -> Fraction:
-    """A rational from "p/q" or "p" text, its denominator within ``INT_BOUNDS``."""
+def _parse_ratio(text, path) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of "p/q" or "p" text, the denominator within
+    ``INT_BOUNDS``."""
     try:
         if not _RATIONAL.fullmatch(str(text)):
             raise ValueError('expected "p/q" or "p"')
-        q = Fraction(str(text))
+        num, _, den = str(text).partition("/")
+        num, den = int(num), int(den or 1)
+        if den == 0:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(path, f"not a rational: {text!r} ({exc})") from None
+    g = math.gcd(num, den)
     try:
-        check_setting("denominator", q.denominator)
+        check_setting("denominator", den // g)
     except ValueError as exc:
         raise ProblemFileError(path, f"denominator of {text!r}: {exc}") from None
-    return q
+    return num // g, den // g
+
+
+def parse_rat(text, path="value") -> Fraction:
+    """A rational from "p/q" or "p" text, its denominator within ``INT_BOUNDS``."""
+    return Fraction(*_parse_ratio(text, path))
 
 
 def torus_set_to_json(ts: TorusSet, convention: str = UNIT) -> list:
@@ -64,11 +74,11 @@ def torus_set_to_json(ts: TorusSet, convention: str = UNIT) -> list:
     return [[rat_str(lo), rat_str(hi)] for lo, hi in pairs]
 
 
-def _parse_interval(data, path) -> tuple[Fraction, Fraction]:
-    """The rationals of a ["lo", "hi"] pair."""
+def _parse_interval(data, path, read=parse_rat) -> tuple:
+    """The rationals of a ["lo", "hi"] pair, each as ``read`` returns it."""
     if not isinstance(data, list) or len(data) != 2:
         raise ProblemFileError(path, "expected [lo, hi]")
-    return parse_rat(data[0], f"{path}[0]"), parse_rat(data[1], f"{path}[1]")
+    return read(data[0], f"{path}[0]"), read(data[1], f"{path}[1]")
 
 
 def parse_torus_set(data, path="set") -> TorusSet:
@@ -125,18 +135,18 @@ def trigpoly_to_json(f: TrigPoly, convention: str = UNIT) -> dict:
 def parse_trigpoly(data, path="entry") -> TrigPoly:
     if not isinstance(data, dict) or "pieces" not in data:
         raise ProblemFileError(path, "expected {pieces: [...]}")
-    raw = []
+    raw = []  # ((lo, q), (hi, q'), [((n, d), c)]) per declared piece, all ints
     for idx, piece in enumerate(data["pieces"]):
         here = f"{path}.pieces[{idx}]"
         if not isinstance(piece, dict) or "interval" not in piece:
             raise ProblemFileError(here, "expected {interval, terms}")
-        lo, hi = _parse_interval(piece["interval"], f"{here}.interval")
+        lo, hi = _parse_interval(piece["interval"], f"{here}.interval", _parse_ratio)
         terms = []
         for tdx, term in enumerate(piece.get("terms", [])):
             there = f"{here}.terms[{tdx}]"
             if not isinstance(term, dict) or "freq" not in term:
                 raise ProblemFileError(there, "expected {freq, re, im}")
-            freq = parse_rat(term["freq"], f"{there}.freq")
+            freq = _parse_ratio(term["freq"], f"{there}.freq")
             try:
                 coef = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
             except (TypeError, ValueError):
@@ -144,11 +154,15 @@ def parse_trigpoly(data, path="entry") -> TrigPoly:
             if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
                 raise ProblemFileError(there, f"re/im must be finite, got {coef}")
             terms.append((freq, coef))
-        # the declared interval read mod 1 into [0, 1) pieces, same terms on each
-        for a, b in TorusSet.interval(lo, hi).intervals:
-            raw.append((a, b, list(terms)))
+        raw.append((lo, hi, terms))
+    den = math.lcm(*(q for lo, hi, _ in raw for _, q in (lo, hi)))
+    fden = math.lcm(*(d for _, _, terms in raw for (_, d), _ in terms))
+    pieces = (  # each declared interval read mod 1 into [0, den] segments, same terms on each
+        (lo, hi, [(n * (fden // d), c) for (n, d), c in terms])
+        for (a, p), (b, q), terms in raw for lo, hi in wrap(a * (den // p), b * (den // q), den)
+    )
     try:
-        return TrigPoly.from_pieces(raw)
+        return TrigPoly.from_spans(den, fden, pieces)
     except ValueError as exc:
         raise ProblemFileError(path, str(exc)) from None
 

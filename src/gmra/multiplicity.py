@@ -30,12 +30,12 @@ from .torus import (
 
 
 def _tiled(den: int, cells) -> "MultiplicityFunction":
-    """The function of an ascending tiling of [0, den) by (lo, hi, value) cells."""
-    cells = coalesce(cells)
-    g = math.gcd(den, *[lo for lo, _, _ in cells])
+    """The function of an ascending tiling of [0, den) by (lo, value) cells."""
+    los, values = coalesce(cells)
+    g = math.gcd(den, *los)
     if g > 1:
-        den, cells = den // g, tuple((lo // g, hi // g, v) for lo, hi, v in cells)
-    return MultiplicityFunction(den, cells)
+        den, los = den // g, [lo // g for lo in los]
+    return MultiplicityFunction(den, tuple(zip(los, los[1:] + [den], values)))
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class MultiplicityFunction:
         cells = list(overlay(flat, den))
         if any(len(values) > 1 for _, _, values in cells):
             raise ValueError("multiplicity pieces overlap")
-        return _tiled(den, ((lo, hi, values[0] if values else 0) for lo, hi, values in cells))
+        return _tiled(den, ((lo, values[0] if values else 0) for lo, _, values in cells))
 
     @staticmethod
     def constant(value: int) -> "MultiplicityFunction":
@@ -109,7 +109,7 @@ def _images(m: MultiplicityFunction, e: TorusEndomorphism):
 
 def folded_sum(m: MultiplicityFunction, e: TorusEndomorphism) -> MultiplicityFunction:
     """w -> sum of m over the N preimages of w, exactly: the sum of m's branch images."""
-    return _tiled(m.den, ((lo, hi, sum(vs)) for lo, hi, vs in overlay(_images(m, e), m.den)))
+    return _tiled(m.den, ((lo, sum(vs)) for lo, _, vs in overlay(_images(m, e), m.den)))
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def compute_mtilde(m: MultiplicityFunction, e: TorusEndomorphism) -> Multiplicit
     violation = _negative_set(m.den, excess)
     if violation:
         raise ConsistencyViolated(f"consistency inequality fails on {violation}", violation)
-    return _tiled(m.den, excess)
+    return _tiled(m.den, ((lo, d) for lo, _, d in excess))
 
 
 def sigma_sets(m: MultiplicityFunction) -> list[TorusSet]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,16 +57,17 @@ class SectionVector:
         comps[i] = TrigPoly.indicator(sets[i])
         return SectionVector(tuple(comps), tuple(sets))
 
-    def __add__(self, other: "SectionVector") -> "SectionVector":
+    def _componentwise(self, op, other: "SectionVector") -> "SectionVector":
         if self.sets != other.sets:
             raise ContextMismatch("section vectors live over different sets")
-        return SectionVector(
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            self.sets,
-        )
+        return SectionVector(tuple(map(op, self.components, other.components)), self.sets)
+
+    def __add__(self, other: "SectionVector") -> "SectionVector":
+        return self._componentwise(TrigPoly.__add__, other)
 
     def __sub__(self, other: "SectionVector") -> "SectionVector":
-        return self + other.scale(-1)
+        """self + other.scale(-1), one sweep per component with the coefficients of that chain."""
+        return self._componentwise(TrigPoly.__sub__, other)
 
     def scale(self, c) -> "SectionVector":
         return SectionVector(tuple(f * c for f in self.components), self.sets)
@@ -97,9 +97,8 @@ def random_section(sets, rng: random.Random, degree: int = 8) -> SectionVector:
         for n in range(-degree, degree + 1):
             r = math.sqrt(rng.random())
             theta = rng.random() * math.tau
-            terms.append((Fraction(n), complex(r * math.cos(theta), r * math.sin(theta))))
-        poly = TrigPoly.from_pieces([(0, 1, terms)]).restrict(s)
-        comps.append(poly)
+            terms.append((n, complex(r * math.cos(theta), r * math.sin(theta))))
+        comps.append(TrigPoly.from_spans(1, 1, [(0, 1, terms)]).restrict(s))
     return SectionVector(tuple(comps), tuple(sets))
 
 
@@ -164,8 +163,9 @@ def cuntz_check(
         r_complete.append((total - f).norm())
     r_iso_g, r_cross = [], []
     for u in vec_mt:
-        r_iso_g.append((apply_S_adjoint(G, apply_S(G, u)) - u).norm())
-        r_cross.append(apply_S_adjoint(H, apply_S(G, u)).norm())
+        lifted = apply_S(G, u)
+        r_iso_g.append((apply_S_adjoint(G, lifted) - u).norm())
+        r_cross.append(apply_S_adjoint(H, lifted).norm())
     identities = {
         "SH*SH=I": worst_residual(r_iso_h),
         "SG*SG=I": worst_residual(r_iso_g),

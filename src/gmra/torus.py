@@ -103,15 +103,15 @@ def _sort_merge(segments) -> tuple[tuple[int, int], ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def coalesce(pieces):
-    """Merge adjacent pieces of an ascending tiling that carry equal payloads."""
-    merged = []
-    for lo, hi, payload in pieces:
-        if merged and payload == merged[-1][2]:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi, payload])
-    return tuple((lo, hi, payload) for lo, hi, payload in merged)
+def coalesce(cells) -> tuple[list[int], list]:
+    """(los, payloads) of an ascending tiling given as (lo, payload) cells, in one pass:
+    a cell whose payload equals its left neighbour's extends it."""
+    los, payloads = [], []
+    for lo, payload in cells:
+        if not payloads or payload != payloads[-1]:
+            los.append(lo)
+            payloads.append(payload)
+    return los, payloads
 
 
 @dataclass(frozen=True)

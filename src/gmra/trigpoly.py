@@ -111,15 +111,6 @@ def _scaled(terms: Terms, c: complex) -> Terms:
     return tuple(out)
 
 
-def _canonical(den: int, fden: int, cells) -> "TrigPoly":
-    """The poly of coalesced cells over den with frequencies over fden, both reduced."""
-    g = math.gcd(den, *[lo for lo, _, _ in cells]) if den > 1 else 1
-    h = math.gcd(fden, *[n for _, _, t in cells for n, _ in t]) if fden > 1 else 1
-    if g > 1 or h > 1:
-        cells = tuple((lo // g, hi // g, tuple((n // h, c) for n, c in t)) for lo, hi, t in cells)
-    return TrigPoly(den // g, fden // h, cells)
-
-
 def _over(x: Fraction, den: int) -> int:
     """The numerator of x over den, a multiple of its denominator."""
     return x.numerator * (den // x.denominator)
@@ -141,23 +132,47 @@ def _aligned(polys, gate: TorusSet | None = None):
     return den, fden, [_nonzero_cells(p, den, fden) for p in polys]
 
 
+def _only(payloads) -> Terms:
+    """The terms of the one piece covering a cell, () if none does."""
+    if len(payloads) > 1:
+        raise ValueError("pieces overlap")
+    return payloads[0] if payloads else ()
+
+
 _GATE = object()  # overlay payload of a gate interval
 _MINUS_ONE = complex(-1)
+_TWO_PI_I = 2j * math.pi
+
+
+def _tiled(den: int, fden: int, cells) -> "TrigPoly":
+    """The poly of (lo, terms) cells tiling [0, den) in ascending order: equal neighbours
+    merged by ``coalesce``, then den and fden reduced by the gcds of the cut points and
+    frequency numerators that remain."""
+    los, tiles = coalesce(cells)
+    g = math.gcd(den, *los)
+    h = math.gcd(fden, *[n for t in tiles for n, _ in t]) if fden > 1 else 1
+    if g > 1 or h > 1:
+        den, fden, los = den // g, fden // h, [lo // g for lo in los]
+        tiles = [tuple((n // h, c) for n, c in t) for t in tiles] if h > 1 else tiles
+    return TrigPoly(den, fden, tuple(zip(los, los[1:] + [den], tiles)))
 
 
 def _swept(den: int, fden: int, pieces, combine, gate: TorusSet | None = None) -> "TrigPoly":
     """The poly carrying combine(payloads) on each cell of ``overlay(pieces, den)``; the
     gate's spans (over den, a multiple of its own) join the overlay first, and cells
-    outside them carry ()."""
+    outside them carry ().  Without pieces, or with an empty gate, it is 0 unswept."""
+    pieces = list(pieces)
+    if not pieces or gate is not None and not gate.spans:
+        return TrigPoly.zero()
     if gate is None:
-        cells = ((lo, hi, combine(ps)) for lo, hi, ps in overlay(pieces, den))
+        cells = ((lo, combine(ps)) for lo, _, ps in overlay(pieces, den))
     else:
-        marks = ((lo, hi, _GATE) for lo, hi in gate.over(den))
+        marks = [(lo, hi, _GATE) for lo, hi in gate.over(den)]
         cells = (
-            (lo, hi, combine(ps[1:]) if ps and ps[0] is _GATE else ())
-            for lo, hi, ps in overlay(chain(marks, pieces), den)
+            (lo, combine(ps[1:]) if ps and ps[0] is _GATE else ())
+            for lo, _, ps in overlay(marks + pieces, den)
         )
-    return _canonical(den, fden, coalesce(cells))
+    return _tiled(den, fden, cells)
 
 
 @dataclass(frozen=True)
@@ -195,17 +210,16 @@ class TrigPoly:
                 cleaned.append((lo, hi, [(Fraction(nu), complex(c)) for nu, c in terms]))
         den = math.lcm(*(x.denominator for lo, hi, _ in cleaned for x in (lo, hi)))
         fden = math.lcm(*(nu.denominator for _, _, terms in cleaned for nu, _ in terms))
-        pieces = (
-            (_over(lo, den), _over(hi, den), _merge_terms((_over(nu, fden), c) for nu, c in t))
+        return TrigPoly.from_spans(den, fden, (
+            (_over(lo, den), _over(hi, den), [(_over(nu, fden), c) for nu, c in t])
             for lo, hi, t in cleaned
-        )
+        ))
 
-        def only(payloads):
-            if len(payloads) > 1:
-                raise ValueError("pieces overlap")
-            return payloads[0] if payloads else ()
-
-        return _swept(den, fden, pieces, only)
+    @staticmethod
+    def from_spans(den: int, fden: int, pieces) -> "TrigPoly":
+        """Build from int (lo, hi, terms) with 0 <= lo <= hi <= den, terms (n, c) of frequency
+        n/fden and complex c; gaps filled with 0."""
+        return _swept(den, fden, ((lo, hi, _merge_terms(t)) for lo, hi, t in pieces), _only)
 
     @staticmethod
     def sum(polys) -> "TrigPoly":
@@ -262,8 +276,7 @@ class TrigPoly:
     def _map_terms(self, terms_map, fden: int | None = None) -> "TrigPoly":
         """The poly whose cells carry terms_map(terms), frequencies over ``fden`` (default
         this poly's): a map keeping frequencies distinct and in order, so no re-merge."""
-        cells = coalesce((lo, hi, terms_map(terms)) for lo, hi, terms in self.cells)
-        return _canonical(self.den, fden or self.fden, cells)
+        return _tiled(self.den, fden or self.fden, ((lo, terms_map(t)) for lo, _, t in self.cells))
 
     def restrict(self, ts: TorusSet) -> "TrigPoly":
         """Zero the function outside ts (exact piece surgery)."""
@@ -380,7 +393,8 @@ class TrigPoly:
 
     def shift_frequencies(self, gamma) -> "TrigPoly":
         """Multiply by e^(2*pi*i*gamma*w): shift every frequency by gamma."""
-        gamma = Fraction(gamma)
+        if not isinstance(gamma, int):
+            gamma = Fraction(gamma)
         fden = math.lcm(self.fden, gamma.denominator)
         scale, shift = fden // self.fden, gamma.numerator * (fden // gamma.denominator)
         return self._map_terms(lambda terms: tuple((n * scale + shift, c) for n, c in terms), fden)
@@ -496,17 +510,20 @@ def _cell_inner(ta: Terms, tb: Terms, lo: int, hi: int, den: int, fden: int) -> 
     def phased(terms):  # (n, c, e(nu*lo), e(nu*hi)) per term (n, c)
         return [(n, c, _turn(n * lo, period), _turn(n * hi, period)) for n, c in terms]
 
-    left, right = phased(ta), phased(tb)
+    left = phased(ta)
+    # the right side conjugated once per term, its phases shared when both sides are one
+    right = [(n, d.conjugate(), qa.conjugate(), qb.conjugate())
+             for n, d, qa, qb in (left if tb is ta else phased(tb))]
     total = 0j
     for n1, c, pa, pb in left:
         for n2, d, qa, qb in right:
             lam = n1 - n2
-            w = c * d.conjugate()
+            w = c * d
             if lam == 0:
                 total += w * width
             else:
-                delta = pb * qb.conjugate() - pa * qa.conjugate()
-                total += w * delta / (2j * math.pi * (lam / fden))
+                delta = pb * qb - pa * qa
+                total += w * delta / (_TWO_PI_I * (lam / fden))
     return total
 
 

@@ -29,3 +29,15 @@ def merge_fraction_terms(pairs):
         nu, c = Fraction(nu), complex(c)
         acc[nu] = acc[nu] + c if nu in acc else c
     return tuple(sorted((nu, c) for nu, c in acc.items() if c != 0))
+
+
+def coalesce_pieces(pieces):
+    """Reference merge of adjacent (lo, hi, payload) pieces of an ascending tiling that
+    carry equal payloads."""
+    merged = []
+    for lo, hi, payload in pieces:
+        if merged and payload == merged[-1][2]:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi, payload])
+    return tuple((lo, hi, payload) for lo, hi, payload in merged)

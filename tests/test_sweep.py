@@ -12,6 +12,10 @@ composed chains of separate sweeps they replace, kept here as references on
 Fraction pieces and compared through ``TrigPoly.from_pieces``.  The references
 cut and split Fraction pieces with their own ``frac_overlay`` and
 ``frac_branch_images``, so they share no code with the integer kernels.
+
+The one-pass ``_swept`` is held with ``==`` to its three passes (overlay,
+combine, a reference merge of equal neighbours, gcd reduction) on int pieces over mixed
+denominators.
 """
 
 import math
@@ -20,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from conftest import merge_fraction_terms
+from conftest import coalesce_pieces, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +32,9 @@ from gmra.multiplicity import MultiplicityFunction, folded_sum
 from gmra.torus import TorusEndomorphism, TorusSet, coalesce, overlay
 from gmra.trigpoly import (
     TrigPoly,
+    _scaled,
+    _sum_terms,
+    _swept,
     _turn,
     compress_branch,
     dilate_branch,
@@ -239,7 +246,7 @@ def nonzero(p):
 
 def ref_swept(pieces, combine):
     cells = frac_overlay(pieces)
-    return TrigPoly.from_pieces(coalesce((lo, hi, combine(ps)) for lo, hi, ps in cells))
+    return TrigPoly.from_pieces(coalesce_pieces((lo, hi, combine(ps)) for lo, hi, ps in cells))
 
 
 def ref_sum(polys):
@@ -250,7 +257,7 @@ def ref_scale(p, c):
     """``p * c`` as a re-merge of every piece's scaled terms."""
     c = complex(c)
     return TrigPoly.from_pieces(
-        coalesce(
+        coalesce_pieces(
             (lo, hi, merge_fraction_terms((nu, co * c) for nu, co in t)) for lo, hi, t in p.pieces
         )
     )
@@ -313,6 +320,101 @@ def test_gated_sum_is_sum_scale_restrict(ps, gate, scale):
 def test_sub_is_one_sweep_of_the_negated_sum(f, g):
     assert f - g == ref_sum([f, ref_scale(g, -1)])
     assert (f - f).is_zero()
+
+
+# ---- the one-pass sweep against its three passes --------------------------------------
+
+
+def int_overlay(pieces, den):
+    """The cells of [0, den) cut at every end point of the int pieces, each with the
+    payloads of the pieces covering it in input order."""
+    points = sorted({0, den} | {x for lo, hi, _ in pieces for x in (lo, hi)})
+    return [
+        (a, b, [payload for lo, hi, payload in pieces if lo <= a and b <= hi])
+        for a, b in zip(points, points[1:])
+    ]
+
+
+def three_pass_swept(den, fden, pieces, combine, gate=None):
+    """The sweep as separate passes: overlay, combine per cell, merge equal neighbours,
+    then both denominators reduced by the gcds of the merged cells."""
+    if gate is not None:
+        inside = combine
+        pieces = [(lo, hi, "gate") for lo, hi in gate.over(den)] + pieces
+
+        def combine(ps):
+            return inside(ps[1:]) if ps and ps[0] == "gate" else ()
+
+    cells = coalesce_pieces((lo, hi, combine(ps)) for lo, hi, ps in int_overlay(pieces, den))
+    g = math.gcd(den, *[lo for lo, _, _ in cells])
+    h = math.gcd(fden, *[n for _, _, t in cells for n, _ in t])
+    return TrigPoly(den // g, fden // h, tuple(
+        (lo // g, hi // g, tuple((n // h, c) for n, c in t)) for lo, hi, t in cells
+    ))
+
+
+small_dens = st.sampled_from([1, 2, 3, 4, 6, 7, 12])
+
+
+@st.composite
+def int_sweeps(draw):
+    """(den, fden, pieces, gate): int pieces over den whose ends and term numerators come
+    from rationals of mixed small denominators, den and fden carrying a spare factor so
+    that the sweep has to reduce them; no pieces at all, or every piece on [0, den)."""
+    ends = draw(st.lists(st.tuples(small_dens, st.integers(0, 12), st.integers(0, 12)),
+                         max_size=5))
+    freqs = draw(st.lists(st.tuples(small_dens, st.integers(-6, 6)), min_size=1, max_size=4))
+    gate = draw(st.one_of(st.none(), gates()))
+    den = math.lcm(*[q for q, _, _ in ends], gate.den if gate else 1) * draw(small_dens)
+    fden = math.lcm(*[q for q, _ in freqs]) * draw(small_dens)
+    whole = draw(st.booleans())
+    pieces = []
+    for d, a, b in ends:
+        lo, hi = (0, d) if whole else sorted((min(a, d), min(b, d)))
+        picked = draw(st.lists(st.sampled_from(freqs), max_size=3))
+        terms = left_fold_terms([[(n * (fden // q), draw(coefficients)) for q, n in picked]])
+        pieces.append((lo * (den // d), hi * (den // d), terms))
+    return den, fden, pieces, gate
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_sweeps(), st.sampled_from([None, 0j, -1, 1 / 3]))
+def test_one_pass_sweep_is_overlay_combine_coalesce_reduce(sweep, scale):
+    den, fden, pieces, gate = sweep
+    combine = _sum_terms if scale is None else lambda ps: _scaled(_sum_terms(ps), scale)
+    got = _swept(den, fden, iter(pieces), combine, gate)
+    assert got == three_pass_swept(den, fden, pieces, combine, gate)
+    los = [lo for lo, _, _ in got.cells]
+    assert los[0] == 0 and got.cells[-1][1] == got.den
+    assert all(hi == nxt for (_, hi, _), nxt in zip(got.cells, los[1:]))
+    assert all(a[2] != b[2] for a, b in zip(got.cells, got.cells[1:]))
+    assert math.gcd(got.den, *los) == 1
+    assert math.gcd(got.fden, *[n for _, _, t in got.cells for n, _ in t]) == 1
+
+
+def test_overlay_one_cell_skips_empty_pieces():
+    pieces = [(0, 0, "a"), (0, 5, "b"), (5, 5, "c"), (0, 5, "d")]
+    assert [(lo, hi, list(ps)) for lo, hi, ps in overlay(pieces, 5)] == [(0, 5, ["b", "d"])]
+    assert [(lo, hi, list(ps)) for lo, hi, ps in overlay([(0, 0, "a")], 5)] == [(0, 5, [])]
+    assert [list(ps) for _, _, ps in overlay([], 1)] == [[]]
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(["a", "b", ()])), max_size=8))
+def test_coalesce_is_the_reference_merge(steps):
+    los = [sum(w for w, _ in steps[:i]) for i in range(len(steps) + 1)]
+    pieces = [(lo, hi, p) for lo, hi, (_, p) in zip(los, los[1:], steps)]
+    merged = coalesce_pieces(pieces)
+    assert coalesce((lo, p) for lo, _, p in pieces) == (
+        [lo for lo, _, _ in merged], [p for _, _, p in merged]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_inner_of_a_poly_with_itself_is_that_of_an_equal_copy(f):
+    g = TrigPoly.from_pieces(f.pieces)
+    assert g == f and g is not f
+    assert bits(inner(f, f)) == bits(inner(f, g)) == bits(inner(g, f))
 
 
 # ---- Fraction references at the largest denominators jsonio accepts --------------------

@@ -5,11 +5,11 @@ import struct
 from fractions import Fraction
 
 import numpy as np
-from conftest import merge_fraction_terms
+from conftest import coalesce_pieces, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmra.torus import TorusEndomorphism, TorusSet, coalesce, mod1
+from gmra.torus import TorusEndomorphism, TorusSet, mod1
 from gmra.trigpoly import (
     TrigPoly,
     _turn,
@@ -277,7 +277,7 @@ def merged_map(p: TrigPoly, term) -> TrigPoly:
     """Reference: term(nu, c) on every term of the Fraction pieces, each piece re-merged
     and re-sorted."""
     return TrigPoly.from_pieces(
-        coalesce(
+        coalesce_pieces(
             (lo, hi, merge_fraction_terms(term(nu, c) for nu, c in terms))
             for lo, hi, terms in p.pieces
         )
