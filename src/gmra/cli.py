@@ -53,11 +53,11 @@ def _load_problem(args, path: str):
     A flag (tolerance: --tol, else GMRA_TOL) wins over the file, the file over the default.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(path, f"cannot read: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise ProblemFileError(path, f"invalid JSON: {exc}") from None
     problem = parse_problem(data, path)
     for key in problem.options:
@@ -303,12 +303,14 @@ def _cmd_cascade(args) -> int:
         "im": [float(v.imag) for v in res.values],
     }
     if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write("omega,re,im,abs\n")
-            for x, v in zip(res.omegas, res.values):
-                fh.write(
-                    f"{float(x):.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\n"
-                )
+        try:
+            with open(args.dump, "w") as fh:
+                fh.write("omega,re,im,abs\n")
+                for x, v in zip(res.omegas, res.values):
+                    fh.write(f"{float(x):.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\n")
+        except OSError as exc:
+            print(f"input error: --dump {args.dump}: cannot write: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     _emit(args, payload, f"cascade verdict: {res.verdict}")
     return EXIT_OK if res.verdict != builder.INCONCLUSIVE else EXIT_UNKNOWN
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -29,7 +28,7 @@ from .filters import (
 )
 from .multiplicity import MultiplicityFunction, sigma_sets
 from .ruelle import SectionVector
-from .torus import TorusSet
+from .torus import TorusSet, cell_at
 from .trigpoly import TrigPoly, _terms_value
 
 PURE = "pure"
@@ -176,17 +175,18 @@ def _matrix_cells(*filters: FilterMatrix):
     cuts.update(lo * (den // h.den) for h in entries for lo, _, _ in h.cells)
     cuts = sorted(cuts) + [den]
 
-    def at(h, p):  # the entry's (fden, terms) at the point p/(2 den)
-        return h.fden, h._terms_at(p, 2 * den)
+    def at(f, p):  # the payload of m's or an entry's cell holding the point p/(2 den)
+        return f.cells[cell_at(f.cells, f.den, p, 2 * den)][2]
 
     def cells():
         for a, b in zip(cuts, cuts[1:]):
-            mid = Fraction(a + b, 2 * den)
-            row_dim, col_dim = m.value_at(e.image(mid)), m.value_at(mid)
+            mid = a + b  # the midpoint over 2 den; N * mid mod 2 den is its image
+            row_dim, col_dim = at(m, e.N * mid % (2 * den)), at(m, mid)
             if col_dim == 0:
                 row_dim = 0
             blocks = [
-                [[at(F.entry(i, j), a + b) for j in range(col_dim)] for i in range(row_dim)]
+                [[(F.entry(i, j).fden, at(F.entry(i, j), mid)) for j in range(col_dim)]
+                 for i in range(row_dim)]
                 for F in filters
             ]
             yield a, b, blocks
@@ -316,15 +316,14 @@ def constant_ratio_obstruction(
     """
     if h.support().measure() != 1:
         raise NotApplicable("ratio argument needs an a.e. nonvanishing filter")
-    best_x, best_mag = None, 0.0
-    for t in range(64):
-        x = Fraction(t, 64)
-        mag = abs(h.evaluate(x))
+    best_t, best_mag = None, 0.0
+    for t in range(64):  # the points t/64
+        mag = abs(h._value(t, 64))
         if mag > best_mag:
-            best_x, best_mag = x, mag
+            best_t, best_mag = t, mag
     if best_mag <= tol:
         raise NotApplicable("could not find a sampling point with h away from 0")
-    c = hp.evaluate(best_x) / h.evaluate(best_x)
+    c = hp._value(best_t, 64) / h._value(best_t, 64)
     if (hp - h * c).sup_bound() > max(tol, 1e-9):
         raise NotApplicable("ratio is not constant")
     if abs(c - 1.0) <= tol:
@@ -348,17 +347,18 @@ def _entries_equal(H: FilterMatrix, Hp: FilterMatrix, tol: float) -> bool:
     return True
 
 
-def _coefficients(block, r: int, adjoint: bool) -> dict:
-    """Frequency -> r x r coefficient matrix of one cell's block, zero-padded.
+def _coefficients(block, r: int, adjoint: bool, fden: int) -> dict:
+    """Frequency numerator over ``fden`` -> r x r coefficient matrix of one cell's block,
+    zero-padded; ``fden`` is a multiple of every entry's frequency denominator.
 
     With ``adjoint``, those of the pointwise adjoint: frequency -nu carries
     the conjugate transpose of the coefficient at nu.
     """
     out = {}
     for i, row in enumerate(block):
-        for j, (fden, terms) in enumerate(row):
+        for j, (d, terms) in enumerate(row):
             for n, c in terms:
-                nu = Fraction(n, fden)
+                nu = n * (fden // d)
                 key, at = (-nu, (j, i)) if adjoint else (nu, (i, j))
                 out.setdefault(key, np.zeros((r, r), dtype=complex))[at] = (
                     c.conjugate() if adjoint else c
@@ -378,16 +378,18 @@ def _intertwiner_system(H: FilterMatrix, Hp: FilterMatrix, ns: range) -> np.ndar
     r, N = H.m.max_value(), H.e.N
     width = r * r
     eye = np.eye(r)
+    fden = math.lcm(*[h.fden for F in (H, Hp) for row in F.entries for h in row])
     equations = []
     for _, _, (block, block_p) in _matrix_cells(H, Hp)[1]:
         for adjoint in (False, True):
-            right_dilation, left_dilation = (1, N) if adjoint else (N, 1)
+            # frequencies as numerators over fden: the multiplier's n is n * fden
+            right_dilation, left_dilation = (fden, N * fden) if adjoint else (N * fden, fden)
             rows = defaultdict(lambda: np.zeros((width, len(ns) * width), dtype=complex))
-            for nu, C in _coefficients(block, r, adjoint).items():
+            for nu, C in _coefficients(block, r, adjoint, fden).items():
                 term = np.kron(eye, C.T)  # A -> A C on row-major entries
                 for k, n in enumerate(ns):
                     rows[right_dilation * n + nu][:, k * width : (k + 1) * width] += term
-            for nu, C in _coefficients(block_p, r, adjoint).items():
+            for nu, C in _coefficients(block_p, r, adjoint, fden).items():
                 term = np.kron(C, eye)  # A -> C A
                 for k, n in enumerate(ns):
                     rows[left_dilation * n + nu][:, k * width : (k + 1) * width] -= term
@@ -407,16 +409,13 @@ def _multiplier(coeffs: np.ndarray, ns: range, H: FilterMatrix) -> FilterMatrix:
     Coefficients of modulus 1e-12 or less are dropped.
     """
     sets = sigma_sets(H.m)
-    entries = tuple(
-        tuple(
-            TrigPoly.from_pieces(
-                (lo, hi, [(n, c) for n, c in zip(ns, coeffs[:, i, j]) if abs(c) > 1e-12])
-                for lo, hi in sets[max(i, j)].intervals
-            )
-            for j in range(len(sets))
-        )
-        for i in range(len(sets))
-    )
+
+    def entry(i, j):
+        terms = [(n, complex(c)) for n, c in zip(ns, coeffs[:, i, j]) if abs(c) > 1e-12]
+        s = sets[max(i, j)]
+        return TrigPoly.from_spans(s.den, 1, ((lo, hi, terms) for lo, hi in s.spans))
+
+    entries = tuple(tuple(entry(i, j) for j in range(len(sets))) for i in range(len(sets)))
     return FilterMatrix(entries, H.m, H.e, "m")
 
 

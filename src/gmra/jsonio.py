@@ -133,13 +133,14 @@ def trigpoly_to_json(f: TrigPoly, convention: str = UNIT) -> dict:
 
 
 def parse_trigpoly(data, path="entry") -> TrigPoly:
-    if not isinstance(data, dict) or "pieces" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ProblemFileError(path, "expected {pieces: [...]}")
     raw = []  # ((lo, q), (hi, q'), [((n, d), c)]) per declared piece, all ints
     for idx, piece in enumerate(data["pieces"]):
         here = f"{path}.pieces[{idx}]"
-        if not isinstance(piece, dict) or "interval" not in piece:
-            raise ProblemFileError(here, "expected {interval, terms}")
+        if not (isinstance(piece, dict) and "interval" in piece
+                and isinstance(piece.get("terms", []), list)):
+            raise ProblemFileError(here, "expected {interval, terms: [...]}")
         lo, hi = _parse_interval(piece["interval"], f"{here}.interval", _parse_ratio)
         terms = []
         for tdx, term in enumerate(piece.get("terms", [])):

@@ -15,7 +15,6 @@ integers; ``Fraction`` appears only at the boundary.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyViolated
 from .torus import (
-    TorusEndomorphism, TorusSet, _numerators, coalesce, grid_cells, mod1, overlay, wrap,
+    TorusEndomorphism, TorusSet, _numerators, cell_at, coalesce, grid_cells, mod1, overlay, wrap,
 )
 
 
@@ -79,14 +78,13 @@ class MultiplicityFunction:
 
     def value_at(self, x) -> int:
         x = mod1(x)
-        at = x.numerator * self.den // x.denominator  # lo <= x * den exactly when lo <= at
-        return self.cells[bisect_right(self.cells, at, key=lambda cell: cell[0]) - 1][2]
+        return self.cells[cell_at(self.cells, self.den, x.numerator, x.denominator)][2]
 
     def sample(self, ps: np.ndarray, den: int) -> np.ndarray:
         """Values at the grid points p/den for integers p, exactly, as int64."""
         ps = np.mod(np.asarray(ps, dtype=np.int64), den)
         values = np.array([v for _, _, v in self.cells], dtype=np.int64)
-        return values[grid_cells([lo for lo, _, _ in self.cells], self.den, ps, den)]
+        return values[grid_cells(self.cells, self.den, ps, den)]
 
     def max_value(self) -> int:
         return max(v for _, _, v in self.cells)

@@ -5,19 +5,22 @@ intervals with rational endpoints, and the dilation w -> N*w (mod 1) comes
 with its branch split and branch partition.  Everything here is
 exact -- no floats -- so set identities can be asserted with ``==``.
 
-Every kernel (``wrap``, ``_sort_merge``, ``overlay``, ``grid_cells``, the
-branch maps) takes int numerators over a ``den`` that the caller passes,
-and a ``TorusSet`` holds int spans over one reduced ``den``; ``Fraction``
-appears only where rationals come in or go out.  No other module
-normalises interval data; ``coalesce`` merges equal neighbours of a tiling.
+Every kernel (``wrap``, ``_sort_merge``, ``overlay``, the branch maps) takes
+int numerators over a ``den`` that the caller passes, and a ``TorusSet``
+holds int spans over one reduced ``den``; ``Fraction`` appears only where
+rationals come in or go out.  No other module normalises interval data or
+locates points: ``coalesce`` merges equal neighbours of a tiling, and
+``cell_at`` and ``grid_cells`` find the cell holding a point or a grid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -38,15 +41,17 @@ def _numerators(rationals) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-def grid_cells(cuts, den: int, ps: np.ndarray, q: int) -> np.ndarray:
-    """Index i of the cell [cuts[i], cuts[i+1]) over den holding each grid point p/q.
+def cell_at(cells, den: int, p: int, q: int) -> int:
+    """Index of the cell holding the point p/q, 0 <= p < q, of ``cells`` tiling [0, den)
+    in ascending order, each a tuple led by its int lo.  p/q >= lo/den exactly when
+    lo <= p*den // q, so a bisect on that integer keeps the half-open rule without rounding."""
+    return bisect_right(cells, p * den // q, key=itemgetter(0)) - 1
 
-    ``cuts`` ascend from 0 and ``ps`` lie in [0, q).  Since p/q >= c/den
-    exactly when p >= ceil(c*q/den), comparing the integers p against the
-    integer thresholds keeps the half-open rule at breakpoints without
-    rounding.
-    """
-    thresholds = np.array([-((-c * q) // den) for c in cuts], dtype=np.int64)
+
+def grid_cells(cells, den: int, ps: np.ndarray, q: int) -> np.ndarray:
+    """``cell_at`` at each grid point p/q of ``ps``, ints in [0, q): p/q >= lo/den exactly
+    when p >= ceil(lo*q/den), so the integers p are searched against those thresholds."""
+    thresholds = np.array([-((-cell[0] * q) // den) for cell in cells], dtype=np.int64)
     return np.searchsorted(thresholds, ps, side="right") - 1
 
 

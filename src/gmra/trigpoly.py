@@ -18,7 +18,9 @@ from itertools import chain
 
 import numpy as np
 
-from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet, coalesce, grid_cells, mod1, overlay
+from .torus import (
+    GRID_BLOCK, TorusEndomorphism, TorusSet, cell_at, coalesce, grid_cells, mod1, overlay,
+)
 
 _QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
 _QUARTER_PHASES = np.array(_QUARTER_TURNS)
@@ -49,15 +51,16 @@ def _terms_value(terms, fden: int, a: int, b: int) -> complex:
     return sum((c * _turn(n * a, fden * b) for n, c in terms), 0j)
 
 
-def _grid_phase(nu: Fraction, ps: np.ndarray, den: int) -> np.ndarray:
-    """e^(2*pi*i*nu*p/den) at integers p, with the values of ``unit_phase``.
+def _grid_phase(n: int, fden: int, ps: np.ndarray, den: int) -> np.ndarray:
+    """e^(2*pi*i*(n/fden)*p/den) at integers p, with the values of ``unit_phase``.
 
-    The turn nu*p/den is reduced exactly to r/(b*den), r = (a*p) mod (b*den)
-    for nu = a/b, in int64; quarter turns come out exactly 1, i, -1, -i.
-    Where int64 could overflow or r/(b*den) would not convert exactly to a
-    float, the points go through ``_turn`` one by one.
+    With n/fden reduced to a/b, the turn is reduced exactly to r/(b*den),
+    r = (a*p) mod (b*den), in int64; quarter turns come out exactly 1, i,
+    -1, -i.  Where int64 could overflow or r/(b*den) would not convert
+    exactly to a float, the points go through ``_turn`` one by one.
     """
-    a, b = nu.numerator, nu.denominator
+    g = math.gcd(n, fden)
+    a, b = n // g, fden // g
     period = b * den
     if abs(a) * den >= 2**62 or period >= 2**53:
         return np.array(
@@ -286,67 +289,53 @@ class TrigPoly:
 
     def evaluate(self, x) -> complex:
         """Exact-point evaluation (half-open rule at breakpoints)."""
-        x = mod1(Fraction(x))
-        a, b = x.numerator, x.denominator
-        return _terms_value(self._terms_at(a, b), self.fden, a, b)
+        x = mod1(x)
+        return self._value(x.numerator, x.denominator)
 
-    def _terms_at(self, a: int, b: int) -> Terms:
-        """The terms of the cell holding the point a/b of [0, 1)."""
-        at = a * self.den
-        for lo, hi, terms in self.cells:
-            if lo * b <= at < hi * b:
-                return terms
-        raise AssertionError("canonical cells cover [0,1)")
+    def _value(self, p: int, q: int) -> complex:
+        """The value at the point p/q, 0 <= p < q: its cell by ``cell_at``, exact phases."""
+        return _terms_value(self.cells[cell_at(self.cells, self.den, p, q)][2], self.fden, p, q)
 
     def sample(self, xs: np.ndarray, den: int | None = None) -> np.ndarray:
-        """Vectorized evaluation at many points.
+        """Vectorized evaluation at many points, in blocks of ``GRID_BLOCK`` so temporaries
+        stay small at any size.
 
-        With ``den``, ``xs`` is a 1-d array of integers p and the points are
-        exactly p/den: cells are located and phases reduced in integer
-        arithmetic (see ``grid_cells`` and ``_grid_phase``), so the values
-        are those of ``evaluate`` up to rounding in cos/sin.  Points go
-        through in blocks of ``GRID_BLOCK``, so temporaries stay small at
-        any grid size.  Without ``den``, ``xs`` are real points (reduced
-        mod 1) evaluated in floating point.
+        With ``den``, ``xs`` is a 1-d array of integers p and the points are exactly p/den:
+        ``grid_cells`` locates them and ``_grid_phase`` reduces phases in integers, so the
+        values are those of ``evaluate`` up to rounding in cos/sin.  Without ``den``, ``xs``
+        are real points of any shape, reduced mod 1, located by ``searchsorted`` over lo/den
+        (a point that ``% 1.0`` rounds up to 1.0 falls in the last cell) and evaluated with
+        ``np.exp``.
         """
-        if den is not None:
-            ps = np.asarray(xs, dtype=np.int64)
-            out = np.empty(ps.shape, dtype=complex)
-            for start in range(0, len(ps), GRID_BLOCK):
-                out[start : start + GRID_BLOCK] = self._sample_grid(
-                    ps[start : start + GRID_BLOCK], den
-                )
-            return out
-        xs = np.asarray(xs, dtype=float) % 1.0
-        out = np.zeros(xs.shape, dtype=complex)
-        for lo, hi, terms in self.cells:
-            mask = (xs >= lo / self.den) & (xs < hi / self.den)
-            if not mask.any():
-                continue
-            acc = np.zeros(mask.sum(), dtype=complex)
-            for n, c in terms:
-                acc += c * np.exp(2j * math.pi * (n / self.fden) * xs[mask])
-            out[mask] = acc
-        return out
+        fden, shape = self.fden, np.shape(xs)  # the points are flattened, the values reshaped
+        if den is None:
+            xs = np.asarray(xs, dtype=float).ravel() % 1.0
+            where = np.searchsorted([lo / self.den for lo, _, _ in self.cells], xs, "right") - 1
 
-    def _sample_grid(self, ps: np.ndarray, den: int) -> np.ndarray:
-        ps = np.mod(ps, den)
-        cells = grid_cells([lo for lo, _, _ in self.cells], self.den, ps, den)
-        out = np.zeros(ps.shape, dtype=complex)
-        for index, (_, _, terms) in enumerate(self.cells):
-            if not terms:
-                continue
-            here = cells == index
-            if not here.any():
-                continue
-            at = ps[here]
-            acc = np.zeros(at.shape, dtype=complex)
-            for n, c in terms:
-                phase = _grid_phase(Fraction(n, self.fden), at, den)
+            def term(n, c, at):
+                return c * np.exp(_TWO_PI_I * (n / fden) * at)
+        else:
+            xs = np.mod(np.asarray(xs, dtype=np.int64).ravel(), den)
+            where = grid_cells(self.cells, self.den, xs, den)
+
+            def term(n, c, at):  # e * c, where the float mode has c * e: they can round apart
+                phase = _grid_phase(n, fden, at, den)
                 phase *= c
-                acc += phase
-            out[here] = acc
-        return out
+                return phase
+
+        out = np.zeros(len(xs), dtype=complex)
+        for start in range(0, len(xs), GRID_BLOCK):
+            block = slice(start, start + GRID_BLOCK)
+            for index, (_, _, terms) in enumerate(self.cells):
+                here = where[block] == index
+                if not terms or not here.any():
+                    continue
+                at = xs[block][here]
+                acc = np.zeros(at.shape, dtype=complex)
+                for n, c in terms:
+                    acc += term(n, c, at)
+                out[block][here] = acc
+        return out.reshape(shape)
 
     # ---- structure -------------------------------------------------------
 

@@ -361,6 +361,16 @@ class TestCascade:
         mid = int(np.argmin(np.abs(res.omegas)))
         assert abs(res.values[mid]) <= 1e-6
 
+    @pytest.mark.parametrize("name", ["haar3_2wavelet", "cantor3"])
+    def test_modulus_is_even(self, name):
+        """For N = 3 the points w/3^j just below 0 reduce mod 1 to 1.0 in floats from about
+        j = 28; they must take the last cell's value, not 0."""
+        entry = catalog.get(name)
+        res = cascade_diagnostic(entry.H, entry.e, iters=30, samples=1024)
+        assert np.abs(res.omegas + res.omegas[::-1]).max() <= 1e-15
+        modulus = np.abs(res.values)
+        assert np.abs(modulus - modulus[::-1]).max() <= 1e-12
+
     def test_negated_haar_never_converges(self):
         entry = catalog.get("haar_negated")
         res = cascade_diagnostic(entry.H, entry.e, iters=40, samples=256)

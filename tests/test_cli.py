@@ -183,6 +183,19 @@ class TestCascade:
         assert len(lines) == 17
 
 
+    def test_n3_wavelet_converges(self, problems, capsys):
+        """The catalog publishes haar3_2wavelet's cascade as convergent_nonzero."""
+        code, out, _ = run(capsys, ["--json", "cascade", problems("haar3_2wavelet")])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "convergent_nonzero"
+
+    def test_unwritable_dump_exits_4_naming_it(self, problems, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.csv")
+        code, _, err = run(capsys, ["cascade", problems("haar"), "--dump", target])
+        assert code == 4
+        assert err.startswith("input error: ") and target in err
+
+
 class TestComplement:
     def test_haar_complement(self, problems, capsys):
         code, out, _ = run(
@@ -231,6 +244,39 @@ class TestInputErrors:
         code, _, err = run(capsys, ["mtilde", str(path)])
         assert code == 4
         assert "endomorphism.N" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"a": "\xff"}',  # not UTF-8
+            b"[" * 100000,  # nested past the parser's recursion limit
+        ],
+        ids=["not_utf8", "deep_nesting"],
+    )
+    def test_undecodable_file_exits_4(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, _, err = run(capsys, ["mtilde", str(path)])
+        assert code == 4
+        assert err.startswith(f"input error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda entry: entry["pieces"][0].update(terms=5), ".pieces[0]"),
+            (lambda entry: entry["pieces"][0].update(terms=None), ".pieces[0]"),
+            (lambda entry: entry.update(pieces=3), ".filters.H[0][0]"),
+        ],
+        ids=["terms_5", "terms_null", "pieces_3"],
+    )
+    def test_malformed_entry_exits_4(self, tmp_path, capsys, edit, where):
+        data = problem_to_json(catalog.get("haar"))
+        edit(data["filters"]["H"][0][0])
+        path = tmp_path / "bad.json"
+        path.write_text(dump_json(data))
+        code, _, err = run(capsys, ["check-filter", str(path)])
+        assert code == 4
+        assert err.startswith(f"input error: {path}.filters.H[0][0]") and where in err
 
     def test_unknown_command_exits_4(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

@@ -53,7 +53,7 @@ def test_pool_runs_cover_every_problem_text_and_pair(capsys):
     equivs = [label for label in pool if " equiv " in label]
     checks = {label.split(" ", 3)[3] for label in pool if " check-filter " in label}
     # every distinct problem text also prints its sets: mtilde, sigma and the ledger
-    for command in ("purity", "mtilde", "sigma", "construct"):
+    for command in ("purity", "mtilde", "sigma", "construct", "cascade"):
         assert checks == {label.split(" ", 3)[3] for label in pool if f" {command} " in label}
     # identities: each base conjugated once in the smoke pool; grid: four block-diagonal pairs
     assert len([label for label in equivs if label.startswith("pool identities:1")]) == 9
@@ -62,5 +62,7 @@ def test_pool_runs_cover_every_problem_text_and_pair(capsys):
     assert pool["pool identities:1 construct haar~P2/0"][0] == 0
     for label, (code, digest) in pool.items():
         assert len(digest) == 64
-        # grid's block-diagonal problems carry no G, so construct rejects them as input
-        assert code in (0, 2, 3) or (code == 4 and label.startswith("pool grid:1 construct "))
+        # grid's block-diagonal problems carry no G, so construct rejects them as input, and
+        # cascade rejects every matrix filter
+        input_errors = label.startswith("pool grid:1 construct ") or " cascade " in label
+        assert code in (0, 2, 3) or (code == 4 and input_errors)

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmra.jsonio import CENTERED, rat_str, torus_set_to_json
-from gmra.torus import TorusEndomorphism, TorusSet, mod1, wrap
+from gmra.torus import TorusEndomorphism, TorusSet, cell_at, grid_cells, mod1, wrap
+from gmra.trigpoly import TrigPoly
 
 from conftest import random_torus_set
 
@@ -301,3 +303,69 @@ class TestEndomorphism:
                 assert mod1(x + zeta) == e.preimages(e.image(x))[0]
             assert union == s
             assert total == s.measure()
+
+
+# ---- point location: one rule, a scalar and a grid kernel ----------------------------
+
+
+@st.composite
+def tilings(draw):
+    """(den, cells): an ascending tiling of [0, den) over a product of mixed denominators,
+    cell i as (lo, hi, i)."""
+    den = math.prod(draw(st.lists(st.sampled_from(DENOMINATORS), min_size=1, max_size=2,
+                                  unique=True)))
+    los = [0, *sorted(draw(st.sets(st.integers(1, den - 1), max_size=6)))]
+    return den, tuple((lo, hi, i) for i, (lo, hi) in enumerate(zip(los, los[1:] + [den])))
+
+
+def scan_cell(cells, den, p, q):
+    """Index of the cell holding p/q by the literal half-open rule lo*q <= p*den < hi*q."""
+    for i, (lo, hi, _) in enumerate(cells):
+        if lo * q <= p * den < hi * q:
+            return i
+    raise AssertionError("the cells tile [0, den)")
+
+
+def masked_sample(p: TrigPoly, xs):
+    """Float evaluation cell by cell, each cell's points picked by its own float mask."""
+    xs = xs % 1.0
+    out = np.zeros(xs.shape, dtype=complex)
+    for lo, hi, terms in p.cells:
+        mask = (xs >= lo / p.den) & (xs < hi / p.den)
+        acc = np.zeros(mask.sum(), dtype=complex)
+        for n, c in terms:
+            acc += c * np.exp(2j * math.pi * (n / p.fden) * xs[mask])
+        out[mask] = acc
+    return out
+
+
+class TestPointLocation:
+    @settings(max_examples=200, deadline=None)
+    @given(tilings(), st.integers(1, 2**40), st.lists(st.integers(0, 2**40), max_size=8),
+           st.integers(1, 64))
+    def test_cell_at_is_the_scan_and_grid_cells(self, tiling, q, draws, k):
+        """At random points p/q with q up to 2^40, and at each breakpoint lo/den and its
+        neighbours over k*den."""
+        den, cells = tiling
+        at_random = [(d % q, q) for d in draws]
+        at_breaks = [((lo * k + s) % (den * k), den * k) for lo, _, _ in cells for s in (-1, 0, 1)]
+        for points in (at_random, at_breaks):
+            want = [scan_cell(cells, den, p, q) for p, q in points]
+            assert [cell_at(cells, den, p, q) for p, q in points] == want
+            if points:
+                ps = np.array([p for p, _ in points], dtype=np.int64)
+                assert grid_cells(cells, den, ps, points[0][1]).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(tilings(), st.integers(1, 60), st.data())
+    def test_float_sample_is_the_masked_reference(self, tiling, fden, data):
+        """At random floats away from breakpoints, and at the breakpoint floats themselves."""
+        den, cells = tiling
+        coefs = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+        terms = st.lists(st.tuples(st.integers(-200, 200), coefs), max_size=3)
+        p = TrigPoly.from_spans(den, fden, [(lo, hi, data.draw(terms)) for lo, hi, _ in cells])
+        bounds = [lo / p.den for lo, _, _ in p.cells] + [1.0]
+        xs = np.array(data.draw(st.lists(
+            st.floats(-4, 4).filter(lambda x: min(abs(x % 1.0 - b) for b in bounds) > 1e-9),
+            max_size=20)) + bounds[:-1])
+        assert np.array_equal(p.sample(xs), masked_sample(p, xs))

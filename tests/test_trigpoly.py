@@ -5,10 +5,12 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from conftest import coalesce_pieces, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmra import catalog
 from gmra.torus import TorusEndomorphism, TorusSet, mod1
 from gmra.trigpoly import (
     TrigPoly,
@@ -363,6 +365,21 @@ class TestIntegerForm:
         values = f.sample(np.array(ps), den)
         for p, value in zip(ps, values):
             assert abs(value - f.evaluate(F(p, den))) <= 1e-12 * (1 + f.sup_bound())
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_float_sample_just_below_zero_is_the_last_cell(self, name):
+        """-1e-20 % 1.0 rounds up to 1.0 in floats; the point falls in the last cell."""
+        for h in (h for row in catalog.get(name).H.entries for h in row):
+            _, _, terms = h.cells[-1]
+            want = sum((c * np.exp(2j * math.pi * (n / h.fden)) for n, c in terms), 0j)
+            assert abs(h.sample(np.array([-1e-20]))[0] - want) <= 1e-12
+
+    def test_float_sample_keeps_the_shape_of_its_points(self):
+        h = catalog.get("haar").H.entry(0, 0)
+        grid = np.array([[0.1, 0.7], [0.2, 0.9]])
+        assert h.sample(0.3).shape == ()
+        assert h.sample(0.3) == h.sample(np.array([0.3]))[0]
+        assert np.array_equal(h.sample(grid), h.sample(grid.ravel()).reshape(2, 2))
 
     def test_sup_bound_keeps_nan(self):
         """inf - inf on one piece is NaN there: no tolerance test may pass on it."""

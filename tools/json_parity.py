@@ -16,11 +16,13 @@ convention, the command, its exit code and the SHA-256 of its stdout.
 ``--pool WORKLOAD:SEED ...`` adds the benchmark's generated problems, whose
 mixed denominators and many-piece conjugates the catalog lacks: ``bench/``
 builds the pool of each workload and seed as ``bench/run.py`` would (read
-only), and ``check-filter``, ``purity``, ``mtilde``, ``sigma`` and
-``construct --depth 3 --down 3`` run on each distinct problem text, and
-``equiv`` on each task's pair of texts (a base and its conjugate, or a
-block-diagonal pair), in the unit convention.  The last three print the
-generated sets and multiplicities on the pools' mixed denominators.
+only), and ``check-filter``, ``purity``, ``mtilde``, ``sigma``,
+``construct --depth 3 --down 3`` and ``cascade`` run on each distinct
+problem text, and ``equiv`` on each task's pair of texts (a base and its
+conjugate, or a block-diagonal pair), in the unit convention.  ``mtilde``,
+``sigma`` and ``construct`` print the generated sets and multiplicities on
+the pools' mixed denominators, and ``cascade`` the float sampler's values
+on N = 2..5 (it exits 4 on matrix filters).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ ONE_FILE = ("validate", "mtilde", "sigma", "check-filter", "complement", "purity
             "construct", "cascade", "cuntz")
 # each run on a pool problem text, in order: its label and the argv before the file
 POOL_RUNS = (("check-filter", ["check-filter"]), ("purity", ["purity"]), ("mtilde", ["mtilde"]),
-             ("sigma", ["sigma"]), ("construct", ["construct", "--depth", "3", "--down", "3"]))
+             ("sigma", ["sigma"]), ("construct", ["construct", "--depth", "3", "--down", "3"]),
+             ("cascade", ["cascade"]))
 
 
 def fingerprint(cli, argv: list[str]) -> tuple[int, str]:
