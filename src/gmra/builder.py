@@ -374,6 +374,9 @@ def negative_supports(g: CanonicalGMRA, levels: int) -> list[NegativeLevel]:
 CONVERGENT_NONZERO = "convergent_nonzero"
 DEGENERATES_TO_ZERO = "degenerates_to_zero"
 INCONCLUSIVE = "inconclusive"
+# defaults of cascade_diagnostic; haar's increments halve, so it stabilises from 31 levels
+CASCADE_ITERS = 40
+CASCADE_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -387,8 +390,8 @@ class CascadeResult:
 def cascade_diagnostic(
     h,
     e: TorusEndomorphism,
-    iters: int = 30,
-    samples: int = 1024,
+    iters: int = CASCADE_ITERS,
+    samples: int = CASCADE_SAMPLES,
     tol: float = DEFAULT_TOL,
 ) -> CascadeResult:
     """Partial products of the refinement symbol on [-1/2, 1/2].

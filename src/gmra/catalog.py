@@ -22,7 +22,6 @@ from .filters import (
     verify_filter,
 )
 from .multiplicity import MultiplicityFunction, compute_mtilde, sigma_sets
-from .ruelle import cuntz_check
 from .torus import TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly
 
@@ -413,9 +412,6 @@ def _check(entry: CatalogEntry, exp: Expectation, tol: float) -> ExpectationResu
     if key == "complement_ok":
         rep = verify_complementary(entry.G, entry.H, tol)
         return ExpectationResult(key, rep.passed, f"residual={rep.max_residual:.3g}")
-    if key == "cuntz_ok":
-        rep = cuntz_check(entry.H, entry.G, trials=3, seed=7, tol=tol)
-        return ExpectationResult(key, rep.passed, f"residual={rep.max_residual:.3g}")
     if key == "purity":
         verdict = equivalence.purity_test(entry.H, tol=tol)
         return ExpectationResult(key, verdict.kind == want, verdict.kind)
@@ -429,10 +425,10 @@ def _check(entry: CatalogEntry, exp: Expectation, tol: float) -> ExpectationResu
         got = list(levels[0].v_supports)
         return ExpectationResult(key, got == list(want), fmt_sets(got))
     if key == "cascade":
-        res = builder.cascade_diagnostic(entry.H, entry.e, iters=40)
+        res = builder.cascade_diagnostic(entry.H, entry.e)
         return ExpectationResult(key, res.verdict == want, res.verdict)
     if key == "cascade_not":
-        res = builder.cascade_diagnostic(entry.H, entry.e, iters=40)
+        res = builder.cascade_diagnostic(entry.H, entry.e)
         return ExpectationResult(key, res.verdict != want, res.verdict)
     if key == "inequivalent_to":
         other_name, obstruction_kind = want

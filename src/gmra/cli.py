@@ -33,6 +33,7 @@ from .jsonio import (
 )
 from .multiplicity import check_consistency, compute_mtilde, sigma_sets, sigma_tilde_sets
 from .ruelle import cuntz_check
+from .torus import TorusSet
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -218,10 +219,14 @@ def _cmd_purity(args) -> int:
     return EXIT_OK
 
 
-def _obstruction_json(obs) -> dict | None:
+def _obstruction_json(obs, conv) -> dict | None:
     if obs is None:
         return None
-    return {"kind": obs.kind, "detail": dict(obs.detail)}
+    detail = {
+        key: torus_set_to_json(value, conv) if isinstance(value, TorusSet) else value
+        for key, value in obs.detail.items()
+    }
+    return {"kind": obs.kind, "detail": detail}
 
 
 def _cmd_equiv(args) -> int:
@@ -234,7 +239,7 @@ def _cmd_equiv(args) -> int:
     )
     payload = {
         "verdict": verdict.kind,
-        "obstruction": _obstruction_json(verdict.obstruction),
+        "obstruction": _obstruction_json(verdict.obstruction, args.convention),
         "searched_degree": verdict.searched_degree,
         "diagnostics": verdict.diagnostics,
     }
@@ -412,8 +417,8 @@ def build_parser() -> _Parser:
     p.add_argument("--down", type=_setting("down"), default=0, help="negative dilate levels")
     p = add("cascade", _cmd_cascade, "refinement partial-product diagnostic")
     p.add_argument("problem")
-    p.add_argument("--iters", type=_setting("iters"), default=30)
-    p.add_argument("--samples", type=_setting("samples"), default=1024)
+    p.add_argument("--iters", type=_setting("iters"), default=builder.CASCADE_ITERS)
+    p.add_argument("--samples", type=_setting("samples"), default=builder.CASCADE_SAMPLES)
     p.add_argument("--dump", default=None, help="write omega,re,im,abs CSV here")
     p = add("cuntz", _cmd_cuntz, "isometry identity suite for an (H, G) pair")
     p.add_argument("problem")

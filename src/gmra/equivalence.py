@@ -335,16 +335,11 @@ def constant_ratio_obstruction(
 
 
 def _entries_equal(H: FilterMatrix, Hp: FilterMatrix, tol: float) -> bool:
-    size_r = max(H.rows, Hp.rows)
-    size_c = max(H.cols, Hp.cols)
-    z = TrigPoly.zero()
-    for i in range(size_r):
-        for j in range(size_c):
-            a = H.entry(i, j) if i < H.rows and j < H.cols else z
-            b = Hp.entry(i, j) if i < Hp.rows and j < Hp.cols else z
-            if not a.deviation_from(b) <= tol:
-                return False
-    return True
+    return all(
+        H.entry(i, j).deviation_from(Hp.entry(i, j)) <= tol
+        for i in range(max(H.rows, Hp.rows))
+        for j in range(max(H.cols, Hp.cols))
+    )
 
 
 def _coefficients(block, r: int, adjoint: bool, fden: int) -> dict:

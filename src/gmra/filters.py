@@ -23,6 +23,7 @@ from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly, compose_endomorphism, fold
 
 DEFAULT_TOL = 1e-9
+_ZERO = TrigPoly.zero()
 # residual norm a canonical vector must exceed to join a pointwise completion
 PIVOT_TOL = 1e-8
 
@@ -121,7 +122,9 @@ class FilterMatrix:
         return tuple(sigma_sets(self.row_multiplicity))
 
     def entry(self, i: int, j: int) -> TrigPoly:
-        return self.entries[i][j]
+        """Entry (i, j); the zero poly outside the stored rows and columns."""
+        row = self.entries[i] if i < len(self.entries) else ()
+        return row[j] if j < len(row) else _ZERO
 
     def value_at(self, x) -> np.ndarray:
         """Dense complex matrix of entry values at a rational point."""
@@ -230,27 +233,27 @@ def verify_complementary(
 # ---- conjugation by a unitary multiplier -----------------------------------
 
 
-def check_block_unitary(A: FilterMatrix, grid: int = 128) -> float:
-    """Max pointwise deviation of A from block-unitary form on a grid.
+def _square(F: FilterMatrix, size: int) -> list[list[TrigPoly]]:
+    return [[F.entry(i, j) for j in range(size)] for i in range(size)]
 
-    At each grid point the upper-left m(w) x m(w) block must be unitary and
-    everything outside it zero.
-    """
-    ts = np.arange(grid)
-    dims = A.m.sample(ts, grid)
-    size = max(A.rows, A.cols)
-    vals = np.zeros((grid, size, size), dtype=complex)
-    vals[:, : A.rows, : A.cols] = A.sample(ts, grid).transpose(2, 0, 1)
-    devs = []
-    for r in np.unique(dims):
-        at = vals[dims == r]
-        if r:
-            block = at[:, :r, :r]
-            devs.append(np.abs(block @ block.conj().transpose(0, 2, 1) - np.eye(r)).max())
-        outside = at.copy()
-        outside[:, :r, :r] = 0
-        devs.append(np.abs(outside).max())
-    return worst_residual(devs)
+
+def _block_defect(a: list[list[TrigPoly]], P: FilterMatrix) -> float:
+    """Worst sup bound of a a* - P and a* a - P, for the square entry list a of a multiplier."""
+    ac = [[x.conj() for x in row] for row in a]
+    return worst_residual(
+        TrigPoly.sum(u * v for u, v in zip(x[i], y[j]) if not (u.is_zero() or v.is_zero()))
+        .deviation_from(P.entry(i, j))
+        for x, y in ((a, ac), (list(zip(*ac)), list(zip(*a))))
+        for i in range(len(a))
+        for j in range(len(a))
+    )
+
+
+def check_block_unitary(A: FilterMatrix) -> float:
+    """Worst sup bound of A A* - P and A* A - P, P = identity_multiplier(A.m, A.e): both
+    vanish exactly when every m(w)-block of A is unitary and A is zero outside it."""
+    P = identity_multiplier(A.m, A.e)
+    return _block_defect(_square(A, max(A.rows, A.cols, P.rows)), P)
 
 
 def conjugate_filter(
@@ -263,20 +266,13 @@ def conjugate_filter(
     """
     if not same_context(A, H):
         raise ContextMismatch("multiplier and filter contexts differ")
-    dev = check_block_unitary(A)
+    P = identity_multiplier(A.m, A.e)
+    size = max(A.rows, A.cols, H.rows, H.cols, P.rows)
+    a = _square(A, size)
+    dev = _block_defect(a, P)
     if not dev <= max(tol, 1e-7):  # a NaN deviation fails too
         raise NotUnitary(f"multiplier fails block unitarity by {dev:.3g}")
-    size = max(A.rows, A.cols, H.rows, H.cols)
-
-    def pad(F):
-        z = TrigPoly.zero()
-        return [
-            [F.entry(i, j) if i < F.rows and j < F.cols else z for j in range(size)]
-            for i in range(size)
-        ]
-
-    a = pad(A)
-    h = pad(H)
+    h = _square(H, size)
     a_up = [[compose_endomorphism(entry, H.e) for entry in row] for row in a]
     out = tuple(
         tuple(
@@ -320,7 +316,6 @@ class GridFilterMatrix:
     samples: np.ndarray  # shape (rows, cols, grid)
     m: MultiplicityFunction
     e: TorusEndomorphism
-    rows_follow: str = "mtilde"
 
     @property
     def rows(self) -> int:
@@ -449,7 +444,7 @@ def complement_numeric(
         gh.append(run_gh)
     identities = {"gg_grid": worst_residual(gg), "gh_grid": worst_residual(gh)}
     report = VerificationReport.from_identities(identities, tol)
-    G = GridFilterMatrix(fine, Gq.reshape(g_rows, cols, fine), m, H.e, "mtilde")
+    G = GridFilterMatrix(fine, Gq.reshape(g_rows, cols, fine), m, H.e)
     return G, report
 
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gmra import catalog, cli
-from gmra.jsonio import dump_json, problem_to_json, trigpoly_to_json
+from gmra import catalog, cli, equivalence
+from gmra.jsonio import dump_json, problem_to_json, torus_set_to_json, trigpoly_to_json
 
 
 @pytest.fixture
@@ -128,6 +128,18 @@ class TestEquiv:
         assert code == 3
         assert json.loads(out)["verdict"] == "unknown"
 
+    @pytest.mark.parametrize("convention", ["unit", "centered"])
+    def test_obstruction_set_follows_the_convention(self, problems, capsys, convention):
+        code, out, _ = run(
+            capsys,
+            ["--json", "--convention", convention, "equiv", problems("cohen"), problems("haar")],
+        )
+        obstruction = equivalence.decide(catalog.get("cohen").H, catalog.get("haar").H).obstruction
+        assert code == 2
+        assert json.loads(out)["obstruction"]["detail"]["set"] == torus_set_to_json(
+            obstruction.detail["set"], convention
+        )
+
 
 class TestConstruct:
     def test_rank2_negative_supports(self, problems, capsys):
@@ -182,6 +194,11 @@ class TestCascade:
         assert lines[0] == "omega,re,im,abs"
         assert len(lines) == 17
 
+
+    def test_haar_converges_at_the_default_iterations(self, problems, capsys):
+        """The catalog publishes haar's cascade as convergent_nonzero."""
+        assert cli.main(["cascade", problems("haar")]) == 0
+        assert capsys.readouterr().out == "cascade verdict: convergent_nonzero\n"
 
     def test_n3_wavelet_converges(self, problems, capsys):
         """The catalog publishes haar3_2wavelet's cascade as convergent_nonzero."""

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from gmra import catalog
+from gmra.equivalence import EQUIVALENT, decide
 from gmra.errors import CompletionFailed, ContextMismatch, NotUnitary
 from gmra.filters import (
     FilterMatrix,
     VerificationReport,
+    check_block_unitary,
     complement_numeric,
     conjugate_filter,
     identity_multiplier,
@@ -137,6 +139,33 @@ class TestConjugateFilter:
         A = scalar_filter(poly((0, 0.5)))
         with pytest.raises(NotUnitary):
             conjugate_filter(entry.H, A)
+
+    def test_multiplier_vanishing_between_grid_points_rejected(self):
+        # |(1 + e(128w))/2| = |cos(128 pi w)| is 1 on the grid j/128 but 0 at w = 1/256
+        A = scalar_filter(poly((0, 0.5), (128, 0.5)))
+        assert check_block_unitary(A) >= 1.0
+        with pytest.raises(NotUnitary):
+            conjugate_filter(catalog.get("haar").H, A)
+
+    def test_nonzero_entry_outside_the_block_rejected(self):
+        # A A* = diag(1, 0) = P over m = 1, but A* A is not: entry (0, 1) leaks
+        half = poly((0, 1 / SQRT2))
+        zero = TrigPoly.zero()
+        A = FilterMatrix.from_rows([[half, half], [zero, zero]], M1, N2)
+        assert check_block_unitary(A) >= 0.5
+        with pytest.raises(NotUnitary):
+            conjugate_filter(catalog.get("haar").H, A)
+
+    def test_entries_outside_the_stored_shape_are_zero(self):
+        H = catalog.get("haar").H
+        assert H.entry(0, 0) is H.entries[0][0]
+        assert all(H.entry(i, j).is_zero() for i, j in [(0, 1), (1, 0), (3, 5)])
+        zero = TrigPoly.zero()
+        padded = FilterMatrix.from_rows([[H.entry(0, 0), zero], [zero, zero]], H.m, H.e)
+        verdict = decide(H, padded)
+        assert verdict.kind == EQUIVALENT
+        assert check_block_unitary(verdict.witness) == 0.0
+        assert verdict.witness.entries == identity_multiplier(H.m, H.e).entries
 
     def test_filterhood_preserved(self):
         entry = catalog.get("haar")

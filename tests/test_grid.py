@@ -329,7 +329,7 @@ def test_grid_layer_does_not_evaluate_per_point(monkeypatch):
         complement_numeric(H, grid=grid)
         verify_complementary_grid(G, H)
         apply_S_grid(G, section)
-        check_block_unitary(identity_multiplier(H.m, H.e), grid=grid)
+        check_block_unitary(identity_multiplier(H.m, H.e))
         counts.append(len(calls))
     # exact multiplicity work (mtilde cells) does not grow with the grid
     assert counts[0] == counts[1]
