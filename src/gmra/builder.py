@@ -409,9 +409,11 @@ def cascade_diagnostic(
     prod = np.ones(samples, dtype=complex)
     diffs = []
     peaks = []
-    for j in range(1, iters + 1):
-        prev = prod.copy()
-        prod = prod * h.sample(xs / float(e.N**j)) * scale
+    # every level's h(w / N^j) in one sampling call, one row per level
+    dilations = np.array([float(e.N**j) for j in range(1, iters + 1)])
+    for level in h.sample(xs / dilations[:, None]):
+        prev = prod
+        prod = prod * level * scale
         diffs.append(float(np.abs(prod - prev).max()))
         peaks.append(float(np.abs(prod).max()))
     peak = peaks[-1]

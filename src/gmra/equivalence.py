@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .filters import (
 )
 from .multiplicity import MultiplicityFunction, sigma_sets
 from .ruelle import SectionVector
-from .torus import TorusSet, cell_at
-from .trigpoly import TrigPoly, _terms_value
+from .torus import TorusSet, cell_at, grid_cells
+from .trigpoly import TrigPoly, _terms_values
 
 PURE = "pure"
 NOT_PURE = "not_pure"
@@ -86,38 +85,47 @@ def is_eigenfilter(H: FilterMatrix, tol: float = DEFAULT_TOL):
 # ---- certified pointwise windows --------------------------------------------
 
 
-def _certified_windows(cells, den: int, samples: int):
+def _certified_windows(cells, den: int, samples: int, gaps):
     """Yield (window, gap) for the windows on which a pointwise bound holds.
 
-    Each cell is (lo, hi, L, gap_at), the piece [lo/den, hi/den): the bound
-    is gap_at(p, q) > 0 at the point p/q and L bounds the Lipschitz constant
-    of gap_at there.  A cell with L = 0 is constant and is decided by one
-    sample.  Otherwise ``samples`` midpoints are tried, and a sample x with
-    gap d > 0 certifies the window of radius d / (2 L) around it, rounded
-    down to a multiple of 2^-30 and clipped to the cell: (a, b), integer
-    numerators over den * 2 * samples * 2^30.
+    Each cell is (lo, hi, L, payload), the piece [lo/den, hi/den): L bounds the Lipschitz
+    constant of the gap there, and the bound is gap > 0.  Every sample point of every cell
+    goes into one int array ``ps`` over q = 2 * samples * den, and one call
+    gaps(payloads, where, ps, q) returns the gap at each point ps[i]/q of the cell
+    payloads[where[i]].  A cell with L = 0 is constant and is decided by its midpoint,
+    samples * (lo + hi).  Otherwise ``samples`` midpoints are tried, and a sample x with
+    gap d > 0 certifies the window of radius d / (2 L) around it, rounded down to a
+    multiple of 2^-30 and clipped to the cell: (a, b), integer numerators over
+    den * 2 * samples * 2^30.
     """
+    cells = list(cells)
+    if not cells:
+        return
     q = 2 * samples * den
     unit = 2 * samples * 2**30  # a cell end point over den, as a window numerator
-    for lo, hi, lipschitz, gap_at in cells:
-        if lipschitz == 0.0:
-            gap = gap_at(lo + hi, 2 * den)
-            if gap > 0:
-                yield (lo * unit, hi * unit), gap
+    # the points (2 samples lo + k (hi - lo))/q: k = 1, 3, .., 2 samples - 1, or the midpoint
+    # k = samples of a constant cell
+    ks = [(samples,) if L == 0.0 else range(1, 2 * samples, 2) for _, _, L, _ in cells]
+    where = np.repeat(np.arange(len(cells)), [len(k) for k in ks])
+    points = [2 * samples * lo + k * (hi - lo) for (lo, hi, _, _), cell in zip(cells, ks)
+              for k in cell]
+    ps = np.array(points, dtype=np.int64 if q < 2**62 else object)  # Python ints past int64
+    found = gaps([payload for _, _, _, payload in cells], where, ps, q).tolist()
+    for i, p, gap in zip(where.tolist(), points, found):
+        if not gap > 0:
             continue
-        for s in range(samples):
-            p = 2 * samples * lo + (2 * s + 1) * (hi - lo)  # the sample point p/q
-            gap = gap_at(p, q)
-            if not gap > 0:
-                continue
-            r = max(math.floor(gap / (2 * lipschitz) * 2**30), 0) * q  # the radius, over q * 2^30
-            a, b = max(lo * unit, p * 2**30 - r), min(hi * unit, p * 2**30 + r)
-            if a < b:
-                yield (a, b), gap
+        lo, hi, lipschitz, _ = cells[i]
+        if lipschitz == 0.0:
+            yield (lo * unit, hi * unit), gap
+            continue
+        r = max(math.floor(gap / (2 * lipschitz) * 2**30), 0) * q  # the radius, over q * 2^30
+        a, b = max(lo * unit, p * 2**30 - r), min(hi * unit, p * 2**30 + r)
+        if a < b:
+            yield (a, b), gap
 
 
 def _window_set(found, den: int, samples: int) -> TorusSet:
-    """The union of the windows of ``_certified_windows(cells, den, samples)``."""
+    """The union of the windows of ``_certified_windows(cells, den, samples, gaps)``."""
     return TorusSet.from_spans(den * 2 * samples * 2**30, (window for window, _ in found))
 
 
@@ -126,13 +134,28 @@ def _lipschitz(fden: int, terms) -> float:
     return sum(abs(c) * math.tau * abs(n / fden) for n, c in terms)
 
 
-def _block_at(block, p: int, q: int) -> np.ndarray:
-    return np.array([[_terms_value(t, d, p, q) for d, t in row] for row in block], dtype=complex)
-
-
 def _block_lipschitz(block) -> float:
     # sorted singular values are 1-Lipschitz in the Frobenius norm
     return math.sqrt(sum(_lipschitz(*entry) ** 2 for row in block for entry in row))
+
+
+def _block_stacks(blocks, where: np.ndarray, ps: np.ndarray, q: int):
+    """Yield (points, stack) per block shape (rows, cols): the indices i of the points
+    ps[i]/q whose block blocks[where[i]] has that shape, and the values of those blocks
+    at those points, a (points, rows, cols) array from one ``_terms_values`` call."""
+    shapes = defaultdict(list)
+    for b, block in enumerate(blocks):
+        shapes[len(block), len(block[0]) if block else 0].append(b)
+    shape_of, rank = np.empty(len(blocks), dtype=int), np.empty(len(blocks), dtype=int)
+    for k, members in enumerate(shapes.values()):
+        shape_of[members], rank[members] = k, np.arange(len(members))
+    for k, ((rows, cols), members) in enumerate(shapes.items()):
+        points = np.flatnonzero(shape_of[where] == k)
+        entries = [entry for b in members for row in blocks[b] for entry in row]
+        # entry e of the block of members[j] is entries[j * rows * cols + e]
+        at = (rank[where[points], None] * (rows * cols) + np.arange(rows * cols)).ravel()
+        values = _terms_values(entries, at, np.repeat(ps[points], rows * cols), q)
+        yield points, values.reshape(len(points), rows, cols)
 
 
 def certified_deviation_set(
@@ -145,12 +168,14 @@ def certified_deviation_set(
     (d - margin) / (2 L) around it, L being the derivative bound
     sum |c| * 2*pi*|nu| of the piece.
     """
+    target = complex(target)
 
-    def gap_at(terms, a, b):
-        return abs(_terms_value(terms, p.fden, a, b) - target) - margin
+    def gaps(rows, where, ps, q):
+        values = _terms_values(rows, where, ps, q)
+        return np.hypot(values.real - target.real, values.imag - target.imag) - margin
 
-    cells = ((lo, hi, _lipschitz(p.fden, t), partial(gap_at, t)) for lo, hi, t in p.cells)
-    return _window_set(_certified_windows(cells, p.den, 24), p.den, 24)
+    cells = ((lo, hi, _lipschitz(p.fden, t), (p.fden, t)) for lo, hi, t in p.cells)
+    return _window_set(_certified_windows(cells, p.den, 24, gaps), p.den, 24)
 
 
 # ---- purity ------------------------------------------------------------------
@@ -205,18 +230,17 @@ def low_singular_certificate(
     window.
     """
 
-    def gap_at(block, p, q):
-        if not block:
-            return math.inf
-        top = np.linalg.svd(_block_at(block, p, q), compute_uv=False).max()
-        return (1.0 - tol) - float(top)
+    def gaps(blocks, where, ps, q):
+        out = np.full(len(ps), math.inf)
+        for points, stack in _block_stacks(blocks, where, ps, q):
+            if stack.size:
+                top = np.linalg.svd(stack, compute_uv=False).max(axis=1)
+                out[points] = (1.0 - tol) - top
+        return out
 
     den, matrix_cells = _matrix_cells(H)
-    cells = (
-        (a, b, _block_lipschitz(block), partial(gap_at, block))
-        for a, b, (block,) in matrix_cells
-    )
-    return _window_set(_certified_windows(cells, den, 16), den, 16)
+    cells = ((a, b, _block_lipschitz(block), block) for a, b, (block,) in matrix_cells)
+    return _window_set(_certified_windows(cells, den, 16, gaps), den, 16)
 
 
 def purity_test(H: FilterMatrix, tol: float = DEFAULT_TOL) -> PurityVerdict:
@@ -281,20 +305,23 @@ def invariant_check(
         return None
     margin = max(tol, 1e-7)
 
-    def gap_at(blocks, p, q):
-        sv = [
-            np.sort(np.linalg.svd(_block_at(block, p, q), compute_uv=False))[::-1]
-            for block in blocks
-        ]
-        return float(np.abs(sv[0] - sv[1]).max()) - margin
+    def gaps(pairs, where, ps, q):
+        out = np.empty(len(ps))
+        joined = [[r + rp for r, rp in zip(*pair)] for pair in pairs]  # [H block | H' block]
+        for points, stack in _block_stacks(joined, where, ps, q):
+            cols = stack.shape[2] // 2
+            sv = np.linalg.svd(np.concatenate((stack[..., :cols], stack[..., cols:])),
+                               compute_uv=False)
+            out[points] = np.abs(sv[: len(points)] - sv[len(points) :]).max(axis=1) - margin
+        return out
 
     den, matrix_cells = _matrix_cells(H, Hp)
     cells = (
-        (a, b, sum(_block_lipschitz(block) for block in blocks), partial(gap_at, blocks))
+        (a, b, sum(_block_lipschitz(block) for block in blocks), blocks)
         for a, b, blocks in matrix_cells
         if blocks[0]
     )
-    for window, gap in _certified_windows(cells, den, 16):
+    for window, gap in _certified_windows(cells, den, 16, gaps):
         return Obstruction(
             SINGULAR_VALUE_MISMATCH,
             {"set": _window_set([(window, gap)], den, 16), "gap": gap + margin},
@@ -316,11 +343,12 @@ def constant_ratio_obstruction(
     """
     if h.support().measure() != 1:
         raise NotApplicable("ratio argument needs an a.e. nonvanishing filter")
-    best_t, best_mag = None, 0.0
-    for t in range(64):  # the points t/64
-        mag = abs(h._value(t, 64))
-        if mag > best_mag:
-            best_t, best_mag = t, mag
+    ts = np.arange(64)  # the points t/64
+    rows = [(h.fden, terms) for _, _, terms in h.cells]
+    values = _terms_values(rows, grid_cells(h.cells, h.den, ts, 64), ts, 64)
+    mags = np.fmax(np.hypot(values.real, values.imag), 0.0)  # a NaN reads 0, never chosen
+    best_t = int(np.argmax(mags))  # the first largest
+    best_mag = float(mags[best_t])
     if best_mag <= tol:
         raise NotApplicable("could not find a sampling point with h away from 0")
     c = hp._value(best_t, 64) / h._value(best_t, 64)

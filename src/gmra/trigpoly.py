@@ -51,21 +51,27 @@ def _terms_value(terms, fden: int, a: int, b: int) -> complex:
     return sum((c * _turn(n * a, fden * b) for n, c in terms), 0j)
 
 
-def _grid_phase(n: int, fden: int, ps: np.ndarray, den: int) -> np.ndarray:
-    """e^(2*pi*i*(n/fden)*p/den) at integers p, with the values of ``unit_phase``.
+def _grid_phase(ns, fden: int, ps: np.ndarray, den: int) -> np.ndarray:
+    """e^(2*pi*i*(n/fden)*p/den) at integers p, with the values of ``_turn``: ``ns`` is one
+    int frequency numerator or an int64 array of them, broadcast against ``ps``.
 
-    With n/fden reduced to a/b, the turn is reduced exactly to r/(b*den),
-    r = (a*p) mod (b*den), in int64; quarter turns come out exactly 1, i,
-    -1, -i.  Where int64 could overflow or r/(b*den) would not convert
-    exactly to a float, the points go through ``_turn`` one by one.
+    Each n/fden is reduced to a/b by an elementwise gcd, so the turn is reduced exactly to
+    r/(b*den), r = (a*p) mod (b*den), in int64, and its float is that of ``_turn``; quarter
+    turns come out exactly 1, i, -1, -i.  Where int64 could overflow or r/(b*den) would not
+    convert exactly to a float, the points go through ``_turn`` one by one.
     """
-    g = math.gcd(n, fden)
-    a, b = n // g, fden // g
+    ns = np.asarray(ns)
+    fits = ns.dtype == np.int64 and fden < 2**62
+    if fits:
+        g = np.gcd(ns, fden)
+        a, b = ns // g, fden // g
+        top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+        fits = top * den < 2**62 and int(b.max(initial=1)) * den < 2**53
+    if not fits:
+        shape = np.broadcast_shapes(ns.shape, np.shape(ps))
+        turns = [_turn(int(n) * int(p), fden * den) for n, p in np.broadcast(ns, ps)]
+        return np.array(turns, dtype=complex).reshape(shape)
     period = b * den
-    if abs(a) * den >= 2**62 or period >= 2**53:
-        return np.array(
-            [_turn(a * int(p), period) for p in ps], dtype=complex
-        )
     r = a * ps
     r %= period
     turn = r / period
@@ -73,9 +79,40 @@ def _grid_phase(n: int, fden: int, ps: np.ndarray, den: int) -> np.ndarray:
     out = np.empty(r.shape, dtype=complex)
     np.cos(turn, out=out.real)
     np.sin(turn, out=out.imag)
-    r *= 4
-    exact = r % period == 0
-    out[exact] = _QUARTER_PHASES[r[exact] // period]
+    quarters, rest = np.divmod(4 * r, period)
+    exact = rest == 0
+    out[exact] = _QUARTER_PHASES[quarters[exact]]
+    return out
+
+
+def _terms_values(rows, where: np.ndarray, ps: np.ndarray, q: int) -> np.ndarray:
+    """``_terms_value(terms, fden, p, q)`` at every point p/q of ``ps``, (fden, terms) being
+    ``rows[w]`` for the point's entry w of ``where``, in one pass and bit for bit.
+
+    The numerators go over the lcm of the rows' fdens, padded with zero terms to one width,
+    and ``_grid_phase`` takes the phases of a block of ``GRID_BLOCK`` points at once.  Each
+    term adds c.re*cos - c.im*sin to the real part and c.re*sin + c.im*cos to the imaginary
+    one, the rounding of Python's complex product: numpy's complex ``*`` may fuse a
+    multiply-add and round apart.
+    """
+    out = np.zeros(len(ps), dtype=complex)
+    width = max((len(terms) for _, terms in rows), default=0)
+    if not width:
+        return out
+    fden = math.lcm(*[d for d, terms in rows if terms])
+    pad = [(0, 0j)] * width
+    table = [[(n * (fden // d), c) for n, c in terms] + pad[len(terms):] for d, terms in rows]
+    ns = np.array([[n for n, _ in row] for row in table]).T  # int64, or object past it
+    cs = np.array([[c for _, c in row] for row in table], dtype=complex).T
+    for start in range(0, len(ps), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        at = where[block]
+        re, im = np.zeros(len(at)), np.zeros(len(at))
+        for phase, c in zip(_grid_phase(ns[:, at], fden, ps[block], q), cs[:, at]):
+            cos, sin, c_re, c_im = phase.real, phase.imag, c.real, c.imag
+            re += c_re * cos - c_im * sin
+            im += c_re * sin + c_im * cos
+        out.real[block], out.imag[block] = re, im
     return out
 
 
@@ -253,6 +290,8 @@ class TrigPoly:
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         """self + other * -1 in one sweep, with the coefficients of that chain."""
+        if self.is_zero() and other.is_zero():
+            return TrigPoly.zero()
         den, fden, (mine, theirs) = _aligned((self, other))
         negated = ((lo, hi, _scaled(t, _MINUS_ONE)) for lo, hi, t in theirs)
         return _swept(den, fden, chain(mine, negated), _sum_terms)
@@ -382,6 +421,8 @@ class TrigPoly:
 
     def shift_frequencies(self, gamma) -> "TrigPoly":
         """Multiply by e^(2*pi*i*gamma*w): shift every frequency by gamma."""
+        if self.is_zero():
+            return TrigPoly.zero()
         if not isinstance(gamma, int):
             gamma = Fraction(gamma)
         fden = math.lcm(self.fden, gamma.denominator)
@@ -434,6 +475,8 @@ def _dilated(branches, period: int, scale=None):
 
 def gated_dilate(p: TrigPoly, e: TorusEndomorphism, k: int, gate=None, scale=None) -> TrigPoly:
     """(dilate_branch(p, e, k) * scale).restrict(gate) in one sweep; splits off branch k only."""
+    if p.is_zero():
+        return TrigPoly.zero()
     c = None if scale is None else complex(scale)
     den, fden, (cells,) = _aligned((p,), gate)
     branch = e.branch_image(cells, k, den)
@@ -448,8 +491,10 @@ def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
 def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPoly:
     """TrigPoly.sum(compress_branch(g, e, k) * scale for g, k in parts).restrict(gate) in one
     sweep: each piece is scaled before the cells add in ``parts`` order."""
-    c = None if scale is None else complex(scale)
     parts = list(parts)
+    if all(g.is_zero() for g, _ in parts):
+        return TrigPoly.zero()
+    c = None if scale is None else complex(scale)
     up, fden, _ = _aligned([g for g, _ in parts])
     den = math.lcm(up * e.N, _aligned((), gate)[0])  # the gate's denominators join N*up
     up = den // e.N  # the preimages of cells over up are numerators over den

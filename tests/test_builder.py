@@ -342,6 +342,21 @@ def _sum_indicator_layers(sets):
     return MultiplicityFunction.from_pieces(pieces)
 
 
+def per_level_cascade(h, e, iters, samples):
+    """The partial products of ``cascade_diagnostic`` with one ``sample`` call per level:
+    the last product, the sup increments and the peak moduli."""
+    xs = np.linspace(-0.5, 0.5, samples)
+    scale = 1.0 / math.sqrt(e.N)
+    prod = np.ones(samples, dtype=complex)
+    diffs, peaks = [], []
+    for j in range(1, iters + 1):
+        prev = prod.copy()
+        prod = prod * h.sample(xs / float(e.N**j)) * scale
+        diffs.append(float(np.abs(prod - prev).max()))
+        peaks.append(float(np.abs(prod).max()))
+    return prod, diffs, peaks
+
+
 class TestCascade:
     def test_haar_matches_sinc(self):
         entry = catalog.get("haar")
@@ -370,6 +385,16 @@ class TestCascade:
         assert np.abs(res.omegas + res.omegas[::-1]).max() <= 1e-15
         modulus = np.abs(res.values)
         assert np.abs(modulus - modulus[::-1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("iters, samples", [(40, 512), (40, 1024), (30, 1000)])
+    @pytest.mark.parametrize("name", [n for n in catalog.names() if catalog.get(n).H.is_scalar()])
+    def test_levels_sampled_at_once_are_those_of_one_call_per_level(self, name, iters, samples):
+        entry = catalog.get(name)
+        res = cascade_diagnostic(entry.H, entry.e, iters=iters, samples=samples)
+        values, diffs, peaks = per_level_cascade(entry.H.entry(0, 0), entry.e, iters, samples)
+        assert res.values.tobytes() == values.tobytes()
+        assert res.diagnostics["last_increments"] == diffs[-5:]
+        assert res.diagnostics["max_modulus"] == peaks[-1]
 
     def test_negated_haar_never_converges(self):
         entry = catalog.get("haar_negated")

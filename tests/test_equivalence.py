@@ -25,8 +25,8 @@ from gmra.equivalence import (
 from gmra.errors import NotApplicable
 from gmra.filters import FilterMatrix, _structure_violations, conjugate_filter, verify_filter
 from gmra.multiplicity import MultiplicityFunction, sigma_sets
-from gmra.torus import TorusEndomorphism, TorusSet
-from gmra.trigpoly import TrigPoly, compose_endomorphism, unit_phase
+from gmra.torus import GRID_BLOCK, TorusEndomorphism, TorusSet, cell_at
+from gmra.trigpoly import TrigPoly, _terms_value, _terms_values, compose_endomorphism, unit_phase
 
 F = Fraction
 SQRT2 = math.sqrt(2.0)
@@ -602,3 +602,179 @@ class TestCertifiedWindowSoundness:
             return
         for x in _points_across(obstruction.detail["set"]):
             assert abs(abs(h.evaluate(x)) ** 2 - abs(hp.evaluate(x)) ** 2) > 1e-9, x
+
+
+# ---- the batched evaluation behind every certificate window --------------------
+
+
+class TestBatchedEvaluation:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(piecewise_polys(), min_size=1, max_size=4),
+        st.sampled_from([1, 2, 24, 48, 7 * 2**20, 2**31 - 1]),
+        st.data(),
+    )
+    def test_values_are_those_of_value_bit_for_bit(self, polys, scale, data):
+        """One call over the cells of several polys (mixed fden) at points p/q, among them
+        the breakpoints when q is a multiple of every den, equals ``_value`` at each."""
+        q = scale * math.lcm(*[p.den for p in polys])
+        points = data.draw(st.lists(
+            st.tuples(st.integers(0, len(polys) - 1), st.integers(0, q - 1)),
+            min_size=1, max_size=30,
+        ))
+        rows = [(p.fden, terms) for p in polys for _, _, terms in p.cells]
+        first = np.cumsum([0] + [len(p.cells) for p in polys])
+        where = np.array([first[i] + cell_at(polys[i].cells, polys[i].den, x, q)
+                          for i, x in points])
+        values = _terms_values(rows, where, np.array([x for _, x in points]), q)
+        for (i, x), value in zip(points, values):
+            want = polys[i]._value(x, q)
+            assert (value.real, value.imag) == (want.real, want.imag), (i, x, q)
+
+    def test_values_in_many_blocks_are_those_of_value(self):
+        """More points than one block of ``GRID_BLOCK``, over every catalog entry."""
+        polys = [catalog.get(name).H.entry(i, j) for name in catalog.names()
+                 for i in range(catalog.get(name).H.rows) for j in range(catalog.get(name).H.cols)]
+        q = 2 * 3 * 5 * 7 * 11 * 13 * math.lcm(*[p.den for p in polys])
+        points = [(i, x) for i in range(len(polys)) for x in range(0, q, q // 199 + 1)]
+        rows = [(p.fden, terms) for p in polys for _, _, terms in p.cells]
+        first = np.cumsum([0] + [len(p.cells) for p in polys])
+        where = np.array([first[i] + cell_at(polys[i].cells, polys[i].den, x, q)
+                          for i, x in points])
+        assert len(points) > 2 * GRID_BLOCK
+        values = _terms_values(rows, where, np.array([x for _, x in points]), q)
+        for (i, x), value in zip(points, values):
+            want = polys[i]._value(x, q)
+            assert (value.real, value.imag) == (want.real, want.imag), (i, x)
+
+    def test_values_past_int64_are_those_of_value(self):
+        """Frequency and point denominators past 2^62 take the per-point fallback."""
+        a, b = 4294967291, 4294967279  # primes: their product is past 2^63
+        piecewise = TrigPoly.from_pieces([
+            (0, F(1, a), []),
+            (F(1, a), F(2, b), [(F(5, a * b), 0.5j), (F(-7, 3), 1.25)]),
+        ])
+        polys = [piecewise, TrigPoly.from_pieces([(0, 1, [(F(1, 3), 2 - 1j), (F(a, b), 1.0)])])]
+        q = 2 * 24 * a * b
+        points = [(i, x) for i in range(2) for x in (0, 1, q // (2 * a), q // 3, q - 1)]
+        rows = [(p.fden, terms) for p in polys for _, _, terms in p.cells]
+        first = np.cumsum([0] + [len(p.cells) for p in polys])
+        where = np.array([first[i] + cell_at(polys[i].cells, polys[i].den, x, q)
+                          for i, x in points])
+        values = _terms_values(rows, where, np.array([x for _, x in points], dtype=object), q)
+        for (i, x), value in zip(points, values):
+            want = polys[i]._value(x, q)
+            assert (value.real, value.imag) == (want.real, want.imag), (i, x)
+
+    def test_deviation_set_past_int64_is_that_of_fraction_points(self):
+        a, b = 4294967291, 4294967279
+        p = TrigPoly.from_pieces([(F(1, a), F(2, b), [(F(1, 2), 0.75), (F(3, a), 0.5j)]),
+                                  (F(2, b), 1, [(F(-1, 3), 1.0)])])
+        assert p.den * 48 >= 2**62
+        for target, margin in ((0.0, 0.1), (1.0, 1e-9)):
+            assert certified_deviation_set(p, target, margin) == fraction_deviation_set(
+                p, target, margin
+            )
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4])
+    def test_stacked_svd_is_per_matrix_svd(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        stack = rng.normal(size=(64, rows, 2 * cols)) + 1j * rng.normal(size=(64, rows, 2 * cols))
+        stack[::7, 0] = 0.0  # some rank-deficient blocks
+        # the halves of a joined [H block | H' block] stack, as invariant_check splits them
+        halves = np.concatenate((stack[..., :cols], stack[..., cols:]))
+        batched = np.linalg.svd(halves, compute_uv=False)
+        for matrix, sv in zip(halves, batched):
+            assert np.linalg.svd(matrix, compute_uv=False).tobytes() == sv.tobytes()
+
+
+def per_point_ratio(h, hp, tol):
+    """The ratio of ``constant_ratio_obstruction`` from its per-point scan: the first point
+    t/64 of strictly largest |h| (a NaN never wins), None if |h| <= tol there."""
+    best_t, best_mag = None, 0.0
+    for t in range(64):
+        mag = abs(h._value(t, 64))
+        if mag > best_mag:
+            best_t, best_mag = t, mag
+    return None if best_mag <= tol else hp._value(best_t, 64) / h._value(best_t, 64)
+
+
+class TestRatioScan:
+    @settings(max_examples=100, deadline=None)
+    @given(piecewise_polys(), st.sampled_from([-1.0, 1j, 0.5 - 2j]))
+    def test_ratio_is_that_of_the_per_point_scan(self, h, c):
+        if h.support().measure() != 1:
+            return
+        want = per_point_ratio(h, h * c, 1e-9)
+        try:
+            got = constant_ratio_obstruction(h, h * c, 1e-9).detail["ratio"]
+        except NotApplicable:
+            got = None
+        assert got == want
+
+    @pytest.mark.parametrize("h", [TrigPoly.exponential(1, 2.0), TrigPoly.exponential(3, -1j),
+                                   poly((0, 1.0), (64, 1.0))])
+    def test_first_largest_modulus_wins(self, h):
+        """|h| is flat, or peaks at every t/64: the first strictly largest float wins."""
+        got = constant_ratio_obstruction(h, h * 1j).detail["ratio"]
+        assert got == per_point_ratio(h, h * 1j, 1e-9)
+
+
+def per_point_invariant(H, Hp, tol):
+    """The matrix rung of ``invariant_check`` one sample point at a time: every entry by
+    ``_terms_value`` and every block by its own SVD; the first certified window's set
+    and gap, or None."""
+    margin, samples = max(tol, 1e-7), 16
+    den, cells = equivalence._matrix_cells(H, Hp)
+    q, unit = 2 * samples * den, 2 * samples * 2**30
+    for lo, hi, blocks in cells:
+        if not blocks[0]:
+            continue
+        lipschitz = sum(equivalence._block_lipschitz(block) for block in blocks)
+
+        def gap_at(p, q):
+            sv = [
+                np.linalg.svd(np.array([[_terms_value(t, d, p, q) for d, t in row]
+                                        for row in block], dtype=complex), compute_uv=False)
+                for block in blocks
+            ]
+            return float(np.abs(sv[0] - sv[1]).max()) - margin
+
+        if lipschitz == 0.0:
+            windows = [((lo * unit, hi * unit), gap_at(lo + hi, 2 * den))]
+        else:
+            windows = []
+            for s in range(samples):
+                p = 2 * samples * lo + (2 * s + 1) * (hi - lo)
+                gap = gap_at(p, q)
+                if gap > 0:
+                    r = max(math.floor(gap / (2 * lipschitz) * 2**30), 0) * q
+                    windows.append(((max(lo * unit, p * 2**30 - r),
+                                     min(hi * unit, p * 2**30 + r)), gap))
+        for (a, b), gap in windows:
+            if gap > 0 and a < b:
+                return TorusSet.from_spans(den * unit, [(a, b)]), gap + margin
+    return None
+
+
+class TestBatchedInvariant:
+    @settings(max_examples=50, deadline=None)
+    @given(diagonal_pairs())
+    def test_obstruction_is_that_of_per_point_evaluation(self, pair):
+        H, Hp = pair
+        obstruction = invariant_check(H, Hp, 1e-9)
+        want = per_point_invariant(H, Hp, 1e-9)
+        if want is None:
+            assert obstruction is None
+        else:
+            assert (obstruction.detail["set"], obstruction.detail["gap"]) == want
+
+    @pytest.mark.parametrize(
+        "names", [("journe", "journe_rank2"), ("journe_rank2", "journe"), ("journe", "journe")]
+    )
+    def test_matrix_pairs_on_the_catalog(self, names):
+        H, Hp = (catalog.get(name).H for name in names)
+        obstruction = invariant_check(H, Hp)
+        got = obstruction and (obstruction.detail["set"], obstruction.detail["gap"])
+        assert got == per_point_invariant(H, Hp, equivalence.DEFAULT_TOL)

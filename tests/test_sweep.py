@@ -22,16 +22,23 @@ import math
 import struct
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add
 
+import pytest
 from conftest import coalesce_pieces, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmra import trigpoly
 from gmra.multiplicity import MultiplicityFunction, folded_sum
 from gmra.torus import TorusEndomorphism, TorusSet, coalesce, overlay
 from gmra.trigpoly import (
     TrigPoly,
+    _aligned,
+    _branch_terms,
+    _dilated,
+    _nonzero_cells,
     _scaled,
     _sum_terms,
     _swept,
@@ -320,6 +327,71 @@ def test_gated_sum_is_sum_scale_restrict(ps, gate, scale):
 def test_sub_is_one_sweep_of_the_negated_sum(f, g):
     assert f - g == ref_sum([f, ref_scale(g, -1)])
     assert (f - f).is_zero()
+
+
+# ---- zero operands: the zero poly before any alignment ----------------------------------
+
+# zero polys from different constructions; all are the one canonical zero
+ZEROS = (
+    TrigPoly.zero(),
+    TrigPoly.from_pieces([(F(1, 3), F(2, 5), [])]),
+    TrigPoly.exponential(F(1, 6), 2.0) - TrigPoly.exponential(F(1, 6), 2.0),
+    TrigPoly.constant(1.0).restrict(TorusSet()),
+)
+ZERO_GATES = (None, TorusSet.from_intervals([(F(1, 5), F(3, 4))]), TorusSet.full(), TorusSet())
+
+
+def swept_dilate(p, e, k, gate, scale):
+    """``gated_dilate`` through the sweep, zero operand or not."""
+    c = None if scale is None else complex(scale)
+    den, fden, (cells,) = _aligned((p,), gate)
+    branch = e.branch_image(cells, k, den)
+    return _swept(den, fden * e.N, _dilated(branch, fden * e.N, c), _sum_terms, gate)
+
+
+def swept_compress(parts, e, gate, scale):
+    """``gated_compress`` through the sweep, zero operands or not."""
+    c = None if scale is None else complex(scale)
+    up, fden, _ = _aligned([g for g, _ in parts])
+    den = math.lcm(up * e.N, _aligned((), gate)[0])
+    up = den // e.N
+    pieces = (
+        (a, b, _branch_terms(t, e.N, -k, fden, c))
+        for g, k in parts for a, b, t in e.branch_preimages(_nonzero_cells(g, up, fden), k, up)
+    )
+    return _swept(den, fden, pieces, _sum_terms, gate)
+
+
+def swept_sub(f, g):
+    """``f - g`` through the sweep."""
+    den, fden, (mine, theirs) = _aligned((f, g))
+    negated = ((lo, hi, _scaled(t, complex(-1))) for lo, hi, t in theirs)
+    return _swept(den, fden, chain(mine, negated), _sum_terms)
+
+
+@pytest.mark.parametrize("gate", ZERO_GATES)
+@pytest.mark.parametrize("scale", [None, 2 - 1j])
+def test_zero_operands_skip_the_alignment(gate, scale, monkeypatch):
+    """Each early zero is the sweep's result, and no operand is aligned to get it."""
+    e = TorusEndomorphism(3)
+    parts = [(z, k % 3) for k, z in enumerate(ZEROS)]
+    want = {
+        "dilate": [swept_dilate(z, e, 1, gate, scale) for z in ZEROS],
+        "compress": swept_compress(parts, e, gate, scale),
+        "sub": [swept_sub(f, g) for f in ZEROS for g in ZEROS],
+        "shift": [z._map_terms(lambda terms: terms, 7) for z in ZEROS],
+    }
+
+    def no_alignment(*args):
+        raise AssertionError("zero operands were aligned")
+
+    monkeypatch.setattr(trigpoly, "_aligned", no_alignment)
+    assert [gated_dilate(z, e, 1, gate, scale) for z in ZEROS] == want["dilate"]
+    assert gated_compress(parts, e, gate, scale) == want["compress"]
+    assert [f - g for f in ZEROS for g in ZEROS] == want["sub"]
+    assert [z.shift_frequencies(F(2, 7)) for z in ZEROS] == want["shift"]
+    swept = want["dilate"] + [want["compress"]] + want["sub"] + want["shift"]
+    assert all(p == TrigPoly.zero() for p in swept)
 
 
 # ---- the one-pass sweep against its three passes --------------------------------------
