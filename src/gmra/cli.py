@@ -422,7 +422,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dump", default=None, help="write omega,re,im,abs CSV here")
     p = add("cuntz", _cmd_cuntz, "isometry identity suite for an (H, G) pair")
     p.add_argument("problem")
-    p.add_argument("--trials", type=_setting("trials"), default=20)
+    p.add_argument("--trials", type=_setting("trials"), default=0,
+                   help="seeded random sections probed against the bounds")
     p = add("catalog", _cmd_catalog, "list or show built-in examples")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?", default=None)

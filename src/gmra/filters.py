@@ -149,6 +149,17 @@ def same_context(a: FilterMatrix, b: FilterMatrix) -> bool:
     return a.m == b.m and a.e == b.e
 
 
+def _check_pair(H: FilterMatrix, G: FilterMatrix):
+    """H and a complementary G share (m, N), H's rows follow m and G's mtilde, and
+    both are as large as their multiplicities ask."""
+    if not same_context(G, H):
+        raise ContextMismatch("G and H must share the same multiplicity and dilation")
+    if G.rows_follow != "mtilde" or H.rows_follow != "m":
+        raise ContextMismatch("expected H rows indexed by m and G rows by mtilde")
+    _check_dims(H)
+    _check_dims(G)
+
+
 def _check_dims(F: FilterMatrix):
     need_cols = len(F.column_sets)
     need_rows = len(F.row_sets)
@@ -183,31 +194,39 @@ def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: Tri
     return total.deviation_from(target)
 
 
+def _fold_residuals(F: FilterMatrix, cross: FilterMatrix | None = None):
+    """Sup bounds {(i, k): r} of the fold defects of F's row pairs i <= k, and {(k, i): r}
+    of each row k of F against each row i of ``cross``.
+
+    Row pairs (i, k) of F must fold to N * delta_{i,k} * chi on the i-th
+    row level set, and rows of F against rows of ``cross`` to 0.
+    """
+    row_sets = F.row_sets
+    diagonal = [TrigPoly.indicator(s, float(F.e.N)) for s in row_sets]
+    pairs = {
+        (i, k): _pair_residual(F, F, i, k, diagonal[i] if i == k < len(row_sets) else _ZERO)
+        for i in range(F.rows)
+        for k in range(i, F.rows)
+    }
+    crossed = {}
+    if cross is not None:
+        crossed = {
+            (k, i): _pair_residual(F, cross, k, i, _ZERO)
+            for k in range(F.rows)
+            for i in range(cross.rows)
+        }
+    return pairs, crossed
+
+
 def _fold_report(
     F: FilterMatrix, label: str, tol: float, cross: FilterMatrix | None = None
 ) -> VerificationReport:
-    """Structure checks of F plus the fold identities of its row pairs.
-
-    Row pairs (i, k) of F must fold to N * delta_{i,k} * chi on the i-th
-    row level set, and each row of F against each row of ``cross`` to 0.
-    """
+    """Structure checks of F plus the fold identities of ``_fold_residuals``."""
     _check_dims(F)
-    violations = _structure_violations(F)
-    identities = {}
-    row_sets = F.row_sets
-    for i in range(F.rows):
-        for k in range(i, F.rows):
-            if i == k and i < len(row_sets):
-                target = TrigPoly.indicator(row_sets[i], float(F.e.N))
-            else:
-                target = TrigPoly.zero()
-            identities[f"{label}({i + 1},{k + 1})"] = _pair_residual(F, F, i, k, target)
-    if cross is not None:
-        zero = TrigPoly.zero()
-        for k in range(F.rows):
-            for i in range(cross.rows):
-                identities[f"gh({k + 1},{i + 1})"] = _pair_residual(F, cross, k, i, zero)
-    return VerificationReport.from_identities(identities, tol, violations)
+    pairs, crossed = _fold_residuals(F, cross)
+    identities = {f"{label}({i + 1},{k + 1})": r for (i, k), r in pairs.items()}
+    identities.update((f"gh({k + 1},{i + 1})", r) for (k, i), r in crossed.items())
+    return VerificationReport.from_identities(identities, tol, _structure_violations(F))
 
 
 def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -223,10 +242,7 @@ def verify_complementary(
     G: FilterMatrix, H: FilterMatrix, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Check that G completes H: G-G orthogonality plus vanishing G-H cross folds."""
-    if not same_context(G, H):
-        raise ContextMismatch("G and H must share the same multiplicity and dilation")
-    if G.rows_follow != "mtilde" or H.rows_follow != "m":
-        raise ContextMismatch("expected H rows indexed by m and G rows by mtilde")
+    _check_pair(H, G)
     return _fold_report(G, "gg", tol, cross=H)
 
 

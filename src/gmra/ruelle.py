@@ -6,8 +6,10 @@ level sets.  The adjoint is realized by the preimage fold
 
     [S* g]_i (w) = (1/N) sum_{N z = w} conj(F_ij(z)) g_j(z),
 
-which keeps everything inside the piecewise trig-poly class and makes
-S* S = I an exactly checkable identity.
+which keeps everything inside the piecewise trig-poly class.  S_F* S_K is
+then multiplication by a matrix of folds, so ``cuntz_check`` bounds the
+four isometry identities in operator norm from the fold identities alone;
+applying S to seeded sections is an opt-in cross-check.
 """
 
 from __future__ import annotations
@@ -24,10 +26,16 @@ from .filters import (
     FilterMatrix,
     GridFilterMatrix,
     VerificationReport,
+    _check_pair,
+    _fold_residuals,
+    _structure_violations,
     worst_residual,
 )
 from .torus import TorusSet
 from .trigpoly import TrigPoly, compose_endomorphism, fold, gated_sum, inner
+
+# how far a probe may exceed its bound: rounding in the probe's own inner products
+PROBE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,41 +146,81 @@ def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
 def cuntz_check(
     H: FilterMatrix,
     G: FilterMatrix,
-    trials: int = 20,
+    trials: int = 0,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Residuals of the four isometry identities on canonical and seeded vectors.
+    """Operator-norm bounds of the four isometry identities, read from the fold identities.
 
     Checked: S_H* S_H = I, S_G* S_G = I (over the complementary sets),
-    S_H* S_G = 0, and S_H S_H* + S_G S_G* = I.
+    S_H* S_G = 0, and S_H S_H* + S_G S_G* = I.  Each value bounds the norm of
+    the defect on all sections.  Proof: S_F* S_K multiplies by M(w), M_ik =
+    (1/N) sum_j sum_{Nz=w} conj(F_ij(z)) K_kj(z), a conjugated fold of
+    ``_fold_residuals`` over N, so |M_ik - delta_ik| <= r_ik / N on the row
+    sets and the spectral norm is at most the Frobenius sqrt(sum r_ik^2) / N;
+    for K = F only i <= k is folded and M is Hermitian, so an off-diagonal r
+    counts twice.  For completeness let W(w) have rows (F, i), F = H, G,
+    columns (j, k) and entries F_ij(w_k) / sqrt(N) over the preimages w_k of w.
+    W W* - I is made of the same folds over N, so its norm is at most
+    e = sqrt(hh^2 + gg^2 + 2 gh^2).  Exact structure (any
+    ``_structure_violations`` fails the report) leaves nonzero only the rows of
+    row sets holding w and the columns with w_k in sigma_j, equal in number:
+    m(w) + mtilde(w) = sum_k m(w_k) by consistency.  So W is square there,
+    ||W* W - I|| = ||W W* - I|| <= e, and S_H S_H* + S_G S_G* acts on the fibre
+    over w, weight 1/N per branch, as conj(W* W).  A NaN bound fails too.
+
+    ``trials`` > 0 adds a seeded cross-check under ``probe`` keys: the worst
+    ||(S* S - I) f|| / ||f|| over ``trials`` random sections of each space.
+    A probe above its bound plus PROBE_SLACK is a violation.
     """
+    _check_pair(H, G)
+    violations = _structure_violations(H) + _structure_violations(G)
+    hh, _ = _fold_residuals(H)
+    gg, gh = _fold_residuals(G, cross=H)
+
+    def frobenius(residuals, hermitian=False):  # (k, i) is then the conjugate of (i, k)
+        squares = (r * r * (2 if hermitian and i != k else 1) for (i, k), r in residuals.items())
+        return math.sqrt(sum(squares)) / H.e.N
+
+    iso_h, iso_g, cross = frobenius(hh, True), frobenius(gg, True), frobenius(gh)
+    bounds = {
+        "SH*SH=I": iso_h,
+        "SG*SG=I": iso_g,
+        "SH*SG=0": cross,
+        "SHSH*+SGSG*=I": math.sqrt(iso_h * iso_h + iso_g * iso_g + 2 * cross * cross),
+    }
+    identities = dict(bounds)
+    if trials > 0:
+        for key, probe in _probe(H, G, trials, seed).items():
+            identities[f"probe {key}"] = probe
+            if probe > bounds[key] + PROBE_SLACK:
+                violations += (f"probe {key} = {probe:.3g} exceeds its bound {bounds[key]:.3g}",)
+    return VerificationReport.from_identities(identities, tol, violations)
+
+
+def _probe(H: FilterMatrix, G: FilterMatrix, trials: int, seed: int) -> dict[str, float]:
+    """Worst ||(S* S - I) f|| / ||f|| of each identity over seeded random sections."""
     rng = random.Random(seed)
-    m_sets = H.row_sets
-    mt_sets = G.row_sets
-    vec_m = canonical_vectors(m_sets) + [
-        random_section(m_sets, rng) for _ in range(trials)
-    ]
-    vec_mt = canonical_vectors(mt_sets) + [
-        random_section(mt_sets, rng) for _ in range(trials)
-    ]
+    vec_m = [random_section(H.row_sets, rng) for _ in range(trials)]
+    vec_mt = [random_section(G.row_sets, rng) for _ in range(trials)]
     r_iso_h, r_complete = [], []
     for f in vec_m:
-        r_iso_h.append((apply_S_adjoint(H, apply_S(H, f)) - f).norm())
+        size = f.norm() or 1.0
+        r_iso_h.append((apply_S_adjoint(H, apply_S(H, f)) - f).norm() / size)
         total = apply_S(H, apply_S_adjoint(H, f)) + apply_S(G, apply_S_adjoint(G, f))
-        r_complete.append((total - f).norm())
+        r_complete.append((total - f).norm() / size)
     r_iso_g, r_cross = [], []
     for u in vec_mt:
+        size = u.norm() or 1.0
         lifted = apply_S(G, u)
-        r_iso_g.append((apply_S_adjoint(G, lifted) - u).norm())
-        r_cross.append(apply_S_adjoint(H, lifted).norm())
-    identities = {
+        r_iso_g.append((apply_S_adjoint(G, lifted) - u).norm() / size)
+        r_cross.append(apply_S_adjoint(H, lifted).norm() / size)
+    return {
         "SH*SH=I": worst_residual(r_iso_h),
         "SG*SG=I": worst_residual(r_iso_g),
         "SH*SG=0": worst_residual(r_cross),
         "SHSH*+SGSG*=I": worst_residual(r_complete),
     }
-    return VerificationReport.from_identities(identities, tol)
 
 
 # ---- grid-sampled application ----------------------------------------------

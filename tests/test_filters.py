@@ -235,6 +235,13 @@ class TestNonFiniteFailsClosed:
         with pytest.raises(CompletionFailed):
             complement_numeric(H, grid=16)
 
+    def test_nan_in_a_G_entry(self):
+        entry = catalog.get("haar")
+        g = entry.G.entry(0, 0) + poly((3, complex(math.nan, 0.0)))
+        G = scalar_filter(g, rows_follow="mtilde")
+        for rep in (cuntz_check(entry.H, G), verify_complementary(G, entry.H)):
+            assert not rep.passed and math.isnan(rep.max_residual)
+
     def test_nan_in_a_later_identity(self):
         # gg(1,1) comes first and is finite; only gh(1,1) is NaN
         entry, H = self.nan_haar()

@@ -3,20 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmra import catalog
+from gmra import catalog, ruelle
 from gmra.errors import ContextMismatch
-from gmra.filters import FilterMatrix
-from gmra.multiplicity import MultiplicityFunction
+from gmra.filters import FilterMatrix, conjugate_filter, verify_complementary
+from gmra.multiplicity import MultiplicityFunction, sigma_sets
 from gmra.ruelle import (
     SectionVector,
     apply_S,
     apply_S_adjoint,
+    canonical_vectors,
     cuntz_check,
     random_section,
 )
 from gmra.torus import TorusEndomorphism, TorusSet
-from gmra.trigpoly import TrigPoly
+from gmra.trigpoly import TrigPoly, compose_endomorphism
 
 F = Fraction
 SQRT2 = math.sqrt(2.0)
@@ -109,6 +112,87 @@ class TestCuntz:
         assert not rep.passed
         assert abs(rep.identities["SH*SH=I"] - 3.0) < 1e-9
 
+    def test_default_applies_no_operator(self, monkeypatch):
+        # the bounds come from the folds alone: no section is lifted or folded back
+        def refuse(*args):
+            raise AssertionError("cuntz_check applied an operator to a section")
+
+        monkeypatch.setattr(ruelle, "apply_S", refuse)
+        monkeypatch.setattr(ruelle, "apply_S_adjoint", refuse)
+        entry = catalog.get("journe")
+        rep = cuntz_check(entry.H, entry.G)
+        assert list(rep.identities) == ["SH*SH=I", "SG*SG=I", "SH*SG=0", "SHSH*+SGSG*=I"]
+        assert rep.passed and rep.max_residual < 1e-14
+
+    def test_trials_add_the_probe_keys(self):
+        entry = catalog.get("cantor3")
+        rep = cuntz_check(entry.H, entry.G, trials=2, seed=7)
+        bounds = cuntz_check(entry.H, entry.G).identities
+        assert {k: v for k, v in rep.identities.items() if not k.startswith("probe ")} == bounds
+        for key, bound in bounds.items():
+            assert rep.identities[f"probe {key}"] <= bound + ruelle.PROBE_SLACK
+        assert rep.passed and not rep.violations
+
+    def test_probe_above_its_bound_is_a_violation(self, monkeypatch):
+        # with every fold read as exact, the bounds are 0 while the doubled filter is off by 3
+        entry = catalog.get("haar")
+        doubled = FilterMatrix.scalar(entry.H.entry(0, 0) * 2.0, entry.m, entry.e)
+        monkeypatch.setattr(ruelle, "_fold_residuals", lambda F, cross=None: ({}, {}))
+        rep = cuntz_check(doubled, entry.G, trials=1, seed=0)
+        assert rep.identities["SH*SH=I"] == 0.0
+        assert abs(rep.identities["probe SH*SH=I"] - 3.0) < 1e-9
+        assert any(v.startswith("probe SH*SH=I") for v in rep.violations)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("theta", [0.3, -1.1, math.pi / 2])
+    def test_rotated_complement_reads_its_cross_term(self, theta):
+        # G' = cos(t) G + sin(t) H: S_H* S_G' is multiplication by sin(t), of norm |sin(t)|
+        entry = catalog.get("haar")
+        h, g = entry.H.entry(0, 0), entry.G.entry(0, 0)
+        rotated = g * math.cos(theta) + h * math.sin(theta)
+        G = FilterMatrix.scalar(rotated, entry.m, entry.e, "mtilde")
+        rep = cuntz_check(entry.H, G, trials=2, seed=1)
+        assert abs(rep.identities["SH*SG=0"] - abs(math.sin(theta))) < 1e-12
+        assert rep.identities["SG*SG=I"] < 1e-12
+        assert rep.identities["probe SH*SG=0"] <= rep.identities["SH*SG=0"] + 1e-12
+        assert rep.identities["probe SHSH*+SGSG*=I"] <= rep.identities["SHSH*+SGSG*=I"] + 1e-12
+        assert not rep.violations and not rep.passed
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_mixed_rows_count_the_off_diagonal_twice(self, t):
+        # journe row 1 += t * row 2: S_H* S_H - I is [[t^2, t], [t, 0]] on sigma_2, whose
+        # Frobenius norm sqrt(t^4 + 2 t^2) is the bound and bounds the spectral norm
+        entry = catalog.get("journe")
+        (a, b), (c, d) = entry.H.entries
+        H = FilterMatrix.from_rows([[a + c * t, b + d * t], [c, d]], entry.m, entry.e)
+        rep = cuntz_check(H, entry.G, trials=3, seed=2)
+        assert abs(rep.identities["SH*SH=I"] - math.sqrt(t**4 + 2 * t**2)) < 1e-12
+        assert rep.identities["SH*SH=I"] >= (t * t + math.sqrt(t**4 + 4 * t**2)) / 2
+        assert not rep.violations
+
+    @pytest.mark.parametrize(
+        "name, slot",
+        [("cantor3", "G"), ("haar", "H")],
+        ids=["dilations-differ", "low-pass-in-the-G-slot"],
+    )
+    def test_pair_outside_one_context_is_rejected(self, name, slot):
+        H, G = catalog.get("haar").H, getattr(catalog.get(name), slot)
+        with pytest.raises(ContextMismatch):
+            cuntz_check(H, G)
+        with pytest.raises(ContextMismatch):
+            verify_complementary(G, H)
+
+    def test_G_entry_outside_its_block_is_a_violation(self):
+        # a 1e-14 leak moves no bound past the tolerance; the structure check alone fails it
+        entry = catalog.get("journe")
+        leak = TrigPoly.from_pieces([(F(1, 2), F(5, 8), [(F(0), 1e-14)])])
+        (g0, g1), = entry.G.entries
+        G = FilterMatrix.from_rows([[g0, g1 + leak]], entry.m, entry.e, "mtilde")
+        rep = cuntz_check(entry.H, G)
+        assert rep.max_residual < 1e-9
+        assert any("entry (1,2) leaks outside column support" in v for v in rep.violations)
+        assert not rep.passed
+
     def test_isometry_norm_preservation(self):
         rng = random.Random(23)
         for name in ("haar", "journe", "haar3_2wavelet"):
@@ -135,3 +219,81 @@ class TestNorms:
             (TrigPoly.indicator(s, SQRT2),), (TorusSet.full(),)
         )
         assert abs(v.norm() - 1.0) < 1e-12
+
+
+PAIRED = [name for name in catalog.names() if catalog.get(name).G is not None]
+
+
+@st.composite
+def piecewise_monomials(draw):
+    """A unimodular phase * e(k w) on each arc between breakpoints j/12, |k| <= 3."""
+    cuts = sorted(draw(st.sets(st.integers(1, 11), max_size=3)))
+    bounds = [F(0)] + [F(j, 12) for j in cuts] + [F(1)]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        turn = draw(st.floats(0, 1, exclude_max=True))
+        k = draw(st.integers(-3, 3))
+        phase = complex(math.cos(math.tau * turn), math.sin(math.tau * turn))
+        pieces.append((lo, hi, [(F(k), phase)]))
+    return TrigPoly.from_pieces(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PAIRED),
+    st.one_of(st.none(), piecewise_monomials()),
+    st.sampled_from([1.0, 0.5, 1.25]),
+    st.sampled_from([1.0, 0.75, 1.5]),
+    st.sampled_from([0.0, 0.4]),
+    st.integers(0, 2**32),
+)
+def test_bounds_dominate_every_probed_residual(name, a, c, d, theta, seed):
+    """||(S* S - I) f|| <= (bound + 1e-12) ||f|| on canonical and random sections.
+
+    The pair is a catalog system, optionally conjugated by a unimodular
+    multiplier a: H through conjugate_filter with a on every m-level set, and
+    G entrywise as a(N w) G(w) conj(a(w)), since G's rows follow mtilde.  H
+    and G are then scaled by c and d and, where H and G have one shape and
+    one row structure, G is turned to cos(theta) G + sin(theta) H, so the
+    bounds are not all at rounding level.  The residuals come from apply_S
+    and apply_S_adjoint, not from cuntz_check.
+    """
+    entry = catalog.get(name)
+    H, G = entry.H, entry.G
+    if a is not None:
+        size = max(len(sigma_sets(entry.m)), 1)
+        rows = [[TrigPoly.zero()] * size for _ in range(size)]
+        for i, s in enumerate(sigma_sets(entry.m)):
+            rows[i][i] = a.restrict(s)
+        H = conjugate_filter(H, FilterMatrix.from_rows(rows, entry.m, entry.e))
+        a_up = compose_endomorphism(a, entry.e)
+        G = FilterMatrix.from_rows(
+            [[a_up * g * a.conj() for g in row] for row in G.entries], G.m, G.e, "mtilde"
+        )
+    H = FilterMatrix.from_rows([[h * c for h in row] for row in H.entries], H.m, H.e)
+    G = FilterMatrix.from_rows([[g * d for g in row] for row in G.entries], G.m, G.e, "mtilde")
+    if H.row_sets != G.row_sets or (H.rows, H.cols) != (G.rows, G.cols):
+        theta = 0.0
+    if theta:
+        rows = [
+            [g * math.cos(theta) + h * math.sin(theta) for g, h in zip(g_row, h_row)]
+            for g_row, h_row in zip(G.entries, H.entries)
+        ]
+        G = FilterMatrix.from_rows(rows, G.m, G.e, "mtilde")
+    rep = cuntz_check(H, G)
+    assert not rep.violations
+    assert rep.passed == (c == d == 1.0 and not theta)
+    bound = rep.identities
+    rng = random.Random(seed)
+
+    def within(key, residual, f):
+        assert residual.norm() <= (bound[key] + 1e-12) * f.norm(), (key, residual.norm(), f.norm())
+
+    for f in canonical_vectors(H.row_sets) + [random_section(H.row_sets, rng, degree=3)]:
+        within("SH*SH=I", apply_S_adjoint(H, apply_S(H, f)) - f, f)
+        total = apply_S(H, apply_S_adjoint(H, f)) + apply_S(G, apply_S_adjoint(G, f))
+        within("SHSH*+SGSG*=I", total - f, f)
+    for u in canonical_vectors(G.row_sets) + [random_section(G.row_sets, rng, degree=3)]:
+        lifted = apply_S(G, u)
+        within("SG*SG=I", apply_S_adjoint(G, lifted) - u, u)
+        within("SH*SG=0", apply_S_adjoint(H, lifted), u)

@@ -7,7 +7,8 @@ Run from the repository root:
     diff other.txt tree.txt
 
 Every subcommand runs in process on each catalog problem (written once as
-problem JSON), in both interval conventions; ``equiv`` runs on every ordered
+problem JSON), in both interval conventions, and ``cuntz`` once more with
+``--trials 3``; ``equiv`` runs on every ordered
 pair of problems that share the dilation N, the pair of a problem with itself
 included, and ``catalog list`` once.  Each run prints one line: the
 convention, the command, its exit code and the SHA-256 of its stdout.
@@ -37,9 +38,10 @@ from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# each subcommand that takes one problem file, in the order it runs
+# each subcommand that takes one problem file, with its flags, in the order it runs;
+# `cuntz --trials 3` keeps a fingerprint of the seeded probe beside the bound-only run
 ONE_FILE = ("validate", "mtilde", "sigma", "check-filter", "complement", "purity",
-            "construct", "cascade", "cuntz")
+            "construct", "cascade", "cuntz", "cuntz --trials 3")
 # each run on a pool problem text, in order: its label and the argv before the file
 POOL_RUNS = (("check-filter", ["check-filter"]), ("purity", ["purity"]), ("mtilde", ["mtilde"]),
              ("sigma", ["sigma"]), ("construct", ["construct", "--depth", "3", "--down", "3"]),
@@ -62,7 +64,7 @@ def runs(names: list[str], paths: dict[str, str], dilation: dict[str, int]):
         for name in names:
             yield f"{conv} catalog show {name}", flags + ["catalog", "show", name]
             for command in ONE_FILE:
-                yield f"{conv} {command} {name}", flags + [command, paths[name]]
+                yield f"{conv} {command} {name}", flags + [*command.split(), paths[name]]
         for a in names:
             for b in names:
                 if dilation[a] == dilation[b]:
