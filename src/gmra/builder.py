@@ -1,12 +1,12 @@
 """Construction of the canonical GMRA as a symbolic space ledger.
 
 The core space is the direct sum of L2 over the multiplicity level sets;
-the zero-th detail space sits over the complementary level sets, and each
-higher detail space is the dilation of the previous one, realized by
-splitting every base set into its injective dilation branches.  The whole
-structure is a finite-depth ledger of slots; the unitary that shifts the
-ledger one step is assembled from the two transfer isometries plus exact
-branch maps.
+the zero-th detail space W0 sits over the complementary level sets, and
+each higher detail space is the dilation of the previous one, laid out as
+slots by splitting every base set into its injective dilation branches.
+Ledger vectors take the form V0 (+) W0 (+) D W0 (+) ..., each level in W0
+coordinates, so the unitary shift is S_H (+) S_G on V0 (+) W0 followed by a
+relabelling of the levels: it costs O(depth), not O(slots).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .multiplicity import (
 )
 from .ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
 from .torus import TorusEndomorphism, TorusSet
-from .trigpoly import TrigPoly, gated_compress, gated_dilate, inner
+from .trigpoly import TrigPoly, gated_compress, inner
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,6 @@ class CanonicalGMRA:
     v0_slots: tuple[SpaceSlot, ...]
     w_levels: tuple[tuple[SpaceSlot, ...], ...]
     purity: PurityVerdict = field(compare=False)
-    # per step n, (parent's position in w_levels[n], branch k) for each slot of w_levels[n + 1]
-    plan: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
 
     @property
     def slots(self) -> tuple[SpaceSlot, ...]:
@@ -148,6 +146,8 @@ def build(
     tol: float = DEFAULT_TOL,
 ) -> CanonicalGMRA:
     """Validate the parameters and lay out the ledger to the given depth."""
+    if depth < 0:
+        raise ValueError(f"ledger depth must be >= 0, got {depth}")
     report = check_consistency(m, e)
     if not report.holds:
         raise FilterInvalid(
@@ -174,12 +174,8 @@ def build(
         for k, base in enumerate(sigma_sets(mtilde))
     ]
     levels = [tuple(w0)]
-    plan = []
-    for _ in range(depth):  # each parent dilated in turn, so its children know its position
-        pairs = [(p, c) for p, slot in enumerate(levels[-1]) for c in dilate_slots((slot,), e)]
-        levels.append(tuple(c for _, c in pairs))
-        # the branch k of a child is that of its kernel element (N-k)/N
-        plan.append(tuple((p, -e.kernel.index(c.branch[-1]) % e.N) for p, c in pairs))
+    for _ in range(depth):
+        levels.append(tuple(dilate_slots(levels[-1], e)))
     return CanonicalGMRA(
         m=m,
         mtilde=mtilde,
@@ -190,7 +186,6 @@ def build(
         v0_slots=v0,
         w_levels=tuple(levels),
         purity=verdict,
-        plan=tuple(plan),
     )
 
 
@@ -199,28 +194,32 @@ def build(
 
 @dataclass(frozen=True)
 class LedgerVector:
-    """Components aligned with the slot list of a CanonicalGMRA."""
+    """V0 (+) W0 (+) D W0 (+) ... in W0 coordinates: ``v0`` has one component per core
+    slot, and ``w[n]`` the level-n details u_n = D^-n w_n, one component per W0 slot."""
 
     v0: tuple[TrigPoly, ...]
-    w: tuple[tuple[TrigPoly, ...], ...]  # one tuple per level, per slot
+    w: tuple[tuple[TrigPoly, ...], ...]  # one tuple per level, one component per W0 slot
 
     @staticmethod
     def zero(g: CanonicalGMRA) -> "LedgerVector":
         return LedgerVector(
             tuple(TrigPoly.zero() for _ in g.v0_slots),
-            tuple(tuple(TrigPoly.zero() for _ in level) for level in g.w_levels),
+            tuple(_zero_level(g) for _ in g.w_levels),
         )
 
 
+def _zero_level(g: CanonicalGMRA) -> tuple[TrigPoly, ...]:
+    return tuple(TrigPoly.zero() for _ in g.w_levels[0])
+
+
 def conform(g: CanonicalGMRA, v: LedgerVector):
-    if len(v.v0) != len(g.v0_slots) or len(v.w) != len(g.w_levels):
+    if (len(v.v0) != len(g.v0_slots) or len(v.w) != len(g.w_levels)
+            or any(len(level) != len(g.w_levels[0]) for level in v.w)):
         raise ContextMismatch("vector does not conform to the ledger")
-    for level, slots in zip(v.w, g.w_levels):
-        if len(level) != len(slots):
-            raise ContextMismatch("vector does not conform to the ledger")
 
 
 def ledger_norm(g: CanonicalGMRA, v: LedgerVector) -> float:
+    """The ledger norm: D is unitary, so each level's W0 components count as they are."""
     conform(g, v)
     total = 0.0
     for comp in list(v.v0) + [c for level in v.w for c in level]:
@@ -228,70 +227,61 @@ def ledger_norm(g: CanonicalGMRA, v: LedgerVector) -> float:
     return math.sqrt(total)
 
 
-def _v0_section(g: CanonicalGMRA, v: LedgerVector) -> SectionVector:
-    return SectionVector.from_components(v.v0, tuple(s.base for s in g.v0_slots))
-
-
-def _w0_section(g: CanonicalGMRA, v: LedgerVector) -> SectionVector:
-    return SectionVector.from_components(
-        v.w[0], tuple(s.base for s in g.w_levels[0])
-    )
-
-
-def _dilate_components(g: CanonicalGMRA, n: int, comps) -> list[TrigPoly]:
-    """Push level-n components one level up (the isometry D, exact): one sweep per child."""
-    scale = 1.0 / math.sqrt(g.e.N)
-    return [
-        gated_dilate(comps[parent], g.e, k, child.base, scale)
-        for child, (parent, k) in zip(g.w_levels[n + 1], g.plan[n])
-    ]
-
-
-def _compress_components(g: CanonicalGMRA, n: int, comps) -> list[TrigPoly]:
-    """Pull level-(n+1) components down one level (the inverse of D): one sweep per parent."""
-    scale = math.sqrt(g.e.N)
-    parts = [[] for _ in g.w_levels[n]]
-    for f, (parent, k) in zip(comps, g.plan[n]):
-        parts[parent].append((f, k))
-    return [
-        gated_compress(parts[p], g.e, slot.base, scale) for p, slot in enumerate(g.w_levels[n])
-    ]
+def _section(comps, slots) -> SectionVector:
+    return SectionVector.from_components(comps, tuple(s.base for s in slots))
 
 
 def apply_T(g: CanonicalGMRA, v: LedgerVector) -> LedgerVector:
-    """The ledger shift: V0 <- S_H(V0) + S_G(W0), W_n <- D^{-1}(W_{n+1})."""
+    """The ledger shift: V0 <- S_H(V0) + S_G(W0), then u_n <- u_{n+1} with a zero top level."""
     conform(g, v)
-    new_v0 = apply_S(g.H, _v0_section(g, v)) + apply_S(g.G, _w0_section(g, v))
-    new_w = [tuple(_compress_components(g, n, v.w[n + 1])) for n in range(len(g.w_levels) - 1)]
-    new_w.append(tuple(TrigPoly.zero() for _ in g.w_levels[-1]))
-    return LedgerVector(tuple(new_v0.components), tuple(new_w))
+    core, detail = _section(v.v0, g.v0_slots), _section(v.w[0], g.w_levels[0])
+    new_v0 = apply_S(g.H, core) + apply_S(g.G, detail)
+    return LedgerVector(tuple(new_v0.components), tuple(v.w[1:]) + (_zero_level(g),))
 
 
 def apply_T_inverse(g: CanonicalGMRA, v: LedgerVector) -> LedgerVector:
-    """Inverse shift; raises DepthExceeded if the top level is occupied."""
+    """V0 <- S_H*(V0), W0 <- S_G*(V0), u_{n+1} <- u_n; DepthExceeded if the top is occupied."""
     conform(g, v)
     if any(not c.is_zero() for c in v.w[-1]):
-        raise DepthExceeded(
-            "top detail level is occupied; rebuild with a larger depth"
-        )
-    v0_sec = _v0_section(g, v)
-    new_v0 = apply_S_adjoint(g.H, v0_sec)
-    new_w0 = apply_S_adjoint(g.G, v0_sec)
-    new_w = [tuple(new_w0.components)]
-    for n in range(len(g.w_levels) - 1):
-        new_w.append(tuple(_dilate_components(g, n, v.w[n])))
-    return LedgerVector(tuple(new_v0.components), tuple(new_w))
+        raise DepthExceeded("top detail level is occupied; rebuild with a larger depth")
+    core = _section(v.v0, g.v0_slots)
+    new_w0 = tuple(apply_S_adjoint(g.G, core).components)
+    return LedgerVector(tuple(apply_S_adjoint(g.H, core).components), (new_w0,) + tuple(v.w[:-1]))
 
 
 def apply_translation(g: CanonicalGMRA, gamma: int, v: LedgerVector) -> LedgerVector:
-    """Multiply every slot component by e^(2*pi*i*gamma*w) in its coordinate."""
+    """Multiply every slot component by e^(2*pi*i*gamma*w) in its own coordinate: on level
+    n in W0 coordinates by e^(2*pi*i*gamma*N^n*x), since a slot on branch J has
+    w = N^n*x - J and e^(2*pi*i*gamma*J) = 1 for integer gamma."""
+    if not isinstance(gamma, int):
+        raise ValueError(f"translations are by integers, got {gamma!r}")
     conform(g, v)
     return LedgerVector(
         tuple(c.shift_frequencies(gamma) for c in v.v0),
         tuple(
-            tuple(c.shift_frequencies(gamma) for c in level) for level in v.w
+            tuple(c.shift_frequencies(gamma * g.e.N**n) for c in level)
+            for n, level in enumerate(v.w)
         ),
     )
+
+
+def pull_back_level(g: CanonicalGMRA, n: int, comps) -> tuple[TrigPoly, ...]:
+    """u = D^-n w: level-n components, one per slot of ``g.w_levels[n]``, in W0 coordinates.
+
+    A slot on the branch path k_0 .. k_(n-1) pulls back along branch
+    J = sum k_i N^(n-1-i) of w -> N^n w with scale sqrt(N)^n, and all slots
+    under W0 slot k go into one sweep gated by its base.
+    """
+    if n == 0:
+        return tuple(comps)
+    N, parts = g.e.N, [[] for _ in g.w_levels[0]]
+    for slot, f in zip(g.w_levels[n], comps):
+        J = 0
+        for zeta in slot.branch:  # the kernel element (N - k)/N records branch k, in ints
+            J = J * N + -zeta.numerator * (N // zeta.denominator) % N
+        parts[slot.index].append((f, J))
+    e, scale = TorusEndomorphism(N**n), math.sqrt(N) ** n
+    return tuple(gated_compress(p, e, s.base, scale) for p, s in zip(parts, g.w_levels[0]))
 
 
 def random_ledger_vector(
@@ -300,7 +290,8 @@ def random_ledger_vector(
     degree: int = 5,
     top_level: int | None = None,
 ) -> LedgerVector:
-    """Seeded vector with trig-poly components up to ``top_level`` details."""
+    """Seeded vector with trig-poly components up to ``top_level`` details: each slot draws
+    its component over its base, and each level is then pulled back to W0 once."""
     if top_level is None:
         top_level = len(g.w_levels) - 2
     v0 = random_section(tuple(s.base for s in g.v0_slots), rng, degree)
@@ -308,9 +299,9 @@ def random_ledger_vector(
     for n, slots in enumerate(g.w_levels):
         if n <= top_level:
             sec = random_section(tuple(s.base for s in slots), rng, degree)
-            levels.append(tuple(sec.components))
+            levels.append(pull_back_level(g, n, sec.components))
         else:
-            levels.append(tuple(TrigPoly.zero() for _ in slots))
+            levels.append(_zero_level(g))
     return LedgerVector(tuple(v0.components), tuple(levels))
 
 

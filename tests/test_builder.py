@@ -1,9 +1,13 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmra import catalog
 from gmra.builder import (
@@ -27,8 +31,18 @@ from gmra.builder import (
 from gmra.errors import DepthExceeded, FilterInvalid, NotPureIsometry
 from gmra.filters import FilterMatrix
 from gmra.multiplicity import MultiplicityFunction, folded_sum
+from gmra.ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
 from gmra.torus import TorusEndomorphism, TorusSet
-from gmra.trigpoly import TrigPoly, compress_branch, dilate_branch, fold, inner
+from gmra.trigpoly import (
+    TrigPoly,
+    compress_branch,
+    dilate_branch,
+    fold,
+    gated_compress,
+    gated_dilate,
+    inner,
+    unit_phase,
+)
 
 F = Fraction
 N2 = TorusEndomorphism(2)
@@ -89,12 +103,100 @@ def chain_S_adjoint(F, comps):
     return out
 
 
-def branch_of(slot, e):
-    return (e.N - int(slot.branch[-1] * e.N)) % e.N
+def branch_k(zeta, e):
+    """The branch k recorded by the kernel element (N - k)/N of a dilation step."""
+    return (e.N - int(zeta * e.N)) % e.N
 
 
 def restricted(comps, slots):
     return [f.restrict(s.base) for f, s in zip(comps, slots)]
+
+
+class SlotVector(NamedTuple):
+    """A ledger vector in slot coordinates: one component per slot of every level."""
+
+    v0: tuple
+    w: tuple
+
+
+def parents_of(g, n):
+    """(parent's position in g.w_levels[n], branch k) for each slot of g.w_levels[n + 1]."""
+    position = {(s.index, s.branch): p for p, s in enumerate(g.w_levels[n])}
+    return [
+        (position[(c.index, c.branch[:-1])], branch_k(c.branch[-1], g.e))
+        for c in g.w_levels[n + 1]
+    ]
+
+
+def sections(g, v):
+    core = SectionVector.from_components(v.v0, tuple(s.base for s in g.v0_slots))
+    detail = SectionVector.from_components(v.w[0], tuple(s.base for s in g.w_levels[0]))
+    return core, detail
+
+
+def slot_T(g, v):
+    """The ledger shift in slot coordinates: one gated_compress per parent slot."""
+    core, detail = sections(g, v)
+    new_w = []
+    for n, level in enumerate(g.w_levels[:-1]):
+        parts = [[] for _ in level]
+        for f, (p, k) in zip(v.w[n + 1], parents_of(g, n)):
+            parts[p].append((f, k))
+        new_w.append(tuple(
+            gated_compress(parts[p], g.e, s.base, math.sqrt(g.e.N)) for p, s in enumerate(level)
+        ))
+    new_w.append(tuple(TrigPoly.zero() for _ in g.w_levels[-1]))
+    return SlotVector(tuple((apply_S(g.H, core) + apply_S(g.G, detail)).components), tuple(new_w))
+
+
+def slot_T_inverse(g, v):
+    """The inverse shift in slot coordinates: one gated_dilate per child slot."""
+    core, _ = sections(g, v)
+    new_w = [tuple(apply_S_adjoint(g.G, core).components)]
+    for n in range(len(g.w_levels) - 1):
+        new_w.append(tuple(
+            gated_dilate(v.w[n][p], g.e, k, c.base, 1.0 / math.sqrt(g.e.N))
+            for c, (p, k) in zip(g.w_levels[n + 1], parents_of(g, n))
+        ))
+    return SlotVector(tuple(apply_S_adjoint(g.H, core).components), tuple(new_w))
+
+
+def slot_translation(g, gamma, v):
+    return SlotVector(
+        tuple(c.shift_frequencies(gamma) for c in v.v0),
+        tuple(tuple(c.shift_frequencies(gamma) for c in level) for level in v.w),
+    )
+
+
+def slot_random_vector(g, rng, degree, top_level=None):
+    """One seeded component per slot, drawn level by level over the slot bases."""
+    if top_level is None:
+        top_level = len(g.w_levels) - 2
+    v0 = random_section(tuple(s.base for s in g.v0_slots), rng, degree)
+    levels = []
+    for n, slots in enumerate(g.w_levels):
+        if n <= top_level:
+            levels.append(random_section(tuple(s.base for s in slots), rng, degree).components)
+        else:
+            levels.append(tuple(TrigPoly.zero() for _ in slots))
+    return SlotVector(tuple(v0.components), tuple(levels))
+
+
+def to_w0(g, v):
+    """A slot-coordinate vector in W0 coordinates, slot by slot: each level-n component is
+    pulled down its branch path one compress step at a time, and the results are summed
+    per W0 slot."""
+    levels = [tuple(v.w[0])]
+    for n in range(1, len(g.w_levels)):
+        parts = [[] for _ in g.w_levels[0]]
+        for slot, f in zip(g.w_levels[n], v.w[n]):
+            for zeta in reversed(slot.branch):
+                f = compress_branch(f, g.e, branch_k(zeta, g.e)) * math.sqrt(g.e.N)
+            parts[slot.index].append(f)
+        levels.append(
+            tuple(TrigPoly.sum(p).restrict(s.base) for p, s in zip(parts, g.w_levels[0]))
+        )
+    return LedgerVector(tuple(v.v0), tuple(levels))
 
 
 def chain_T(g, v):
@@ -106,14 +208,14 @@ def chain_T(g, v):
         parts = {(s.index, s.branch): [] for s in parents}
         if n + 1 < len(g.w_levels):
             for child, f in zip(g.w_levels[n + 1], v.w[n + 1]):
-                k = branch_of(child, g.e)
+                k = branch_k(child.branch[-1], g.e)
                 parts[(child.index, child.branch[:-1])].append(
                     compress_branch(f, g.e, k) * math.sqrt(g.e.N)
                 )
         new_w.append(
             tuple(TrigPoly.sum(parts[(s.index, s.branch)]).restrict(s.base) for s in parents)
         )
-    return LedgerVector(tuple(a + b for a, b in zip(v0, w0)), tuple(new_w))
+    return SlotVector(tuple(a + b for a, b in zip(v0, w0)), tuple(new_w))
 
 
 def chain_T_inverse(g, v):
@@ -125,25 +227,101 @@ def chain_T_inverse(g, v):
         new_w.append(
             tuple(
                 (
-                    dilate_branch(parent_of[(c.index, c.branch[:-1])], g.e, branch_of(c, g.e))
+                    dilate_branch(parent_of[(c.index, c.branch[:-1])], g.e,
+                                  branch_k(c.branch[-1], g.e))
                     * (1.0 / math.sqrt(g.e.N))
                 ).restrict(c.base)
                 for c in g.w_levels[n + 1]
             )
         )
-    return LedgerVector(tuple(chain_S_adjoint(g.H, v0)), tuple(new_w))
+    return SlotVector(tuple(chain_S_adjoint(g.H, v0)), tuple(new_w))
+
+
+def slot_norm(v):
+    comps = list(v.v0) + [c for level in v.w for c in level]
+    return math.sqrt(sum(max(inner(c, c).real, 0.0) for c in comps))
 
 
 @pytest.mark.parametrize("name", PURE_SYSTEMS)
 def test_shift_equals_the_chain_of_sweeps(name):
-    """T and T^-1 build each component in one gated sweep; the coefficients are those of
-    the chain of separate dilate/compress, scale, sum and restrict sweeps."""
+    """The slot-path shift builds each component in one gated sweep, with the coefficients
+    of the chain of separate sweeps.  The W0 path agrees with it, converted slot by slot:
+    T bit for bit (its relabelled levels are the same chain of compress steps), T^-1 on V0
+    and W0 bit for bit and on the dilated levels to rounding (dilate then compress)."""
     g = built(name, depth=4)
-    v = random_ledger_vector(g, random.Random(name), degree=3)
+    vs = slot_random_vector(g, random.Random(name), degree=3)
+    shifted = slot_T(g, vs)
+    assert shifted == chain_T(g, vs)
+    assert slot_T_inverse(g, shifted) == chain_T_inverse(g, shifted)
+    assert slot_T_inverse(g, vs) == chain_T_inverse(g, vs)
+    v = to_w0(g, vs)
+    assert apply_T(g, v) == to_w0(g, shifted)
+    for ours, ref in ((apply_T_inverse(g, apply_T(g, v)), to_w0(g, slot_T_inverse(g, shifted))),
+                      (apply_T_inverse(g, v), to_w0(g, slot_T_inverse(g, vs)))):
+        assert ours.v0 == ref.v0 and ours.w[0] == ref.w[0]
+        assert vector_distance(g, ours, ref) <= 1e-13 * slot_norm(ref)
+
+
+@pytest.mark.parametrize("name", PURE_SYSTEMS)
+def test_translation_and_norm_agree_with_the_slot_path(name):
+    g = built(name, depth=4)
+    vs = slot_random_vector(g, random.Random(name), degree=3)
+    v = to_w0(g, vs)
+    assert abs(ledger_norm(g, v) - slot_norm(vs)) <= 1e-13 * slot_norm(vs)
+    for gamma in (1, g.e.N, 3):
+        assert apply_translation(g, gamma, v) == to_w0(g, slot_translation(g, gamma, vs))
+
+
+@pytest.mark.parametrize("name, depth, top_level", [
+    ("haar", 5, None), ("journe", 4, 2), ("cantor3", 3, None), ("haar3_2wavelet", 2, 0),
+])
+def test_random_vector_draws_per_slot(name, depth, top_level):
+    """random_ledger_vector draws what the per-slot draw does, from the same stream, and
+    converts it: level 0 as drawn, the others to rounding."""
+    g = built(name, depth=depth)
+    ours_rng, slot_rng = random.Random(name), random.Random(name)
+    v = random_ledger_vector(g, ours_rng, degree=3, top_level=top_level)
+    ref = to_w0(g, slot_random_vector(g, slot_rng, degree=3, top_level=top_level))
+    assert ours_rng.random() == slot_rng.random()
+    assert v.v0 == ref.v0 and v.w[0] == ref.w[0]
+    assert vector_distance(g, v, ref) <= 1e-13 * slot_norm(ref)
+
+
+def dft_haar_system(N):
+    """h = N^-1/2 sum_k e(-k w), with the other N - 1 DFT rows as G."""
+    e, m = TorusEndomorphism(N), MultiplicityFunction.constant(1)
+
+    def row(r):
+        terms = [(F(-k), unit_phase(F(r * k, N)) / math.sqrt(N)) for k in range(N)]
+        return (TrigPoly.from_pieces([(0, 1, terms)]),)
+
+    G = FilterMatrix(tuple(row(r) for r in range(1, N)), m, e, "mtilde")
+    return m, FilterMatrix((row(0),), m, e), G, e
+
+
+# N = 2, 2, 3, 3 and 4
+LEDGER_SYSTEMS = ("journe", "shannon_reversed", "cantor3", "haar3_2wavelet", "dft_haar4")
+
+
+@functools.lru_cache(maxsize=None)
+def ledger_of(name, depth):
+    if name == "dft_haar4":
+        return build(*dft_haar_system(4), depth=depth)
+    return built(name, depth=depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LEDGER_SYSTEMS), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_shift_properties(name, depth, seed):
+    """T^-1 T v = v, T keeps the norm, and T tau_1 T^-1 = tau_N, for N = 2..4 and depths 0..6."""
+    g = ledger_of(name, depth)
+    v = random_ledger_vector(g, random.Random(seed), degree=2)
+    size = ledger_norm(g, v)
     shifted = apply_T(g, v)
-    assert shifted == chain_T(g, v)
-    assert apply_T_inverse(g, shifted) == chain_T_inverse(g, shifted)
-    assert apply_T_inverse(g, v) == chain_T_inverse(g, v)
+    assert abs(ledger_norm(g, shifted) - size) <= 1e-12 * size
+    assert vector_distance(g, apply_T_inverse(g, shifted), v) <= 1e-12 * size
+    lhs = apply_T(g, apply_translation(g, 1, apply_T_inverse(g, v)))
+    assert vector_distance(g, lhs, apply_translation(g, g.e.N, v)) <= 1e-12 * size
 
 
 class TestBuild:
@@ -173,6 +351,13 @@ class TestBuild:
         with pytest.raises(NotPureIsometry) as info:
             build(entry.m, entry.H, entry.G, entry.e)
         assert info.value.verdict.eigenvalue is not None
+
+    def test_negative_depth_refused(self):
+        entry = catalog.get("haar")
+        with pytest.raises(ValueError):
+            build(entry.m, entry.H, entry.G, entry.e, depth=-2)
+        g = build(entry.m, entry.H, entry.G, entry.e, depth=0)
+        assert g.depth == 0 and len(g.w_levels) == 1
 
     def test_bad_filter_refused(self):
         entry = catalog.get("haar_unnormalized")
@@ -256,6 +441,13 @@ class TestTranslation:
         rng = random.Random(5)
         v = random_ledger_vector(g, rng, degree=3, top_level=1)
         assert vector_distance(g, apply_translation(g, 0, v), v) == 0
+
+    @pytest.mark.parametrize("gamma", [F(1, 2), F(2), 0.5, 1.0])
+    def test_non_integer_refused(self, gamma):
+        g = built("haar", depth=2)
+        v = random_ledger_vector(g, random.Random(5), degree=3, top_level=1)
+        with pytest.raises(ValueError):
+            apply_translation(g, gamma, v)
 
     def test_norm_preserved_exactly(self):
         g = built("journe", depth=2)
