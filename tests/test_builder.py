@@ -425,7 +425,10 @@ class TestUnitarity:
             apply_T_inverse(g, v)
 
     def test_inverse_shift_preserves_norms(self):
-        # exercises the branch dilation isometry on every occupied slot
+        # S_H* and S_G* on V0 plus the relabelling of the detail levels; the
+        # branch dilation isometry is checked through pull_back_level against
+        # to_w0 (test_random_vector_draws_per_slot and
+        # test_translation_and_norm_agree_with_the_slot_path)
         for name in ("haar", "journe"):
             g = built(name, depth=3)
             rng = random.Random(8)

@@ -3,12 +3,12 @@
 Run from the repository root:
 
     python3 tools/ledger_sweep.py > sweep.json
-    python3 tools/ledger_sweep.py --repeats 3 --haar-depths 3 4 --cantor-depths 3
 
-For haar (N = 2) and cantor3 (N = 3) at each depth, the ledger is built
-once and one seeded vector is drawn per slot over the slot bases, with
-every level but the top occupied, as ``random_ledger_vector`` draws it.
-Each row gives the slot count and the best of ``--repeats`` wall times, in
+For haar (N = 2) at depths 3..12 and cantor3 (N = 3) at depths 3..7,
+the ledger is built once and one seeded vector is drawn per slot over the
+slot bases, with every level but the top occupied, as
+``random_ledger_vector`` draws it.
+Each row gives the slot count and the best of ``REPEATS`` wall times, in
 milliseconds, of ``apply_T``, ``apply_T_inverse``, ``apply_translation`` by
 1, ``ledger_norm``, and ``convert``: ``pull_back_level`` on every occupied
 level, the step that takes the drawn slot components to W0 coordinates.
@@ -16,7 +16,6 @@ level, the step that takes the drawn slot components to W0 coordinates.
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import random
@@ -30,21 +29,25 @@ from gmra import builder, catalog  # noqa: E402
 from gmra.ruelle import random_section  # noqa: E402
 
 DEGREE = 2
+REPEATS = 5
+SEED = 1
+HAAR_DEPTHS = range(3, 13)
+CANTOR_DEPTHS = range(3, 8)
 
 
-def best_ms(fn, repeats: int) -> float:
+def best_ms(fn) -> float:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return round(min(times) * 1e3, 4)
 
 
-def row(name: str, depth: int, repeats: int, seed: int) -> dict:
+def row(name: str, depth: int) -> dict:
     entry = catalog.get(name)
     g = builder.build(entry.m, entry.H, entry.G, entry.e, depth=depth)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     v0 = random_section(tuple(s.base for s in g.v0_slots), rng, DEGREE).components
     drawn = [random_section(tuple(s.base for s in level), rng, DEGREE).components
              for level in g.w_levels[:-1]]
@@ -60,27 +63,21 @@ def row(name: str, depth: int, repeats: int, seed: int) -> dict:
         "N": g.e.N,
         "depth": depth,
         "slots": len(g.slots),
-        "apply_T_ms": best_ms(lambda: builder.apply_T(g, v), repeats),
-        "apply_T_inverse_ms": best_ms(lambda: builder.apply_T_inverse(g, v), repeats),
-        "apply_translation_ms": best_ms(lambda: builder.apply_translation(g, 1, v), repeats),
-        "ledger_norm_ms": best_ms(lambda: builder.ledger_norm(g, v), repeats),
-        "convert_ms": best_ms(convert, repeats),
+        "apply_T_ms": best_ms(lambda: builder.apply_T(g, v)),
+        "apply_T_inverse_ms": best_ms(lambda: builder.apply_T_inverse(g, v)),
+        "apply_translation_ms": best_ms(lambda: builder.apply_translation(g, 1, v)),
+        "ledger_norm_ms": best_ms(lambda: builder.ledger_norm(g, v)),
+        "convert_ms": best_ms(convert),
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--haar-depths", type=int, nargs="*", default=list(range(3, 13)))
-    parser.add_argument("--cantor-depths", type=int, nargs="*", default=list(range(3, 8)))
-    args = parser.parse_args(argv)
-    cases = [("haar", d) for d in args.haar_depths] + [("cantor3", d) for d in args.cantor_depths]
+def main() -> int:
+    cases = [("haar", d) for d in HAAR_DEPTHS] + [("cantor3", d) for d in CANTOR_DEPTHS]
     report = {
         "machine": {"python": platform.python_version()},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "vector_degree": DEGREE,
-        "rows": [row(name, depth, args.repeats, args.seed) for name, depth in cases],
+        "rows": [row(name, depth) for name, depth in cases],
     }
     print(json.dumps(report, indent=2))
     return 0
