@@ -4,14 +4,19 @@ The core space is the direct sum of L2 over the multiplicity level sets;
 the zero-th detail space W0 sits over the complementary level sets, and
 each higher detail space is the dilation of the previous one, laid out as
 slots by splitting every base set into its injective dilation branches.
-Ledger vectors take the form V0 (+) W0 (+) D W0 (+) ..., each level in W0
-coordinates, so the unitary shift is S_H (+) S_G on V0 (+) W0 followed by a
-relabelling of the levels: it costs O(depth), not O(slots).
+A slot's split depends only on its base, and level n of a W0 base B is
+N^n (B n [J/N^n, (J+1)/N^n)) - J, the full circle for every J inside a span
+of B, so the bases of a level repeat: each distinct base is split once per
+step and its slots share the resulting sets.  Ledger vectors take the form
+V0 (+) W0 (+) D W0 (+) ..., each level in W0 coordinates, so the unitary
+shift is S_H (+) S_G on V0 (+) W0 followed by a relabelling of the levels:
+it costs O(depth), not O(slots).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,14 +75,25 @@ def dilate_slots(slots, e: TorusEndomorphism) -> list[SpaceSlot]:
     """One dilation step: split each base into branches, push each forward.
 
     Per branch the map is injective, the image has N times the branch
-    measure, and the total weighted dimension is preserved.
+    measure, and the total weighted dimension is preserved.  The split of a
+    base is the same for every slot over it, so each distinct base is split
+    once and its (zeta, image) pairs, ``TorusSet`` objects included, serve
+    all of its slots; the children come out slot by slot, branches ascending.
     """
-    return [
-        SpaceSlot(s.kind, s.index, s.level + 1, s.branch + (zeta,), e.image_set(part),
-                  s.weight * e.N)
-        for s in slots
-        for zeta, part in e.tau_partition(s.base)
-    ]
+    splits: dict[TorusSet, list[tuple[Fraction, TorusSet]]] = {}
+    out = []
+    for s in slots:
+        split = splits.get(s.base)
+        if split is None:
+            split = splits[s.base] = [
+                (zeta, e.image_set(part)) for zeta, part in e.tau_partition(s.base)
+            ]
+        level, weight = s.level + 1, s.weight * e.N
+        out.extend(
+            SpaceSlot(s.kind, s.index, level, s.branch + (zeta,), image, weight)
+            for zeta, image in split
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,14 @@ class CanonicalGMRA:
         return groups
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int, read by ``operator.index``: ValueError for anything else."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def build(
     m: MultiplicityFunction,
     H: FilterMatrix,
@@ -146,6 +170,7 @@ def build(
     tol: float = DEFAULT_TOL,
 ) -> CanonicalGMRA:
     """Validate the parameters and lay out the ledger to the given depth."""
+    depth = _integer(depth, "ledger depth")
     if depth < 0:
         raise ValueError(f"ledger depth must be >= 0, got {depth}")
     report = check_consistency(m, e)
@@ -252,9 +277,9 @@ def apply_T_inverse(g: CanonicalGMRA, v: LedgerVector) -> LedgerVector:
 def apply_translation(g: CanonicalGMRA, gamma: int, v: LedgerVector) -> LedgerVector:
     """Multiply every slot component by e^(2*pi*i*gamma*w) in its own coordinate: on level
     n in W0 coordinates by e^(2*pi*i*gamma*N^n*x), since a slot on branch J has
-    w = N^n*x - J and e^(2*pi*i*gamma*J) = 1 for integer gamma."""
-    if not isinstance(gamma, int):
-        raise ValueError(f"translations are by integers, got {gamma!r}")
+    w = N^n*x - J and e^(2*pi*i*gamma*J) = 1 for integer gamma.  gamma is read as a Python
+    int, so gamma*N^n cannot overflow."""
+    gamma = _integer(gamma, "a translation")
     conform(g, v)
     return LedgerVector(
         tuple(c.shift_frequencies(gamma) for c in v.v0),
@@ -291,9 +316,13 @@ def random_ledger_vector(
     top_level: int | None = None,
 ) -> LedgerVector:
     """Seeded vector with trig-poly components up to ``top_level`` details: each slot draws
-    its component over its base, and each level is then pulled back to W0 once."""
+    its component over its base, and each level is then pulled back to W0 once.  The
+    default ``top_level`` is depth - 1; above the depth it is refused."""
     if top_level is None:
-        top_level = len(g.w_levels) - 2
+        top_level = g.depth - 1
+    top_level = _integer(top_level, "top_level")
+    if top_level > g.depth:
+        raise ValueError(f"top_level {top_level} exceeds the ledger depth {g.depth}")
     v0 = random_section(tuple(s.base for s in g.v0_slots), rng, degree)
     levels = []
     for n, slots in enumerate(g.w_levels):

@@ -32,7 +32,7 @@ from .filters import (
     worst_residual,
 )
 from .torus import TorusSet
-from .trigpoly import TrigPoly, compose_endomorphism, fold, gated_sum, inner
+from .trigpoly import TrigPoly, _on_set, compose_endomorphism, fold, gated_sum, inner
 
 # how far a probe may exceed its bound: rounding in the probe's own inner products
 PROBE_SLACK = 1e-12
@@ -97,16 +97,21 @@ def random_section(sets, rng: random.Random, degree: int = 8) -> SectionVector:
     """Seeded trig poly of bounded degree per slot, restricted to its set.
 
     Coefficients are uniform in the unit disc; low degree suffices because
-    every identity under test is linear.
+    every identity under test is linear.  Each slot's terms are laid straight
+    onto its set's spans, one cell per span.
     """
+    if degree < 0:
+        raise ValueError(f"section degree must be >= 0, got {degree}")
     comps = []
     for s in sets:
         terms = []
         for n in range(-degree, degree + 1):
             r = math.sqrt(rng.random())
             theta = rng.random() * math.tau
-            terms.append((n, complex(r * math.cos(theta), r * math.sin(theta))))
-        comps.append(TrigPoly.from_spans(1, 1, [(0, 1, terms)]).restrict(s))
+            c = complex(r * math.cos(theta), r * math.sin(theta))
+            if c:  # the frequencies ascend, so dropping exact zeros makes the terms canonical
+                terms.append((n, c))
+        comps.append(_on_set(s, 1, tuple(terms)))
     return SectionVector(tuple(comps), tuple(sets))
 
 

@@ -215,6 +215,23 @@ def _swept(den: int, fden: int, pieces, combine, gate: TorusSet | None = None) -
     return _tiled(den, fden, cells)
 
 
+def _on_set(ts: TorusSet, fden: int, terms: Terms) -> "TrigPoly":
+    """The poly carrying canonical ``terms`` (frequencies over a reduced ``fden``) on ts and
+    0 off it: one cell per span of ts, () on the gaps.  It is the gated sweep's result,
+    since a canonical ts leaves no cut point to reduce and no equal neighbours to merge."""
+    if not terms or not ts.spans:
+        return TrigPoly.zero()
+    cells, cursor = [], 0
+    for lo, hi in ts.spans:
+        if cursor < lo:
+            cells.append((cursor, lo, ()))
+        cells.append((lo, hi, terms))
+        cursor = hi
+    if cursor < ts.den:
+        cells.append((cursor, ts.den, ()))
+    return TrigPoly(ts.den, fden, tuple(cells))
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """A piecewise trig polynomial in canonical form.
@@ -321,7 +338,10 @@ class TrigPoly:
         return _tiled(self.den, fden or self.fden, ((lo, terms_map(t)) for lo, _, t in self.cells))
 
     def restrict(self, ts: TorusSet) -> "TrigPoly":
-        """Zero the function outside ts (exact piece surgery)."""
+        """Zero the function outside ts (exact piece surgery); a poly of one cell is laid
+        straight onto ts by ``_on_set``, without a sweep."""
+        if len(self.cells) == 1:
+            return _on_set(ts, self.fden, self.cells[0][2])
         return gated_sum((self,), ts)
 
     # ---- evaluation ------------------------------------------------------

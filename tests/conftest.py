@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from gmra.torus import TorusSet
 
@@ -19,6 +20,19 @@ def random_torus_set(rng, max_intervals=4, max_den=64):
         hi = lo + Fraction(rng.randint(1, d2), d2)
         pairs.append((lo, hi))
     return TorusSet.from_intervals(pairs)
+
+
+@st.composite
+def circle_sets(draw):
+    """A set on the circle: empty, the full circle, or up to three spans over a den up to 24
+    whose ends may touch 0 and 1."""
+    kind = draw(st.sampled_from(["empty", "full", "spans"]))
+    if kind != "spans":
+        return TorusSet.empty() if kind == "empty" else TorusSet.full()
+    den = draw(st.integers(1, 24))
+    ends = draw(st.lists(st.integers(0, den), min_size=2, max_size=6))
+    pairs = zip(ends[::2], ends[1::2])
+    return TorusSet.from_spans(den, [(min(a, b), max(a, b)) for a, b in pairs if a != b])
 
 
 def merge_fraction_terms(pairs):

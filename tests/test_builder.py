@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from conftest import circle_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from gmra.ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
 from gmra.torus import TorusEndomorphism, TorusSet
 from gmra.trigpoly import (
     TrigPoly,
+    compose_endomorphism,
     compress_branch,
     dilate_branch,
     fold,
@@ -359,6 +361,17 @@ class TestBuild:
         g = build(entry.m, entry.H, entry.G, entry.e, depth=0)
         assert g.depth == 0 and len(g.w_levels) == 1
 
+    @pytest.mark.parametrize("depth", [2.0, F(2), "2"])
+    def test_non_integer_depth_refused(self, depth):
+        entry = catalog.get("haar")
+        with pytest.raises(ValueError):
+            build(entry.m, entry.H, entry.G, entry.e, depth=depth)
+
+    def test_numpy_integer_depth(self):
+        entry = catalog.get("haar")
+        g = build(entry.m, entry.H, entry.G, entry.e, depth=np.int64(2))
+        assert type(g.depth) is int and g == built("haar", depth=2)
+
     def test_bad_filter_refused(self):
         entry = catalog.get("haar_unnormalized")
         good = catalog.get("haar")
@@ -393,6 +406,68 @@ class TestDilation:
         assert total == 2 * slot.base.measure()
 
 
+def per_slot_dilate_slots(slots, e):
+    """The dilation step split slot by slot: a tau_partition and an image_set per slot."""
+    return [
+        SpaceSlot(s.kind, s.index, s.level + 1, s.branch + (zeta,), e.image_set(part),
+                  s.weight * e.N)
+        for s in slots
+        for zeta, part in e.tau_partition(s.base)
+    ]
+
+
+def per_slot_levels(w0, e, depth):
+    levels = [tuple(w0)]
+    for _ in range(depth):
+        levels.append(tuple(per_slot_dilate_slots(levels[-1], e)))
+    return tuple(levels)
+
+
+def conjugated(entry, pieces, rng):
+    """The entry's H and G conjugated entrywise, p -> a(N w) p(w) conj(a(w)), by a unimodular
+    a = e(k w) times a constant phase on each of ``pieces`` arcs with breakpoints j/12."""
+    cuts = [F(0)] + sorted(F(j, 12) for j in rng.sample(range(1, 12), pieces - 1)) + [F(1)]
+    steps = TrigPoly.from_pieces(
+        (lo, hi, [(rng.choice([-2, -1, 1, 2]), unit_phase(F(rng.randrange(12), 12)))])
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    up = compose_endomorphism(steps, entry.e)
+
+    def conj(F_):
+        rows = [[up * p * steps.conj() for p in row] for row in F_.entries]
+        return FilterMatrix.from_rows(rows, F_.m, F_.e, F_.rows_follow)
+
+    return conj(entry.H), conj(entry.G)
+
+
+@pytest.mark.parametrize("name", PURE_SYSTEMS)
+def test_layout_is_the_per_slot_split(name):
+    """Each distinct base split once gives the per-slot layout, on the system and on its
+    conjugates by 2 and 3 arcs (same m, so the same layout), at every depth up to 6."""
+    entry, rng = catalog.get(name), random.Random(name)
+    systems = [(entry.H, entry.G)] + [conjugated(entry, pieces, rng) for pieces in (2, 3)]
+    for H, G in systems:
+        g = build(entry.m, H, G, entry.e, depth=6)
+        assert g.w_levels == per_slot_levels(g.w_levels[0], entry.e, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(circle_sets(), min_size=1, max_size=3), st.integers(2, 5),
+       st.lists(st.integers(0, 2), max_size=8))
+def test_dilate_slots_is_the_per_slot_split(bases, N, picks):
+    """On slots over random bases (repeats included), one and two steps match the per-slot
+    split, slots and order alike, and slots over equal bases get the same child sets."""
+    e = TorusEndomorphism(N)
+    slots = [SpaceSlot("W", i, 0, (), bases[k % len(bases)], 1) for i, k in enumerate(picks)]
+    once = dilate_slots(slots, e)
+    assert once == per_slot_dilate_slots(slots, e)
+    assert dilate_slots(once, e) == per_slot_dilate_slots(once, e)
+    shared = {}
+    for s in slots:
+        children = [id(c.base) for c in once if c.index == s.index]
+        assert shared.setdefault(s.base, children) == children
+
+
 class TestUnitarity:
     def test_canonical_vector_maps_to_filter(self):
         g = built("haar", depth=2)
@@ -416,6 +491,20 @@ class TestUnitarity:
             for _ in range(3):
                 v = random_ledger_vector(g, rng, degree=3, top_level=1)
                 assert abs(ledger_norm(g, apply_T(g, v)) - ledger_norm(g, v)) < 1e-9
+
+    def test_top_level_above_the_depth_refused(self):
+        g = built("haar", depth=3)
+        with pytest.raises(ValueError):
+            random_ledger_vector(g, random.Random(4), degree=2, top_level=10)
+        with pytest.raises(ValueError):
+            random_ledger_vector(g, random.Random(4), degree=2, top_level=1.0)
+        top = random_ledger_vector(g, random.Random(4), degree=2, top_level=np.int64(3))
+        assert top == random_ledger_vector(g, random.Random(4), degree=2, top_level=3)
+        assert not all(c.is_zero() for c in top.w[3])
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError):
+            random_ledger_vector(built("haar", depth=2), random.Random(4), degree=-1)
 
     def test_depth_exceeded(self):
         g = built("haar", depth=1)
@@ -451,6 +540,17 @@ class TestTranslation:
         v = random_ledger_vector(g, random.Random(5), degree=3, top_level=1)
         with pytest.raises(ValueError):
             apply_translation(g, gamma, v)
+
+    def test_numpy_integer_is_the_int(self):
+        g = built("haar", depth=3)
+        v = random_ledger_vector(g, random.Random(5), degree=3)
+        assert apply_translation(g, np.int64(2), v) == apply_translation(g, 2, v)
+        # gamma * N^n would wrap in int64 past level 0
+        big = 2**62
+        assert apply_translation(g, np.int64(big), v) == apply_translation(g, big, v)
+        assert apply_translation(g, big, v).w[2][0].frequencies() <= {
+            F(big * 4 + n, 1) for n in range(-24, 25)
+        }
 
     def test_norm_preserved_exactly(self):
         g = built("journe", depth=2)

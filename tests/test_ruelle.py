@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import circle_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from gmra.ruelle import (
     random_section,
 )
 from gmra.torus import TorusEndomorphism, TorusSet
-from gmra.trigpoly import TrigPoly, compose_endomorphism
+from gmra.trigpoly import TrigPoly, compose_endomorphism, gated_sum
 
 F = Fraction
 SQRT2 = math.sqrt(2.0)
@@ -297,3 +298,55 @@ def test_bounds_dominate_every_probed_residual(name, a, c, d, theta, seed):
         lifted = apply_S(G, u)
         within("SG*SG=I", apply_S_adjoint(G, lifted) - u, u)
         within("SH*SG=0", apply_S_adjoint(H, lifted), u)
+
+
+class ZeroAt(random.Random):
+    """A seeded stream whose draws at the given call numbers read 0.0 instead."""
+
+    def __init__(self, seed, zero_at):
+        super().__init__(seed)
+        self.calls, self.zero_at = 0, zero_at
+
+    def random(self):
+        x = super().random()
+        self.calls += 1
+        return 0.0 if self.calls - 1 in self.zero_at else x
+
+
+def swept_section(sets, rng, degree):
+    """The section drawn term by term, built over the circle by from_spans and restricted to
+    each set by the gated sweep."""
+    comps = []
+    for s in sets:
+        terms = []
+        for n in range(-degree, degree + 1):
+            r = math.sqrt(rng.random())
+            theta = rng.random() * math.tau
+            terms.append((n, complex(r * math.cos(theta), r * math.sin(theta))))
+        comps.append(gated_sum((TrigPoly.from_spans(1, 1, [(0, 1, terms)]),), s))
+    return comps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(circle_sets(), max_size=4), st.integers(0, 4), st.integers(0, 2**32 - 1),
+       st.sets(st.integers(0, 40), max_size=6))
+def test_random_section_is_the_swept_construction(sets, degree, seed, zeros):
+    """Laid straight onto its sets, a section is the swept one, term zeroed by a draw r = 0
+    included, and leaves the stream where the swept draw does."""
+    zero_at = {2 * t for t in zeros}  # the first draw of term t is its radius
+    rng, ref_rng = ZeroAt(seed, zero_at), ZeroAt(seed, zero_at)
+    section = random_section(tuple(sets), rng, degree)
+    assert list(section.components) == swept_section(sets, ref_rng, degree)
+    assert rng.getstate() == ref_rng.getstate() and rng.calls == ref_rng.calls
+
+
+def test_random_section_all_zero_terms():
+    sets = (TorusSet.interval(F(1, 4), F(3, 4)), TorusSet.full())
+    section = random_section(sets, ZeroAt(1, {0, 2, 4}), 1)
+    assert section.components[0] == TrigPoly.zero()
+    assert not section.components[1].is_zero()
+
+
+def test_random_section_negative_degree_refused():
+    with pytest.raises(ValueError):
+        random_section((TorusSet.full(),), random.Random(1), degree=-1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import coalesce_pieces, merge_fraction_terms
+from conftest import circle_sets, coalesce_pieces, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from gmra.trigpoly import (
     compress_branch,
     dilate_branch,
     fold,
+    gated_sum,
     inner,
     integrate,
     norm,
@@ -388,3 +389,14 @@ class TestIntegerForm:
         assert math.isnan(r.sup_bound())
         assert not r.deviation_from(TrigPoly.zero()) <= 1e-9
         assert not r.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(circle_sets(), st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]),
+                                         st.complex_numbers(max_magnitude=2)), max_size=4))
+def test_one_cell_restrict_is_the_gated_sweep(s, raw):
+    """A poly of one cell is laid onto the set's spans: the gated sweep's poly, with rational
+    frequencies, and the indicator goes the same way."""
+    f = TrigPoly.from_pieces([(0, 1, [(F(n, d), c) for n, d, c in raw])])
+    assert f.restrict(s) == gated_sum((f,), s)
+    assert TrigPoly.indicator(s, 0.5j) == gated_sum((TrigPoly.constant(0.5j),), s)

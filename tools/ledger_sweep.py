@@ -5,12 +5,14 @@ Run from the repository root:
     python3 tools/ledger_sweep.py > sweep.json
 
 For haar (N = 2) at depths 3..12 and cantor3 (N = 3) at depths 3..7,
-the ledger is built once and one seeded vector is drawn per slot over the
+the ledger is built and one seeded vector is drawn per slot over the
 slot bases, with every level but the top occupied, as
 ``random_ledger_vector`` draws it.
 Each row gives the slot count and the best of ``REPEATS`` wall times, in
-milliseconds, of ``apply_T``, ``apply_T_inverse``, ``apply_translation`` by
-1, ``ledger_norm``, and ``convert``: ``pull_back_level`` on every occupied
+milliseconds, of ``build`` (validation and layout), ``draw``:
+``random_section`` over the slot bases of V0 and of every detail level,
+``apply_T``, ``apply_T_inverse``, ``apply_translation`` by 1,
+``ledger_norm``, and ``convert``: ``pull_back_level`` on every occupied
 level, the step that takes the drawn slot components to W0 coordinates.
 """
 
@@ -46,11 +48,18 @@ def best_ms(fn) -> float:
 
 def row(name: str, depth: int) -> dict:
     entry = catalog.get(name)
-    g = builder.build(entry.m, entry.H, entry.G, entry.e, depth=depth)
-    rng = random.Random(SEED)
-    v0 = random_section(tuple(s.base for s in g.v0_slots), rng, DEGREE).components
-    drawn = [random_section(tuple(s.base for s in level), rng, DEGREE).components
-             for level in g.w_levels[:-1]]
+
+    def build():
+        return builder.build(entry.m, entry.H, entry.G, entry.e, depth=depth)
+
+    g = build()
+
+    def draw():  # the top level last, so the levels below it draw what the vector holds
+        rng = random.Random(SEED)
+        return [random_section(tuple(s.base for s in slots), rng, DEGREE).components
+                for slots in (g.v0_slots,) + g.w_levels]
+
+    v0, *drawn, _ = draw()
 
     def convert():
         return [builder.pull_back_level(g, n, comps) for n, comps in enumerate(drawn)]
@@ -63,6 +72,8 @@ def row(name: str, depth: int) -> dict:
         "N": g.e.N,
         "depth": depth,
         "slots": len(g.slots),
+        "build_ms": best_ms(build),
+        "draw_ms": best_ms(draw),
         "apply_T_ms": best_ms(lambda: builder.apply_T(g, v)),
         "apply_T_inverse_ms": best_ms(lambda: builder.apply_T_inverse(g, v)),
         "apply_translation_ms": best_ms(lambda: builder.apply_translation(g, 1, v)),
