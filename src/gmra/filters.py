@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -74,13 +76,16 @@ class FilterMatrix:
 
     ``rows_follow`` says which multiplicity indexes the rows: "m" for a
     low-pass filter, "mtilde" for a complementary one.  Columns always
-    follow m.
+    follow m.  The fold defects and structure violations are computed on
+    first use and kept, read-only, for every later report on this object.
     """
 
     entries: tuple[tuple[TrigPoly, ...], ...]
     m: MultiplicityFunction
     e: TorusEndomorphism
     rows_follow: str = "m"
+    # id(K) -> (K, cross table); holding K keeps its id from being reused
+    _cross: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows_follow not in ("m", "mtilde"):
@@ -144,6 +149,46 @@ class FilterMatrix:
     def is_scalar(self) -> bool:
         return self.rows == 1 and self.cols == 1
 
+    @cached_property
+    def structure_violations(self) -> tuple[str, ...]:
+        """Exact support and block constraints, as canonical set inclusions."""
+        out = []
+        col_sets, row_sets = self.column_sets, self.row_sets
+        for i, row in enumerate(self.entries):
+            row_ok = self.e.preimage_set(row_sets[i]) if i < len(row_sets) else TorusSet.empty()
+            for j, h in enumerate(row):
+                supp = h.support()
+                col_ok = col_sets[j] if j < len(col_sets) else TorusSet.empty()
+                for what, ok in (("column support", col_ok), ("row block", row_ok)):
+                    if supp and not supp.is_subset(ok):
+                        where = f"entry ({i + 1},{j + 1})"
+                        out.append(f"{where} leaks outside {what} {ok}: support {supp}")
+        return tuple(out)
+
+    @cached_property
+    def fold_defects(self) -> Mapping[tuple[int, int], float]:
+        """Sup bounds {(i, k): r} of the fold defects of the row pairs i <= k: each must
+        fold to N * delta_{i,k} * chi on the i-th row level set."""
+        n = float(self.e.N)
+        diagonal = {i: TrigPoly.indicator(s, n) for i, s in enumerate(self.row_sets)}
+        return MappingProxyType({
+            (i, k): _pair_residual(self, self, i, k, diagonal.get(i, _ZERO) if i == k else _ZERO)
+            for i in range(self.rows)
+            for k in range(i, self.rows)
+        })
+
+    def cross_defects(self, K: "FilterMatrix") -> Mapping[tuple[int, int], float]:
+        """Sup bounds {(k, i): r} of the folds of each row k against each row i of K, which
+        must vanish; computed once per partner object."""
+        if id(K) not in self._cross:
+            table = {
+                (k, i): _pair_residual(self, K, k, i, _ZERO)
+                for k in range(self.rows)
+                for i in range(K.rows)
+            }
+            self._cross[id(K)] = (K, MappingProxyType(table))
+        return self._cross[id(K)][1]
+
 
 def same_context(a: FilterMatrix, b: FilterMatrix) -> bool:
     return a.m == b.m and a.e == b.e
@@ -170,21 +215,6 @@ def _check_dims(F: FilterMatrix):
         )
 
 
-def _structure_violations(F: FilterMatrix) -> tuple[str, ...]:
-    """Exact support and block constraints, as canonical set inclusions."""
-    out = []
-    col_sets, row_sets = F.column_sets, F.row_sets
-    for i, row in enumerate(F.entries):
-        row_ok = F.e.preimage_set(row_sets[i]) if i < len(row_sets) else TorusSet.empty()
-        for j, h in enumerate(row):
-            supp = h.support()
-            col_ok = col_sets[j] if j < len(col_sets) else TorusSet.empty()
-            for what, ok in (("column support", col_ok), ("row block", row_ok)):
-                if supp and not supp.is_subset(ok):
-                    out.append(f"entry ({i + 1},{j + 1}) leaks outside {what} {ok}: support {supp}")
-    return tuple(out)
-
-
 def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: TrigPoly) -> float:
     total = TrigPoly.sum(
         fold(F.e, F.entry(i, j), G.entry(k, j))
@@ -194,39 +224,16 @@ def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: Tri
     return total.deviation_from(target)
 
 
-def _fold_residuals(F: FilterMatrix, cross: FilterMatrix | None = None):
-    """Sup bounds {(i, k): r} of the fold defects of F's row pairs i <= k, and {(k, i): r}
-    of each row k of F against each row i of ``cross``.
-
-    Row pairs (i, k) of F must fold to N * delta_{i,k} * chi on the i-th
-    row level set, and rows of F against rows of ``cross`` to 0.
-    """
-    row_sets = F.row_sets
-    diagonal = [TrigPoly.indicator(s, float(F.e.N)) for s in row_sets]
-    pairs = {
-        (i, k): _pair_residual(F, F, i, k, diagonal[i] if i == k < len(row_sets) else _ZERO)
-        for i in range(F.rows)
-        for k in range(i, F.rows)
-    }
-    crossed = {}
-    if cross is not None:
-        crossed = {
-            (k, i): _pair_residual(F, cross, k, i, _ZERO)
-            for k in range(F.rows)
-            for i in range(cross.rows)
-        }
-    return pairs, crossed
-
-
 def _fold_report(
     F: FilterMatrix, label: str, tol: float, cross: FilterMatrix | None = None
 ) -> VerificationReport:
-    """Structure checks of F plus the fold identities of ``_fold_residuals``."""
+    """Structure checks of F plus its fold defects, and its cross defects against ``cross``."""
     _check_dims(F)
-    pairs, crossed = _fold_residuals(F, cross)
-    identities = {f"{label}({i + 1},{k + 1})": r for (i, k), r in pairs.items()}
-    identities.update((f"gh({k + 1},{i + 1})", r) for (k, i), r in crossed.items())
-    return VerificationReport.from_identities(identities, tol, _structure_violations(F))
+    identities = {f"{label}({i + 1},{k + 1})": r for (i, k), r in F.fold_defects.items()}
+    if cross is not None:
+        crossed = F.cross_defects(cross).items()
+        identities.update((f"gh({k + 1},{i + 1})", r) for (k, i), r in crossed)
+    return VerificationReport.from_identities(identities, tol, F.structure_violations)
 
 
 def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -234,6 +241,9 @@ def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationRepo
 
     Row pairs (i, i') must fold to N * delta_{i,i'} * chi on the i-th row
     level set.  Residuals are sup-norm bounds over the refined partition.
+    The folds are computed once per filter object (``H.fold_defects``) and
+    shared with ``verify_complementary`` and ``cuntz_check``; tol is applied
+    on each call.
     """
     return _fold_report(H, "rows", tol)
 
@@ -241,7 +251,12 @@ def verify_filter(H: FilterMatrix, tol: float = DEFAULT_TOL) -> VerificationRepo
 def verify_complementary(
     G: FilterMatrix, H: FilterMatrix, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Check that G completes H: G-G orthogonality plus vanishing G-H cross folds."""
+    """Check that G completes H: G-G orthogonality plus vanishing G-H cross folds.
+
+    The folds come from ``G.fold_defects`` and ``G.cross_defects(H)``, computed
+    once per pair of objects and shared with ``cuntz_check``; the pair check
+    and tol are applied on each call.
+    """
     _check_pair(H, G)
     return _fold_report(G, "gg", tol, cross=H)
 

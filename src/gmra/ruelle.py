@@ -27,8 +27,6 @@ from .filters import (
     GridFilterMatrix,
     VerificationReport,
     _check_pair,
-    _fold_residuals,
-    _structure_violations,
     worst_residual,
 )
 from .torus import TorusSet
@@ -161,27 +159,29 @@ def cuntz_check(
     S_H* S_G = 0, and S_H S_H* + S_G S_G* = I.  Each value bounds the norm of
     the defect on all sections.  Proof: S_F* S_K multiplies by M(w), M_ik =
     (1/N) sum_j sum_{Nz=w} conj(F_ij(z)) K_kj(z), a conjugated fold of
-    ``_fold_residuals`` over N, so |M_ik - delta_ik| <= r_ik / N on the row
-    sets and the spectral norm is at most the Frobenius sqrt(sum r_ik^2) / N;
-    for K = F only i <= k is folded and M is Hermitian, so an off-diagonal r
-    counts twice.  For completeness let W(w) have rows (F, i), F = H, G,
+    ``F.fold_defects`` or ``F.cross_defects(K)`` over N, so |M_ik - delta_ik|
+    <= r_ik / N on the row sets and the spectral norm is at most the Frobenius
+    sqrt(sum r_ik^2) / N; for K = F only i <= k is folded and M is Hermitian,
+    so an off-diagonal r counts twice.  For completeness let W(w) have rows (F, i), F = H, G,
     columns (j, k) and entries F_ij(w_k) / sqrt(N) over the preimages w_k of w.
     W W* - I is made of the same folds over N, so its norm is at most
     e = sqrt(hh^2 + gg^2 + 2 gh^2).  Exact structure (any
-    ``_structure_violations`` fails the report) leaves nonzero only the rows of
+    ``structure_violations`` fails the report) leaves nonzero only the rows of
     row sets holding w and the columns with w_k in sigma_j, equal in number:
     m(w) + mtilde(w) = sum_k m(w_k) by consistency.  So W is square there,
     ||W* W - I|| = ||W W* - I|| <= e, and S_H S_H* + S_G S_G* acts on the fibre
     over w, weight 1/N per branch, as conj(W* W).  A NaN bound fails too.
+    The folds are read from the tables on H and G, computed once per object
+    (and per partner) and shared with ``verify_filter`` and
+    ``verify_complementary``; the pair check and tol apply on each call.
 
     ``trials`` > 0 adds a seeded cross-check under ``probe`` keys: the worst
     ||(S* S - I) f|| / ||f|| over ``trials`` random sections of each space.
     A probe above its bound plus PROBE_SLACK is a violation.
     """
     _check_pair(H, G)
-    violations = _structure_violations(H) + _structure_violations(G)
-    hh, _ = _fold_residuals(H)
-    gg, gh = _fold_residuals(G, cross=H)
+    violations = H.structure_violations + G.structure_violations
+    hh, gg, gh = H.fold_defects, G.fold_defects, G.cross_defects(H)
 
     def frobenius(residuals, hermitian=False):  # (k, i) is then the conjugate of (i, k)
         squares = (r * r * (2 if hermitian and i != k else 1) for (i, k), r in residuals.items())

@@ -98,9 +98,12 @@ def wrap(lo: int, hi: int, den: int) -> tuple[tuple[int, int], ...]:
 
 
 def _sort_merge(segments) -> tuple[tuple[int, int], ...]:
-    """Canonical spans of the union of [0, den] segments: sorted, touching ones merged."""
+    """Canonical spans of the union of [0, den] segments: sorted, touching ones merged,
+    empty ones (lo >= hi) dropped."""
     merged: list[list[int]] = []
     for lo, hi in sorted(segments):
+        if lo >= hi:
+            continue
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:

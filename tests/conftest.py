@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from gmra.filters import FilterMatrix
+from gmra.jsonio import filter_to_json, parse_filter
 from gmra.torus import TorusSet
+from gmra.trigpoly import TrigPoly, compose_endomorphism, unit_phase
 
 
 @pytest.fixture
@@ -55,3 +58,28 @@ def coalesce_pieces(pieces):
         else:
             merged.append([lo, hi, payload])
     return tuple((lo, hi, payload) for lo, hi, payload in merged)
+
+
+def conjugated(entry, pieces, rng):
+    """The entry's H and G conjugated entrywise, p -> a(N w) p(w) conj(a(w)), by a unimodular
+    a = e(k w) times a constant phase on each of ``pieces`` arcs with breakpoints j/12."""
+    inner_cuts = sorted(Fraction(j, 12) for j in rng.sample(range(1, 12), pieces - 1))
+    cuts = [Fraction(0), *inner_cuts, Fraction(1)]
+    steps = TrigPoly.from_pieces(
+        (lo, hi, [(rng.choice([-2, -1, 1, 2]), unit_phase(Fraction(rng.randrange(12), 12)))])
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    up = compose_endomorphism(steps, entry.e)
+
+    def conj(F_):
+        rows = [[up * p * steps.conj() for p in row] for row in F_.entries]
+        return FilterMatrix.from_rows(rows, F_.m, F_.e, F_.rows_follow)
+
+    return conj(entry.H), conj(entry.G)
+
+
+def reparsed(F_):
+    """An equal filter parsed anew from its JSON form: a new object with no folds computed."""
+    out = parse_filter(filter_to_json(F_), F_.m, F_.e, F_.rows_follow)
+    assert out == F_ and out is not F_
+    return out

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import circle_sets
+from conftest import circle_sets, conjugated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,23 +421,6 @@ def per_slot_levels(w0, e, depth):
     for _ in range(depth):
         levels.append(tuple(per_slot_dilate_slots(levels[-1], e)))
     return tuple(levels)
-
-
-def conjugated(entry, pieces, rng):
-    """The entry's H and G conjugated entrywise, p -> a(N w) p(w) conj(a(w)), by a unimodular
-    a = e(k w) times a constant phase on each of ``pieces`` arcs with breakpoints j/12."""
-    cuts = [F(0)] + sorted(F(j, 12) for j in rng.sample(range(1, 12), pieces - 1)) + [F(1)]
-    steps = TrigPoly.from_pieces(
-        (lo, hi, [(rng.choice([-2, -1, 1, 2]), unit_phase(F(rng.randrange(12), 12)))])
-        for lo, hi in zip(cuts, cuts[1:])
-    )
-    up = compose_endomorphism(steps, entry.e)
-
-    def conj(F_):
-        rows = [[up * p * steps.conj() for p in row] for row in F_.entries]
-        return FilterMatrix.from_rows(rows, F_.m, F_.e, F_.rows_follow)
-
-    return conj(entry.H), conj(entry.G)
 
 
 @pytest.mark.parametrize("name", PURE_SYSTEMS)

@@ -23,7 +23,7 @@ from gmra.equivalence import (
     purity_test,
 )
 from gmra.errors import NotApplicable
-from gmra.filters import FilterMatrix, _structure_violations, conjugate_filter, verify_filter
+from gmra.filters import FilterMatrix, conjugate_filter, verify_filter
 from gmra.multiplicity import MultiplicityFunction, sigma_sets
 from gmra.torus import GRID_BLOCK, TorusEndomorphism, TorusSet, cell_at
 from gmra.trigpoly import TrigPoly, _terms_value, _terms_values, compose_endomorphism, unit_phase
@@ -92,7 +92,7 @@ def test_verdicts_survive_unimodular_conjugation(name, data):
     """
     entry = catalog.get(name)
     conjugated = conjugate_filter(entry.H, data.draw(unimodular_multipliers(entry)))
-    assert _structure_violations(conjugated) == _structure_violations(entry.H)
+    assert conjugated.structure_violations == entry.H.structure_violations
     before, after = purity_test(entry.H).kind, purity_test(conjugated).kind
     if before == NOT_PURE:
         assert after in (NOT_PURE, UNKNOWN)

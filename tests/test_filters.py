@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import conjugated, reparsed
 
 from gmra import catalog
 from gmra.equivalence import EQUIVALENT, decide
@@ -260,3 +262,41 @@ class TestNonFiniteFailsClosed:
         A = scalar_filter(poly((0, complex(math.nan, 0.0))))
         with pytest.raises(NotUnitary):
             conjugate_filter(catalog.get("haar").H, A)
+
+
+PAIRED = [name for name in catalog.names() if catalog.get(name).G is not None]
+
+
+def with_conjugates(name):
+    """The catalog pair and its entrywise conjugates by 2 and 3 arcs."""
+    entry, rng = catalog.get(name), random.Random(name)
+    return [(entry.H, entry.G)] + [conjugated(entry, pieces, rng) for pieces in (2, 3)]
+
+
+class TestFoldTables:
+    @pytest.mark.parametrize("name", PAIRED)
+    def test_tables_change_no_report(self, name):
+        # the first round may fill the tables on H and G, the second reads them
+        for H, G in with_conjugates(name):
+            for _ in range(2):
+                assert verify_filter(H) == verify_filter(reparsed(H))
+                assert verify_complementary(G, H) == verify_complementary(reparsed(G), reparsed(H))
+                assert cuntz_check(H, G) == cuntz_check(reparsed(H), reparsed(G))
+
+    @pytest.mark.parametrize("tols", [(1e-9, 1e-30), (1e-30, 1e-9)])
+    def test_each_call_applies_its_own_tolerance(self, tols):
+        # the conjugates' residuals sit between the two tolerances
+        for H, G in with_conjugates("haar")[1:]:
+            for tol in tols:
+                reports = (verify_filter(H, tol), verify_complementary(G, H, tol),
+                           cuntz_check(H, G, tol=tol))
+                for rep in reports:
+                    assert 1e-30 < rep.max_residual < 1e-9
+                    assert rep.tolerance == tol and rep.passed == (tol == 1e-9)
+
+    def test_nan_fails_closed_when_repeated(self):
+        entry, H = TestNonFiniteFailsClosed.nan_haar()
+        G = reparsed(entry.G)
+        for _ in range(2):
+            for rep in (verify_filter(H), verify_complementary(G, H), cuntz_check(H, G)):
+                assert not rep.passed and math.isnan(rep.max_residual)

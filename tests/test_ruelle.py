@@ -1,15 +1,17 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import circle_sets
+from conftest import circle_sets, reparsed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmra import catalog, ruelle
+from gmra import catalog, filters, ruelle
 from gmra.errors import ContextMismatch
-from gmra.filters import FilterMatrix, conjugate_filter, verify_complementary
+from gmra.filters import FilterMatrix, conjugate_filter, verify_complementary, verify_filter
 from gmra.multiplicity import MultiplicityFunction, sigma_sets
 from gmra.ruelle import (
     SectionVector,
@@ -135,11 +137,13 @@ class TestCuntz:
         assert rep.passed and not rep.violations
 
     def test_probe_above_its_bound_is_a_violation(self, monkeypatch):
-        # with every fold read as exact, the bounds are 0 while the doubled filter is off by 3
+        # with every fold read as exact, the bounds are 0 while the doubled filter is off by 3;
+        # a fresh G keeps the zero tables off the catalog's objects
         entry = catalog.get("haar")
         doubled = FilterMatrix.scalar(entry.H.entry(0, 0) * 2.0, entry.m, entry.e)
-        monkeypatch.setattr(ruelle, "_fold_residuals", lambda F, cross=None: ({}, {}))
-        rep = cuntz_check(doubled, entry.G, trials=1, seed=0)
+        G = FilterMatrix.scalar(entry.G.entry(0, 0), entry.m, entry.e, "mtilde")
+        monkeypatch.setattr(filters, "_pair_residual", lambda *args: 0.0)
+        rep = cuntz_check(doubled, G, trials=1, seed=0)
         assert rep.identities["SH*SH=I"] == 0.0
         assert abs(rep.identities["probe SH*SH=I"] - 3.0) < 1e-9
         assert any(v.startswith("probe SH*SH=I") for v in rep.violations)
@@ -201,6 +205,69 @@ class TestCuntz:
             for _ in range(3):
                 f = random_section(tuple(H.row_sets), rng, degree=5)
                 assert abs(apply_S(H, f).norm() - f.norm()) < 1e-9
+
+
+def rotated_low_pass(theta):
+    """cos(t) h + sin(t) g of haar as a low-pass filter: its cross folds with G are not 0."""
+    entry = catalog.get("haar")
+    h, g = entry.H.entry(0, 0), entry.G.entry(0, 0)
+    return FilterMatrix.scalar(h * math.cos(theta) + g * math.sin(theta), entry.m, entry.e)
+
+
+class TestFoldTablesShared:
+    @pytest.mark.parametrize("partner", ["haar_negated", "rotated"])
+    def test_partners_stay_apart(self, partner):
+        haar = catalog.get("haar")
+        H, G = reparsed(haar.H), reparsed(haar.G)
+        H2 = rotated_low_pass(0.3) if partner == "rotated" else reparsed(catalog.get(partner).H)
+        assert verify_complementary(G, H) == verify_complementary(reparsed(G), reparsed(H))
+        rep = cuntz_check(H2, G)
+        assert rep == cuntz_check(reparsed(H2), reparsed(G))
+        assert rep == cuntz_check(H2, G)
+        assert cuntz_check(H, G) == cuntz_check(reparsed(H), reparsed(G))
+        if partner == "rotated":
+            assert abs(rep.identities["SH*SG=0"] - math.sin(0.3)) < 1e-12
+            assert verify_complementary(G, H2) != verify_complementary(G, H)
+
+    def test_mismatched_pair_raises_after_the_tables_fill(self):
+        haar = catalog.get("haar")
+        H, G = reparsed(haar.H), reparsed(haar.G)
+        assert verify_complementary(G, H).passed and cuntz_check(H, G).passed
+        other = reparsed(catalog.get("cantor3").G)
+        verify_filter(other)
+        for pair in ((G, H), (H, other)):  # roles swapped; dilations differ
+            with pytest.raises(ContextMismatch):
+                cuntz_check(*pair)
+            with pytest.raises(ContextMismatch):
+                verify_complementary(pair[1], pair[0])
+
+    def test_cuntz_check_folds_nothing_after_the_verifies(self, monkeypatch):
+        entry = catalog.get("journe")
+        H, G = reparsed(entry.H), reparsed(entry.G)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real_fold(*args)
+
+        real_fold = filters.fold
+        monkeypatch.setattr(filters, "fold", counted)
+        verify_filter(H)
+        verify_complementary(G, H)
+        folded = len(calls)
+        rep = cuntz_check(H, G)
+        assert folded > 0 and len(calls) == folded
+        assert rep == cuntz_check(reparsed(H), reparsed(G)) and len(calls) > folded
+
+    def test_nothing_outlives_its_filter(self):
+        entry = catalog.get("journe")
+        H, G = reparsed(entry.H), reparsed(entry.G)
+        assert verify_filter(H).passed and verify_complementary(G, H).passed
+        assert cuntz_check(H, G).passed
+        refs = weakref.ref(H), weakref.ref(G)
+        del H, G
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestNorms:

@@ -185,6 +185,21 @@ class TestTorusSet:
         assert TorusSet.from_spans(3 * s.den, s.over(3 * s.den)) == s
         assert s.measure() == sum((hi - lo for lo, hi in s.intervals), F(0))
 
+    def test_from_spans_drops_empty_segments(self):
+        assert TorusSet.from_spans(1, [(0, 0)]) == TorusSet.empty()
+        assert TorusSet.from_spans(4, [(2, 2)]) == TorusSet.empty()
+        assert TorusSet.from_spans(4, [(2, 2), (1, 3)]) == ts(("1/4", "3/4"))
+
+    @given(st.data())
+    def test_empty_segments_change_nothing(self, data):
+        den = data.draw(st.integers(1, 24))
+        ends = st.tuples(st.integers(0, den), st.integers(0, den))
+        segments = [(min(a, b), max(a, b)) for a, b in data.draw(st.lists(ends, max_size=5))]
+        empty = [(max(a, b), min(a, b)) for a, b in data.draw(st.lists(ends, max_size=3))]
+        expected = TorusSet.from_spans(den, [(lo, hi) for lo, hi in segments if lo < hi])
+        assert TorusSet.from_spans(den, segments + empty) == expected
+        assert TorusSet.from_spans(den, empty) == TorusSet.empty()
+
     @given(mixed_sets, mixed_sets)
     def test_set_algebra_is_pointwise(self, a, b):
         results = {
