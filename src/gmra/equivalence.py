@@ -27,7 +27,7 @@ from .filters import (
 )
 from .multiplicity import MultiplicityFunction, sigma_sets
 from .ruelle import SectionVector
-from .torus import TorusSet, cell_at, grid_cells
+from .torus import TorusSet, cell_at
 from .trigpoly import TrigPoly, _terms_values
 
 PURE = "pure"
@@ -343,9 +343,7 @@ def constant_ratio_obstruction(
     """
     if h.support().measure() != 1:
         raise NotApplicable("ratio argument needs an a.e. nonvanishing filter")
-    ts = np.arange(64)  # the points t/64
-    rows = [(h.fden, terms) for _, _, terms in h.cells]
-    values = _terms_values(rows, grid_cells(h.cells, h.den, ts, 64), ts, 64)
+    values = h.sample(np.arange(64), 64)  # at the points t/64
     mags = np.fmax(np.hypot(values.real, values.imag), 0.0)  # a NaN reads 0, never chosen
     best_t = int(np.argmax(mags))  # the first largest
     best_mag = float(mags[best_t])

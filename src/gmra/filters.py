@@ -11,6 +11,7 @@ analytic identities are checked to a residual tolerance.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -84,7 +85,7 @@ class FilterMatrix:
     m: MultiplicityFunction
     e: TorusEndomorphism
     rows_follow: str = "m"
-    # id(K) -> (K, cross table); holding K keeps its id from being reused
+    # id(K) -> (weak reference to K, cross table); the entry goes when K does
     _cross: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -180,14 +181,16 @@ class FilterMatrix:
     def cross_defects(self, K: "FilterMatrix") -> Mapping[tuple[int, int], float]:
         """Sup bounds {(k, i): r} of the folds of each row k against each row i of K, which
         must vanish; computed once per partner object."""
-        if id(K) not in self._cross:
-            table = {
+        cross, key = self._cross, id(K)
+        ref, table = cross.get(key, (None, None))
+        if ref is None or ref() is not K:
+            table = MappingProxyType({
                 (k, i): _pair_residual(self, K, k, i, _ZERO)
                 for k in range(self.rows)
                 for i in range(K.rows)
-            }
-            self._cross[id(K)] = (K, MappingProxyType(table))
-        return self._cross[id(K)][1]
+            })
+            cross[key] = (weakref.ref(K, lambda _: cross.pop(key, None)), table)
+        return table
 
 
 def same_context(a: FilterMatrix, b: FilterMatrix) -> bool:

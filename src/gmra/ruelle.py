@@ -29,6 +29,7 @@ from .filters import (
     _check_pair,
     worst_residual,
 )
+from .multiplicity import sigma_tilde_sets
 from .torus import TorusSet
 from .trigpoly import TrigPoly, _on_set, compose_endomorphism, fold, gated_sum, inner
 
@@ -243,7 +244,10 @@ class GridSectionVector:
 
 
 def apply_S_grid(F: GridFilterMatrix, f: SectionVector) -> GridSectionVector:
-    """Apply a grid-sampled filter to an exact section vector, on the grid."""
+    """Apply a grid-sampled filter to an exact section vector over its row sets, the
+    superlevel sets of mtilde, on the grid."""
+    if f.sets != tuple(sigma_tilde_sets(F.m, F.e)):
+        raise ContextMismatch("input vector does not live over the row sets")
     fine = F.grid
     up = (F.e.N * np.arange(fine)) % fine  # N * s/fine, exactly
     out = np.zeros((F.cols, fine), dtype=complex)

@@ -248,14 +248,6 @@ class TorusEndomorphism:
                 a, b = lo - k * den, hi - k * den
                 yield k, a if a > 0 else 0, b if b < den else den, payload
 
-    def branch_image(self, pieces, k: int, den: int):
-        """The parts of ``branch_images`` on branch k alone, without splitting the others."""
-        shift = k * den
-        for lo, hi, payload in pieces:
-            lo, hi = lo * self.N - shift, hi * self.N - shift
-            if lo < den and hi > 0:
-                yield k, lo if lo > 0 else 0, hi if hi < den else den, payload
-
     def branch_preimages(self, pieces, k: int, den: int):
         """The preimages on branch k of pieces of [0, den], as numerators over N*den:
         (lo + k*den, hi + k*den, payload), which divided by N are the preimage proper."""

@@ -51,25 +51,29 @@ def _terms_value(terms, fden: int, a: int, b: int) -> complex:
     return sum((c * _turn(n * a, fden * b) for n, c in terms), 0j)
 
 
-def _grid_phase(ns, fden: int, ps: np.ndarray, den: int) -> np.ndarray:
-    """e^(2*pi*i*(n/fden)*p/den) at integers p, with the values of ``_turn``: ``ns`` is one
-    int frequency numerator or an int64 array of them, broadcast against ``ps``.
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """The frequency n/d as (a, b) in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
-    Each n/fden is reduced to a/b by an elementwise gcd, so the turn is reduced exactly to
-    r/(b*den), r = (a*p) mod (b*den), in int64, and its float is that of ``_turn``; quarter
-    turns come out exactly 1, i, -1, -i.  Where int64 could overflow or r/(b*den) would not
-    convert exactly to a float, the points go through ``_turn`` one by one.
+
+def _grid_phase(a: np.ndarray, b: np.ndarray, ps: np.ndarray, den: int) -> np.ndarray:
+    """e^(2*pi*i*(a/b)*p/den) at integers p, with the values of ``_turn``: ``a`` and ``b`` are
+    arrays of reduced frequency numerators and denominators (int64, or object past it),
+    broadcast against ``ps``.
+
+    The turn is reduced exactly to r/(b*den), r = (a*p) mod (b*den), in int64, and its float
+    is that of ``_turn``; quarter turns come out exactly 1, i, -1, -i.  Where int64 could
+    overflow or r/(b*den) would not convert exactly to a float, the points go through
+    ``_turn`` one by one.
     """
-    ns = np.asarray(ns)
-    fits = ns.dtype == np.int64 and fden < 2**62
+    fits = a.dtype == b.dtype == np.int64
     if fits:
-        g = np.gcd(ns, fden)
-        a, b = ns // g, fden // g
         top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
         fits = top * den < 2**62 and int(b.max(initial=1)) * den < 2**53
     if not fits:
-        shape = np.broadcast_shapes(ns.shape, np.shape(ps))
-        turns = [_turn(int(n) * int(p), fden * den) for n, p in np.broadcast(ns, ps)]
+        shape = np.broadcast_shapes(a.shape, b.shape, ps.shape)
+        turns = [_turn(int(x) * int(p), int(y) * den) for x, y, p in np.broadcast(a, b, ps)]
         return np.array(turns, dtype=complex).reshape(shape)
     period = b * den
     r = a * ps
@@ -89,26 +93,28 @@ def _terms_values(rows, where: np.ndarray, ps: np.ndarray, q: int) -> np.ndarray
     """``_terms_value(terms, fden, p, q)`` at every point p/q of ``ps``, (fden, terms) being
     ``rows[w]`` for the point's entry w of ``where``, in one pass and bit for bit.
 
-    The numerators go over the lcm of the rows' fdens, padded with zero terms to one width,
-    and ``_grid_phase`` takes the phases of a block of ``GRID_BLOCK`` points at once.  Each
-    term adds c.re*cos - c.im*sin to the real part and c.re*sin + c.im*cos to the imaginary
-    one, the rounding of Python's complex product: numpy's complex ``*`` may fuse a
-    multiply-add and round apart.
+    Each frequency n/fden is reduced to a/b once, in the table of the rows' terms padded
+    with zero terms to one width, and ``_grid_phase`` takes the phases of a block of
+    ``GRID_BLOCK`` points at once.  Each
+    term adds c.re*cos - c.im*sin to the real part and c.re*sin + c.im*cos to the
+    imaginary one, the rounding of Python's complex product: numpy's complex ``*`` may
+    fuse a multiply-add and round apart.
     """
     out = np.zeros(len(ps), dtype=complex)
     width = max((len(terms) for _, terms in rows), default=0)
     if not width:
         return out
-    fden = math.lcm(*[d for d, terms in rows if terms])
-    pad = [(0, 0j)] * width
-    table = [[(n * (fden // d), c) for n, c in terms] + pad[len(terms):] for d, terms in rows]
-    ns = np.array([[n for n, _ in row] for row in table]).T  # int64, or object past it
-    cs = np.array([[c for _, c in row] for row in table], dtype=complex).T
+    pad = [(0, 1, 0j)] * width
+    table = [[(*_lowest(n, d), c) for n, c in terms] + pad[len(terms):] for d, terms in rows]
+    a = np.array([[x for x, _, _ in row] for row in table]).T  # int64, or object past it
+    b = np.array([[y for _, y, _ in row] for row in table]).T
+    cs = np.array([[c for _, _, c in row] for row in table], dtype=complex).T
     for start in range(0, len(ps), GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
-        at = where[block]
-        re, im = np.zeros(len(at)), np.zeros(len(at))
-        for phase, c in zip(_grid_phase(ns[:, at], fden, ps[block], q), cs[:, at]):
+        at = where[block] if len(table) > 1 else [0]  # one row broadcasts over the block
+        phases = _grid_phase(a[:, at], b[:, at], ps[block], q)
+        re, im = np.zeros(phases.shape[1]), np.zeros(phases.shape[1])
+        for phase, c in zip(phases, cs[:, at]):
             cos, sin, c_re, c_im = phase.real, phase.imag, c.real, c.imag
             re += c_re * cos - c_im * sin
             im += c_re * sin + c_im * cos
@@ -360,28 +366,19 @@ class TrigPoly:
         stay small at any size.
 
         With ``den``, ``xs`` is a 1-d array of integers p and the points are exactly p/den:
-        ``grid_cells`` locates them and ``_grid_phase`` reduces phases in integers, so the
-        values are those of ``evaluate`` up to rounding in cos/sin.  Without ``den``, ``xs``
-        are real points of any shape, reduced mod 1, located by ``searchsorted`` over lo/den
-        (a point that ``% 1.0`` rounds up to 1.0 falls in the last cell) and evaluated with
-        ``np.exp``.
+        ``grid_cells`` locates them and ``_terms_values`` evaluates them, so the values are
+        those of ``evaluate`` bit for bit.  Without ``den``, ``xs`` are real points of any
+        shape, reduced mod 1, located by ``searchsorted`` over lo/den (a point that ``% 1.0``
+        rounds up to 1.0 falls in the last cell) and evaluated with ``np.exp``.
         """
-        fden, shape = self.fden, np.shape(xs)  # the points are flattened, the values reshaped
-        if den is None:
-            xs = np.asarray(xs, dtype=float).ravel() % 1.0
-            where = np.searchsorted([lo / self.den for lo, _, _ in self.cells], xs, "right") - 1
-
-            def term(n, c, at):
-                return c * np.exp(_TWO_PI_I * (n / fden) * at)
-        else:
-            xs = np.mod(np.asarray(xs, dtype=np.int64).ravel(), den)
-            where = grid_cells(self.cells, self.den, xs, den)
-
-            def term(n, c, at):  # e * c, where the float mode has c * e: they can round apart
-                phase = _grid_phase(n, fden, at, den)
-                phase *= c
-                return phase
-
+        shape = np.shape(xs)  # the points are flattened, the values reshaped
+        if den is not None:
+            ps = np.mod(np.asarray(xs, dtype=np.int64).ravel(), den)
+            rows = [(self.fden, terms) for _, _, terms in self.cells]
+            where = grid_cells(self.cells, self.den, ps, den)
+            return _terms_values(rows, where, ps, den).reshape(shape)
+        xs = np.asarray(xs, dtype=float).ravel() % 1.0
+        where = np.searchsorted([lo / self.den for lo, _, _ in self.cells], xs, "right") - 1
         out = np.zeros(len(xs), dtype=complex)
         for start in range(0, len(xs), GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
@@ -392,7 +389,7 @@ class TrigPoly:
                 at = xs[block][here]
                 acc = np.zeros(at.shape, dtype=complex)
                 for n, c in terms:
-                    acc += term(n, c, at)
+                    acc += c * np.exp(_TWO_PI_I * (n / self.fden) * at)
                 out[block][here] = acc
         return out.reshape(shape)
 
@@ -488,29 +485,15 @@ def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale) -> Term
     return tuple(out)
 
 
-def _dilated(branches, period: int, scale=None):
+def _dilated(branches, period: int):
     """z = (w + k)/N substituted in each branch image (k, a, b, terms) of ``branch_images``."""
-    return ((a, b, _branch_terms(t, 1, k, period, scale)) for k, a, b, t in branches)
-
-
-def gated_dilate(p: TrigPoly, e: TorusEndomorphism, k: int, gate=None, scale=None) -> TrigPoly:
-    """(dilate_branch(p, e, k) * scale).restrict(gate) in one sweep; splits off branch k only."""
-    if p.is_zero():
-        return TrigPoly.zero()
-    c = None if scale is None else complex(scale)
-    den, fden, (cells,) = _aligned((p,), gate)
-    branch = e.branch_image(cells, k, den)
-    return _swept(den, fden * e.N, _dilated(branch, fden * e.N, c), _sum_terms, gate)
-
-
-def dilate_branch(p: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
-    """Substitute z = (w + k)/N: branch k of p stretched across the circle."""
-    return gated_dilate(p, e, k)
+    return ((a, b, _branch_terms(t, 1, k, period, None)) for k, a, b, t in branches)
 
 
 def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPoly:
-    """TrigPoly.sum(compress_branch(g, e, k) * scale for g, k in parts).restrict(gate) in one
-    sweep: each piece is scaled before the cells add in ``parts`` order."""
+    """The sum over (g, k) in ``parts`` of g(N*w - k) * scale on branch [k/N, (k+1)/N),
+    restricted to gate, in one sweep: each piece is scaled before the cells add in
+    ``parts`` order."""
     parts = list(parts)
     if all(g.is_zero() for g, _ in parts):
         return TrigPoly.zero()
@@ -525,13 +508,8 @@ def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPo
     return _swept(den, fden, pieces, _sum_terms, gate)
 
 
-def compress_branch(g: TrigPoly, e: TorusEndomorphism, k: int) -> TrigPoly:
-    """Inverse of dilate_branch: g(N*w - k) on branch [k/N, (k+1)/N), 0 elsewhere."""
-    return gated_compress(((g, k),), e)
-
-
 def compose_endomorphism(f: TrigPoly, e: TorusEndomorphism) -> TrigPoly:
-    """f(N*w mod 1) as a trig poly: the N branches of compress_branch in one."""
+    """f(N*w mod 1) as a trig poly: ``gated_compress`` of f over all N branches."""
     return gated_compress([(f, k) for k in range(e.N)], e)
 
 

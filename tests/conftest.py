@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gmra.filters import FilterMatrix
 from gmra.jsonio import filter_to_json, parse_filter
 from gmra.torus import TorusSet
-from gmra.trigpoly import TrigPoly, compose_endomorphism, unit_phase
+from gmra.trigpoly import TrigPoly, compose_endomorphism, fold, gated_compress, unit_phase
 
 
 @pytest.fixture
@@ -58,6 +58,18 @@ def coalesce_pieces(pieces):
         else:
             merged.append([lo, hi, payload])
     return tuple((lo, hi, payload) for lo, hi, payload in merged)
+
+
+def dilated_branch(p, e, k):
+    """p((w + k)/N): branch k of p stretched across the circle, as the fold of p restricted
+    to [k/N, (k+1)/N) against 1 (equal, up to the sign of a zero, to one branch's split)."""
+    arc = TorusSet.interval(Fraction(k, e.N), Fraction(k + 1, e.N))
+    return fold(e, p.restrict(arc), TrigPoly.constant(1.0))
+
+
+def compressed_branch(g, e, k):
+    """g(N*w - k) on the branch [k/N, (k+1)/N), 0 elsewhere."""
+    return gated_compress(((g, k),), e)
 
 
 def conjugated(entry, pieces, rng):

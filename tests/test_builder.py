@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import circle_sets, conjugated
+from conftest import circle_sets, compressed_branch, conjugated, dilated_branch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,16 +32,13 @@ from gmra.builder import (
 from gmra.errors import DepthExceeded, FilterInvalid, NotPureIsometry
 from gmra.filters import FilterMatrix
 from gmra.multiplicity import MultiplicityFunction, folded_sum
-from gmra.ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
+from gmra.ruelle import SectionVector, apply_S, random_section
 from gmra.torus import TorusEndomorphism, TorusSet
 from gmra.trigpoly import (
     TrigPoly,
     compose_endomorphism,
-    compress_branch,
-    dilate_branch,
     fold,
     gated_compress,
-    gated_dilate,
     inner,
     unit_phase,
 )
@@ -80,7 +77,7 @@ PURE_SYSTEMS = [
 
 def chain_S(F, comps):
     """S_F as a sum sweep and then a restrict sweep per column."""
-    lifted = [TrigPoly.sum(compress_branch(f, F.e, k) for k in range(F.e.N)) for f in comps]
+    lifted = [TrigPoly.sum(compressed_branch(f, F.e, k) for k in range(F.e.N)) for f in comps]
     out = []
     for j, sj in enumerate(F.column_sets):
         products = [
@@ -151,18 +148,6 @@ def slot_T(g, v):
     return SlotVector(tuple((apply_S(g.H, core) + apply_S(g.G, detail)).components), tuple(new_w))
 
 
-def slot_T_inverse(g, v):
-    """The inverse shift in slot coordinates: one gated_dilate per child slot."""
-    core, _ = sections(g, v)
-    new_w = [tuple(apply_S_adjoint(g.G, core).components)]
-    for n in range(len(g.w_levels) - 1):
-        new_w.append(tuple(
-            gated_dilate(v.w[n][p], g.e, k, c.base, 1.0 / math.sqrt(g.e.N))
-            for c, (p, k) in zip(g.w_levels[n + 1], parents_of(g, n))
-        ))
-    return SlotVector(tuple(apply_S_adjoint(g.H, core).components), tuple(new_w))
-
-
 def slot_translation(g, gamma, v):
     return SlotVector(
         tuple(c.shift_frequencies(gamma) for c in v.v0),
@@ -193,7 +178,7 @@ def to_w0(g, v):
         parts = [[] for _ in g.w_levels[0]]
         for slot, f in zip(g.w_levels[n], v.w[n]):
             for zeta in reversed(slot.branch):
-                f = compress_branch(f, g.e, branch_k(zeta, g.e)) * math.sqrt(g.e.N)
+                f = compressed_branch(f, g.e, branch_k(zeta, g.e)) * math.sqrt(g.e.N)
             parts[slot.index].append(f)
         levels.append(
             tuple(TrigPoly.sum(p).restrict(s.base) for p, s in zip(parts, g.w_levels[0]))
@@ -212,7 +197,7 @@ def chain_T(g, v):
             for child, f in zip(g.w_levels[n + 1], v.w[n + 1]):
                 k = branch_k(child.branch[-1], g.e)
                 parts[(child.index, child.branch[:-1])].append(
-                    compress_branch(f, g.e, k) * math.sqrt(g.e.N)
+                    compressed_branch(f, g.e, k) * math.sqrt(g.e.N)
                 )
         new_w.append(
             tuple(TrigPoly.sum(parts[(s.index, s.branch)]).restrict(s.base) for s in parents)
@@ -229,8 +214,8 @@ def chain_T_inverse(g, v):
         new_w.append(
             tuple(
                 (
-                    dilate_branch(parent_of[(c.index, c.branch[:-1])], g.e,
-                                  branch_k(c.branch[-1], g.e))
+                    dilated_branch(parent_of[(c.index, c.branch[:-1])], g.e,
+                                   branch_k(c.branch[-1], g.e))
                     * (1.0 / math.sqrt(g.e.N))
                 ).restrict(c.base)
                 for c in g.w_levels[n + 1]
@@ -246,20 +231,19 @@ def slot_norm(v):
 
 @pytest.mark.parametrize("name", PURE_SYSTEMS)
 def test_shift_equals_the_chain_of_sweeps(name):
-    """The slot-path shift builds each component in one gated sweep, with the coefficients
-    of the chain of separate sweeps.  The W0 path agrees with it, converted slot by slot:
-    T bit for bit (its relabelled levels are the same chain of compress steps), T^-1 on V0
-    and W0 bit for bit and on the dilated levels to rounding (dilate then compress)."""
+    """The slot-path shift T builds each component in one gated sweep, with the coefficients
+    of the chain of separate sweeps.  The W0 path agrees with the slot path, converted slot
+    by slot: T bit for bit (its relabelled levels are the same chain of compress steps),
+    T^-1 on V0 and W0 bit for bit and on the dilated levels to rounding (dilate then
+    compress)."""
     g = built(name, depth=4)
     vs = slot_random_vector(g, random.Random(name), degree=3)
     shifted = slot_T(g, vs)
     assert shifted == chain_T(g, vs)
-    assert slot_T_inverse(g, shifted) == chain_T_inverse(g, shifted)
-    assert slot_T_inverse(g, vs) == chain_T_inverse(g, vs)
     v = to_w0(g, vs)
     assert apply_T(g, v) == to_w0(g, shifted)
-    for ours, ref in ((apply_T_inverse(g, apply_T(g, v)), to_w0(g, slot_T_inverse(g, shifted))),
-                      (apply_T_inverse(g, v), to_w0(g, slot_T_inverse(g, vs)))):
+    for ours, ref in ((apply_T_inverse(g, apply_T(g, v)), to_w0(g, chain_T_inverse(g, shifted))),
+                      (apply_T_inverse(g, v), to_w0(g, chain_T_inverse(g, vs)))):
         assert ours.v0 == ref.v0 and ours.w[0] == ref.w[0]
         assert vector_distance(g, ours, ref) <= 1e-13 * slot_norm(ref)
 

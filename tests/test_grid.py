@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmra import catalog
-from gmra.errors import CompletionFailed
+from gmra.errors import CompletionFailed, ContextMismatch
 from gmra.filters import (
     FilterMatrix,
     check_block_unitary,
@@ -23,7 +23,7 @@ from gmra.filters import (
     identity_multiplier,
     verify_complementary_grid,
 )
-from gmra.multiplicity import MultiplicityFunction, compute_mtilde, sigma_tilde_sets
+from gmra.multiplicity import MultiplicityFunction, compute_mtilde, sigma_sets, sigma_tilde_sets
 from gmra.ruelle import apply_S_grid, random_section
 from gmra.torus import GRID_BLOCK, TorusEndomorphism, TorusSet
 from gmra.trigpoly import TrigPoly, unit_phase
@@ -196,6 +196,16 @@ def check_against_reference(H, grid):
     assert np.abs(got - reference_apply_S_grid(G, section)).max() <= TOL
 
 
+def test_grid_application_needs_a_section_over_the_row_sets():
+    # journe's G has one row, over mtilde's one set; a section over m's sets is refused
+    H = catalog.get("journe").H
+    G, _ = complement_numeric(H, grid=16)
+    section = random_section(tuple(sigma_sets(H.m)), random.Random(0), degree=2)
+    assert G.rows == 1 and len(section.sets) > 1
+    with pytest.raises(ContextMismatch):
+        apply_S_grid(G, section)
+
+
 def test_first_failing_point_is_reported():
     # a NaN on [3/4, 1) spoils the rows at w in [1/2, 1) only, where the
     # second preimage (w + 1)/2 lands; completion fails first at w = 1/2
@@ -244,7 +254,7 @@ def test_sample_matches_evaluate_at_every_grid_point(case):
     ps = np.arange(-Q, 2 * Q)
     got = p.sample(ps, Q)
     want = np.array([p.evaluate(F(int(q), Q)) for q in ps])
-    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,7 +283,7 @@ def test_large_denominators_fall_back_to_exact_integers():
     for Q in (3 * 2**58, 2**61 + 1):
         ps = np.array([0, 1, Q // 3, Q // 3 + 1, Q // 2, Q - 1], dtype=np.int64)
         want = np.array([p.evaluate(F(int(q), Q)) for q in ps])
-        assert np.abs(p.sample(ps, Q) - want).max() <= 1e-12
+        assert np.array_equal(p.sample(ps, Q), want)
 
 
 @st.composite

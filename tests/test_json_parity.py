@@ -52,8 +52,8 @@ def test_pool_runs_cover_every_problem_text_and_pair(capsys):
     pool = {label: (int(code), digest) for label, code, digest in out if label.startswith("pool ")}
     equivs = [label for label in pool if " equiv " in label]
     checks = {label.split(" ", 3)[3] for label in pool if " check-filter " in label}
-    # every distinct problem text also prints its sets: mtilde, sigma and the ledger
-    for command in ("purity", "mtilde", "sigma", "construct", "cascade"):
+    # every distinct problem text also prints its completion, its sets and its ledger
+    for command in ("complement", "purity", "mtilde", "sigma", "construct", "cascade"):
         assert checks == {label.split(" ", 3)[3] for label in pool if f" {command} " in label}
     # identities: each base conjugated once in the smoke pool; grid: four block-diagonal pairs
     assert len([label for label in equivs if label.startswith("pool identities:1")]) == 9

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import circle_sets, reparsed
+from conftest import circle_sets, conjugated, reparsed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +258,18 @@ class TestFoldTablesShared:
         rep = cuntz_check(H, G)
         assert folded > 0 and len(calls) == folded
         assert rep == cuntz_check(reparsed(H), reparsed(G)) and len(calls) > folded
+
+    def test_a_long_lived_filter_lets_its_partners_go(self):
+        entry = catalog.get("haar")
+        G, rng = entry.G, random.Random(5)
+        before = len(G._cross)
+        for _ in range(50):
+            H, _ = conjugated(entry, 2, rng)
+            assert verify_complementary(G, H) == verify_complementary(G, reparsed(H))
+        last = weakref.ref(H)
+        del H, _
+        gc.collect()
+        assert last() is None and len(G._cross) == before
 
     def test_nothing_outlives_its_filter(self):
         entry = catalog.get("journe")

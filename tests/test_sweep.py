@@ -6,10 +6,11 @@ images under w -> N*w, for N = 2, 3, 5.  Coefficients are held bit for bit
 to an independent left fold, so the order in which the sweep adds its
 payloads is pinned too.
 
-The gated one-sweep kernels (``gated_sum``, ``gated_dilate``,
-``gated_compress``, ``restrict`` and ``-``) are held with ``==`` to the
-composed chains of separate sweeps they replace, kept here as references on
-Fraction pieces and compared through ``TrigPoly.from_pieces``.  The references
+The gated one-sweep kernels (``gated_sum``, ``gated_compress``, ``restrict``
+and ``-``) are held with ``==`` to the composed chains of separate sweeps they
+replace, kept here as references on Fraction pieces and compared through
+``TrigPoly.from_pieces``; ``fold`` is held to the sum of the reference's
+dilated branches, and the fold of one branch to that branch.  The references
 cut and split Fraction pieces with their own ``frac_overlay`` and
 ``frac_branch_images``, so they share no code with the integer kernels.
 
@@ -26,7 +27,7 @@ from itertools import chain
 from operator import add
 
 import pytest
-from conftest import coalesce_pieces, merge_fraction_terms
+from conftest import coalesce_pieces, dilated_branch, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,17 +38,13 @@ from gmra.trigpoly import (
     TrigPoly,
     _aligned,
     _branch_terms,
-    _dilated,
     _nonzero_cells,
     _scaled,
     _sum_terms,
     _swept,
     _turn,
-    compress_branch,
-    dilate_branch,
     fold,
     gated_compress,
-    gated_dilate,
     gated_sum,
     inner,
     unit_phase,
@@ -176,7 +173,7 @@ def test_fold_matches_branch_sum(e, f, g):
 @given(dilations, polys(), polys())
 def test_fold_adds_branches_in_order_bit_for_bit(e, f, g):
     p = f * g.conj()
-    branches = [dilate_branch(p, e, k) for k in range(e.N)]
+    branches = [ref_dilate_branch(p, e, k) for k in range(e.N)]
     assert fold(e, f, g) == reduce(add, branches, TrigPoly.zero())
 
 
@@ -296,12 +293,10 @@ def ref_compress_branch(g, e, k):
 
 
 @settings(max_examples=50, deadline=None)
-@given(any_dilation, polys(), gates(), scales, st.data())
-def test_gated_dilate_is_dilate_scale_restrict(e, p, gate, scale, data):
+@given(any_dilation, polys(), st.data())
+def test_fold_of_one_branch_is_its_dilation(e, p, data):
     k = data.draw(st.integers(0, e.N - 1))
-    want = ref_restrict(ref_scale(ref_dilate_branch(p, e, k), scale), gate)
-    assert gated_dilate(p, e, k, gate, scale) == want
-    assert dilate_branch(p, e, k) == ref_dilate_branch(p, e, k)
+    assert dilated_branch(p, e, k) == ref_dilate_branch(p, e, k)
 
 
 @settings(max_examples=50, deadline=None)
@@ -310,7 +305,7 @@ def test_gated_compress_is_compress_scale_sum_restrict(e, gs, gate, scale, data)
     parts = [(g, data.draw(st.integers(0, e.N - 1))) for g in gs]
     scaled = [ref_scale(ref_compress_branch(g, e, k), scale) for g, k in parts]
     assert gated_compress(parts, e, gate, scale) == ref_restrict(ref_sum(scaled), gate)
-    assert all(compress_branch(g, e, k) == ref_compress_branch(g, e, k) for g, k in parts)
+    assert all(gated_compress(((g, k),), e) == ref_compress_branch(g, e, k) for g, k in parts)
 
 
 @settings(max_examples=50, deadline=None)
@@ -341,14 +336,6 @@ ZEROS = (
 ZERO_GATES = (None, TorusSet.from_intervals([(F(1, 5), F(3, 4))]), TorusSet.full(), TorusSet())
 
 
-def swept_dilate(p, e, k, gate, scale):
-    """``gated_dilate`` through the sweep, zero operand or not."""
-    c = None if scale is None else complex(scale)
-    den, fden, (cells,) = _aligned((p,), gate)
-    branch = e.branch_image(cells, k, den)
-    return _swept(den, fden * e.N, _dilated(branch, fden * e.N, c), _sum_terms, gate)
-
-
 def swept_compress(parts, e, gate, scale):
     """``gated_compress`` through the sweep, zero operands or not."""
     c = None if scale is None else complex(scale)
@@ -376,7 +363,6 @@ def test_zero_operands_skip_the_alignment(gate, scale, monkeypatch):
     e = TorusEndomorphism(3)
     parts = [(z, k % 3) for k, z in enumerate(ZEROS)]
     want = {
-        "dilate": [swept_dilate(z, e, 1, gate, scale) for z in ZEROS],
         "compress": swept_compress(parts, e, gate, scale),
         "sub": [swept_sub(f, g) for f in ZEROS for g in ZEROS],
         "shift": [z._map_terms(lambda terms: terms, 7) for z in ZEROS],
@@ -386,11 +372,10 @@ def test_zero_operands_skip_the_alignment(gate, scale, monkeypatch):
         raise AssertionError("zero operands were aligned")
 
     monkeypatch.setattr(trigpoly, "_aligned", no_alignment)
-    assert [gated_dilate(z, e, 1, gate, scale) for z in ZEROS] == want["dilate"]
     assert gated_compress(parts, e, gate, scale) == want["compress"]
     assert [f - g for f in ZEROS for g in ZEROS] == want["sub"]
     assert [z.shift_frequencies(F(2, 7)) for z in ZEROS] == want["shift"]
-    swept = want["dilate"] + [want["compress"]] + want["sub"] + want["shift"]
+    swept = [want["compress"]] + want["sub"] + want["shift"]
     assert all(p == TrigPoly.zero() for p in swept)
 
 
@@ -570,8 +555,7 @@ def test_integer_kernels_match_fraction_references_bit_for_bit(e, f, g, gate, sc
     product = ref_mul(f, ref_conj(g))
     assert fold(e, f, g) == ref_sum([ref_dilate_branch(product, e, j) for j in range(e.N)])
     assert gated_sum([f, g], gate, scale) == ref_restrict(ref_scale(ref_sum([f, g]), scale), gate)
-    want = ref_restrict(ref_scale(ref_dilate_branch(f, e, k), scale), gate)
-    assert gated_dilate(f, e, k, gate, scale) == want
+    assert dilated_branch(f, e, k) == ref_dilate_branch(f, e, k)
     compressed = [ref_scale(ref_compress_branch(h, e, j), scale) for h, j in ((f, k), (g, 0))]
     assert gated_compress([(f, k), (g, 0)], e, gate, scale) == ref_restrict(
         ref_sum(compressed), gate

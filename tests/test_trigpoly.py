@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import circle_sets, coalesce_pieces, merge_fraction_terms
+from conftest import (
+    circle_sets, coalesce_pieces, compressed_branch, dilated_branch, merge_fraction_terms,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,6 @@ from gmra.trigpoly import (
     TrigPoly,
     _turn,
     compose_endomorphism,
-    compress_branch,
-    dilate_branch,
     fold,
     gated_sum,
     inner,
@@ -145,7 +145,7 @@ class TestBranchMaps:
         f = haar()
         for k in range(2):
             block = f.restrict(ts((F(k, 2), F(k + 1, 2))))
-            back = compress_branch(dilate_branch(block, N2, k), N2, k)
+            back = compressed_branch(dilated_branch(block, N2, k), N2, k)
             assert back.deviation_from(block) < 1e-12
 
     def test_compose_endomorphism_pointwise(self):

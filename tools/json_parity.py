@@ -17,13 +17,14 @@ convention, the command, its exit code and the SHA-256 of its stdout.
 ``--pool WORKLOAD:SEED ...`` adds the benchmark's generated problems, whose
 mixed denominators and many-piece conjugates the catalog lacks: ``bench/``
 builds the pool of each workload and seed as ``bench/run.py`` would (read
-only), and ``check-filter``, ``purity``, ``mtilde``, ``sigma``,
-``construct --depth 3 --down 3`` and ``cascade`` run on each distinct
-problem text, and ``equiv`` on each task's pair of texts (a base and its
-conjugate, or a block-diagonal pair), in the unit convention.  ``mtilde``,
-``sigma`` and ``construct`` print the generated sets and multiplicities on
-the pools' mixed denominators, and ``cascade`` the float sampler's values
-on N = 2..5 (it exits 4 on matrix filters).
+only), and ``check-filter``, ``complement``, ``purity``, ``mtilde``,
+``sigma``, ``construct --depth 3 --down 3`` and ``cascade`` run on each
+distinct problem text, and ``equiv`` on each task's pair of texts (a base and
+its conjugate, or a block-diagonal pair), in the unit convention.
+``complement`` prints the completed G's grid samples, built from H's exact
+grid samples; ``mtilde``, ``sigma`` and ``construct`` print the generated sets
+and multiplicities on the pools' mixed denominators, and ``cascade`` the
+float sampler's values on N = 2..5 (it exits 4 on matrix filters).
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ONE_FILE = ("validate", "mtilde", "sigma", "check-filter", "complement", "purity",
             "construct", "cascade", "cuntz", "cuntz --trials 3")
 # each run on a pool problem text, in order: its label and the argv before the file
-POOL_RUNS = (("check-filter", ["check-filter"]), ("purity", ["purity"]), ("mtilde", ["mtilde"]),
-             ("sigma", ["sigma"]), ("construct", ["construct", "--depth", "3", "--down", "3"]),
-             ("cascade", ["cascade"]))
+POOL_RUNS = (("check-filter", ["check-filter"]), ("complement", ["complement"]),
+             ("purity", ["purity"]), ("mtilde", ["mtilde"]), ("sigma", ["sigma"]),
+             ("construct", ["construct", "--depth", "3", "--down", "3"]), ("cascade", ["cascade"]))
 
 
 def fingerprint(cli, argv: list[str]) -> tuple[int, str]:
