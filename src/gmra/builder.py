@@ -161,6 +161,12 @@ def _integer(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _check_context(m: MultiplicityFunction, H, e: TorusEndomorphism):
+    """m and e are the filter's own: H carries the (m, N) it was made for."""
+    if H.m != m or H.e != e:
+        raise ContextMismatch("m and e must be those the filter H carries")
+
+
 def build(
     m: MultiplicityFunction,
     H: FilterMatrix,
@@ -170,6 +176,7 @@ def build(
     tol: float = DEFAULT_TOL,
 ) -> CanonicalGMRA:
     """Validate the parameters and lay out the ledger to the given depth."""
+    _check_context(m, H, e)
     depth = _integer(depth, "ledger depth")
     if depth < 0:
         raise ValueError(f"ledger depth must be >= 0, got {depth}")
@@ -423,6 +430,8 @@ def cascade_diagnostic(
     if isinstance(h, FilterMatrix):
         if not h.is_scalar():
             raise ContextMismatch("cascade diagnostic expects a scalar filter")
+        if h.e != e:
+            raise ContextMismatch("e must be the dilation the filter carries")
         h = h.entry(0, 0)
     xs = np.linspace(-0.5, 0.5, samples)
     scale = 1.0 / math.sqrt(e.N)
@@ -476,10 +485,9 @@ class FilterSystem:
 def _as_system(g) -> FilterSystem:
     if isinstance(g, CanonicalGMRA):
         return FilterSystem(g.m, g.H, g.G, g.e)
-    if isinstance(g, FilterSystem):
-        return g
-    m, H, G, e = g
-    return FilterSystem(m, H, G, e)
+    system = g if isinstance(g, FilterSystem) else FilterSystem(*g)
+    _check_context(system.m, system.H, system.e)
+    return system
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .errors import ContextMismatch, NotApplicable, NotUnitary
 from .filters import (
     DEFAULT_TOL,
     FilterMatrix,
+    _check_low_pass,
     conjugate_filter,
     identity_multiplier,
 )
@@ -515,6 +516,7 @@ def decide(
     """
     if H.e != Hp.e:
         raise ContextMismatch("filters live over different dilations")
+    _check_low_pass(H, Hp)
     if H.m != Hp.m:
         return EquivalenceVerdict(
             INEQUIVALENT,

@@ -208,6 +208,12 @@ def _check_pair(H: FilterMatrix, G: FilterMatrix):
     _check_dims(G)
 
 
+def _check_low_pass(*filters: FilterMatrix):
+    """Each filter's rows follow m, as a low-pass filter's do, not mtilde."""
+    if any(F.rows_follow != "m" for F in filters):
+        raise ContextMismatch("expected a filter whose rows follow m, not a complementary one")
+
+
 def _check_dims(F: FilterMatrix):
     need_cols = len(F.column_sets)
     need_rows = len(F.row_sets)
@@ -219,12 +225,8 @@ def _check_dims(F: FilterMatrix):
 
 
 def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: TrigPoly) -> float:
-    total = TrigPoly.sum(
-        fold(F.e, F.entry(i, j), G.entry(k, j))
-        for j in range(min(F.cols, G.cols))
-        if not (F.entry(i, j).is_zero() or G.entry(k, j).is_zero())
-    )
-    return total.deviation_from(target)
+    folds = (fold(F.e, F.entry(i, j), G.entry(k, j)) for j in range(min(F.cols, G.cols)))
+    return TrigPoly.sum(folds).deviation_from(target)
 
 
 def _fold_report(
@@ -271,15 +273,18 @@ def _square(F: FilterMatrix, size: int) -> list[list[TrigPoly]]:
     return [[F.entry(i, j) for j in range(size)] for i in range(size)]
 
 
+def _products(x, y) -> list[list[TrigPoly]]:
+    """The entry list of x y^T: entry (i, j) is one ``TrigPoly.sum`` of x[i][k] * y[j][k]."""
+    return [[TrigPoly.sum(u * v for u, v in zip(row, col)) for col in y] for row in x]
+
+
 def _block_defect(a: list[list[TrigPoly]], P: FilterMatrix) -> float:
     """Worst sup bound of a a* - P and a* a - P, for the square entry list a of a multiplier."""
     ac = [[x.conj() for x in row] for row in a]
+    blocks = (_products(a, ac), _products(list(zip(*ac)), list(zip(*a))))
     return worst_residual(
-        TrigPoly.sum(u * v for u, v in zip(x[i], y[j]) if not (u.is_zero() or v.is_zero()))
-        .deviation_from(P.entry(i, j))
-        for x, y in ((a, ac), (list(zip(*ac)), list(zip(*a))))
-        for i in range(len(a))
-        for j in range(len(a))
+        x.deviation_from(P.entry(i, j))
+        for block in blocks for i, row in enumerate(block) for j, x in enumerate(row)
     )
 
 
@@ -295,33 +300,23 @@ def conjugate_filter(
 ) -> FilterMatrix:
     """The conjugated filter  w -> A(N*w) H(w) A*(w), exact in the class.
 
-    A must be a block-unitary multiplier for the same m; filterhood is
-    preserved, which verify_filter on the result confirms.
+    A must be a block-unitary multiplier for the same m, and H's rows must
+    follow m; filterhood is preserved, which verify_filter on the result
+    confirms.  The product is taken as two entry-list products,
+    ((A o N) H) A*.
     """
     if not same_context(A, H):
         raise ContextMismatch("multiplier and filter contexts differ")
+    _check_low_pass(H)
     P = identity_multiplier(A.m, A.e)
     size = max(A.rows, A.cols, H.rows, H.cols, P.rows)
     a = _square(A, size)
     dev = _block_defect(a, P)
     if not dev <= max(tol, 1e-7):  # a NaN deviation fails too
         raise NotUnitary(f"multiplier fails block unitarity by {dev:.3g}")
-    h = _square(H, size)
-    a_up = [[compose_endomorphism(entry, H.e) for entry in row] for row in a]
-    out = tuple(
-        tuple(
-            TrigPoly.sum(
-                a_up[i][p] * h[p][q] * a[j][q].conj()
-                for p in range(size)
-                if not a_up[i][p].is_zero()
-                for q in range(size)
-                if not (h[p][q].is_zero() or a[j][q].is_zero())
-            )
-            for j in range(size)
-        )
-        for i in range(size)
-    )
-    return FilterMatrix(out, H.m, H.e, H.rows_follow)
+    a_up = [[compose_endomorphism(x, H.e) for x in row] for row in a]
+    ah = _products(a_up, list(zip(*_square(H, size))))
+    return FilterMatrix.from_rows(_products(ah, [[x.conj() for x in row] for row in a]), H.m, H.e)
 
 
 def identity_multiplier(m: MultiplicityFunction, e: TorusEndomorphism) -> FilterMatrix:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConsistencyViolated
 from .torus import (
-    TorusEndomorphism, TorusSet, _numerators, cell_at, coalesce, grid_cells, mod1, overlay, wrap,
+    TorusEndomorphism, TorusSet, _grid_points, _numerators, cell_at, coalesce, grid_cells, mod1,
+    overlay, wrap,
 )
 
 
@@ -82,7 +83,7 @@ class MultiplicityFunction:
 
     def sample(self, ps: np.ndarray, den: int) -> np.ndarray:
         """Values at the grid points p/den for integers p, exactly, as int64."""
-        ps = np.mod(np.asarray(ps, dtype=np.int64), den)
+        ps = _grid_points(ps, den)
         values = np.array([v for _, _, v in self.cells], dtype=np.int64)
         return values[grid_cells(self.cells, self.den, ps, den)]
 

@@ -120,14 +120,10 @@ def apply_S(F: FilterMatrix, f: SectionVector) -> SectionVector:
         raise ContextMismatch("input vector does not live over the row sets")
     col_sets = F.column_sets
     lifted = [compose_endomorphism(c, F.e) for c in f.components]
-    out = []
-    for j, sj in enumerate(col_sets):
-        products = (
-            F.entry(i, j) * lifted[i]
-            for i in range(min(F.rows, len(lifted)))
-            if not (F.entry(i, j).is_zero() or lifted[i].is_zero())
-        )
-        out.append(gated_sum(products, sj))
+    out = (
+        gated_sum((F.entry(i, j) * up for i, up in enumerate(lifted[: F.rows])), sj)
+        for j, sj in enumerate(col_sets)
+    )
     return SectionVector(tuple(out), col_sets)
 
 
@@ -135,15 +131,11 @@ def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
     """[S* g]_i (w) = (1/N) sum_j fold(g_j, F_ij)(w), exact."""
     if g.sets != F.column_sets:
         raise ContextMismatch("input vector does not live over the column sets")
-    row_sets = F.row_sets
-    out = []
-    for i, si in enumerate(row_sets):
-        folds = (
-            fold(F.e, g.components[j], F.entry(i, j))
-            for j in range(min(F.cols, len(g.components)))
-            if not (F.entry(i, j).is_zero() or g.components[j].is_zero())
-        )
-        out.append(gated_sum(folds, si, 1.0 / F.e.N))
+    row_sets, comps = F.row_sets, g.components[: F.cols]
+    out = (
+        gated_sum((fold(F.e, gj, F.entry(i, j)) for j, gj in enumerate(comps)), si, 1.0 / F.e.N)
+        for i, si in enumerate(row_sets)
+    )
     return SectionVector(tuple(out), row_sets)
 
 

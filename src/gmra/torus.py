@@ -10,7 +10,8 @@ int numerators over a ``den`` that the caller passes, and a ``TorusSet``
 holds int spans over one reduced ``den``; ``Fraction`` appears only where
 rationals come in or go out.  No other module normalises interval data or
 locates points: ``coalesce`` merges equal neighbours of a tiling, and
-``cell_at`` and ``grid_cells`` find the cell holding a point or a grid.
+``cell_at`` and ``grid_cells`` find the cell holding a point or each point
+of a grid, whose integers ``_grid_points`` reads.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ def cell_at(cells, den: int, p: int, q: int) -> int:
     in ascending order, each a tuple led by its int lo.  p/q >= lo/den exactly when
     lo <= p*den // q, so a bisect on that integer keeps the half-open rule without rounding."""
     return bisect_right(cells, p * den // q, key=itemgetter(0)) - 1
+
+
+def _grid_points(ps, den: int) -> np.ndarray:
+    """The integers ``ps`` reduced mod den as int64: the grid points p/den.  An array of
+    any other kind (floats, say) is refused, not truncated."""
+    ps = np.asarray(ps)
+    if ps.dtype.kind not in "iu":
+        raise TypeError(f"grid points p/den take integers p, not {ps.dtype}")
+    return np.mod(ps.astype(np.int64, copy=False), den)
 
 
 def grid_cells(cells, den: int, ps: np.ndarray, q: int) -> np.ndarray:

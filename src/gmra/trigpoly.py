@@ -7,6 +7,8 @@ frequency by N, so rational frequencies make the class closed under the
 preimage fold that drives all filter identities.  Breakpoints and
 frequencies are exact, integer numerators over two reduced denominators
 (``Fraction`` only at the boundary); coefficients are complex floats.
+Zero operands give the zero poly, or drop out of sums, before any
+alignment, so callers never test ``is_zero()`` to save work.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import chain
 import numpy as np
 
 from .torus import (
-    GRID_BLOCK, TorusEndomorphism, TorusSet, cell_at, coalesce, grid_cells, mod1, overlay,
+    GRID_BLOCK, TorusEndomorphism, TorusSet, _grid_points, cell_at, coalesce, grid_cells, mod1,
+    overlay,
 )
 
 _QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
@@ -321,6 +324,8 @@ class TrigPoly:
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
+            if self.is_zero() or other.is_zero():
+                return TrigPoly.zero()
 
             def product(payloads):
                 if len(payloads) < 2:
@@ -365,15 +370,16 @@ class TrigPoly:
         """Vectorized evaluation at many points, in blocks of ``GRID_BLOCK`` so temporaries
         stay small at any size.
 
-        With ``den``, ``xs`` is a 1-d array of integers p and the points are exactly p/den:
-        ``grid_cells`` locates them and ``_terms_values`` evaluates them, so the values are
-        those of ``evaluate`` bit for bit.  Without ``den``, ``xs`` are real points of any
-        shape, reduced mod 1, located by ``searchsorted`` over lo/den (a point that ``% 1.0``
-        rounds up to 1.0 falls in the last cell) and evaluated with ``np.exp``.
+        With ``den``, ``xs`` is an array of integers p (``_grid_points`` refuses any other
+        kind) and the points are exactly p/den: ``grid_cells`` locates them and
+        ``_terms_values`` evaluates them, so the values are those of ``evaluate`` bit for
+        bit.  Without ``den``, ``xs`` are real points of any shape, reduced mod 1, located
+        by ``searchsorted`` over lo/den (a point that ``% 1.0`` rounds up to 1.0 falls in
+        the last cell) and evaluated with ``np.exp``.
         """
         shape = np.shape(xs)  # the points are flattened, the values reshaped
         if den is not None:
-            ps = np.mod(np.asarray(xs, dtype=np.int64).ravel(), den)
+            ps = _grid_points(xs, den).ravel()
             rows = [(self.fden, terms) for _, _, terms in self.cells]
             where = grid_cells(self.cells, self.den, ps, den)
             return _terms_values(rows, where, ps, den).reshape(shape)
@@ -462,9 +468,12 @@ class TrigPoly:
 
 def gated_sum(polys, gate: TorusSet | None = None, scale=None) -> TrigPoly:
     """(TrigPoly.sum(polys) * scale).restrict(gate) in one sweep, with its coefficients."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return TrigPoly.zero()
     c = None if scale is None else complex(scale)
     combine = _sum_terms if c is None else lambda payloads: _scaled(_sum_terms(payloads), c)
-    den, fden, cells = _aligned(list(polys), gate)
+    den, fden, cells = _aligned(polys, gate)
     return _swept(den, fden, chain(*cells), combine, gate)
 
 
@@ -522,6 +531,8 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
     branches add in the order k = 0 .. N-1.
     """
     p = f * g.conj()
+    if p.is_zero():
+        return p
     den, fden, (cells,) = _aligned((p,))
     return _swept(den, fden * e.N, _dilated(e.branch_images(cells, den), fden * e.N), _sum_terms)
 

@@ -29,7 +29,7 @@ from gmra.builder import (
     random_ledger_vector,
     tensor,
 )
-from gmra.errors import DepthExceeded, FilterInvalid, NotPureIsometry
+from gmra.errors import ContextMismatch, DepthExceeded, FilterInvalid, NotPureIsometry
 from gmra.filters import FilterMatrix
 from gmra.multiplicity import MultiplicityFunction, folded_sum
 from gmra.ruelle import SectionVector, apply_S, random_section
@@ -708,6 +708,36 @@ class TestTensor:
     def test_refuses_eigenfilter_factor(self):
         with pytest.raises(NotPureIsometry):
             tensor(self._system("haar"), self._system("eigenfilter_constant"))
+
+
+class TestOwnContext:
+    """An m or e passed beside a filter must be the one the filter carries."""
+
+    def test_build_refuses_another_multiplicity(self):
+        haar, journe = catalog.get("haar"), catalog.get("journe")
+        with pytest.raises(ContextMismatch):
+            build(journe.m, haar.H, haar.G, haar.e)
+
+    def test_build_refuses_another_dilation(self):
+        haar = catalog.get("haar")
+        with pytest.raises(ContextMismatch):
+            build(haar.m, haar.H, haar.G, TorusEndomorphism(3))
+
+    def test_tensor_refuses_another_multiplicity_or_dilation(self):
+        haar = catalog.get("haar")
+        system = (haar.m, haar.H, haar.G, haar.e)
+        with pytest.raises(ContextMismatch):
+            tensor((MultiplicityFunction.constant(2), haar.H, haar.G, haar.e), system)
+        with pytest.raises(ContextMismatch):
+            tensor(system, FilterSystem(haar.m, haar.H, haar.G, TorusEndomorphism(3)))
+
+    def test_cascade_refuses_another_dilation(self):
+        haar = catalog.get("haar")
+        with pytest.raises(ContextMismatch):
+            cascade_diagnostic(haar.H, TorusEndomorphism(3))
+        # a bare poly carries no dilation, so any e is taken
+        h = haar.H.entry(0, 0)
+        assert cascade_diagnostic(h, haar.e).verdict == CONVERGENT_NONZERO
 
 
 def kron_fold_loop(prod, grid):

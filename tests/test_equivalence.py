@@ -22,7 +22,7 @@ from gmra.equivalence import (
     low_singular_certificate,
     purity_test,
 )
-from gmra.errors import NotApplicable
+from gmra.errors import ContextMismatch, NotApplicable
 from gmra.filters import FilterMatrix, conjugate_filter, verify_filter
 from gmra.multiplicity import MultiplicityFunction, sigma_sets
 from gmra.torus import GRID_BLOCK, TorusEndomorphism, TorusSet, cell_at
@@ -262,6 +262,12 @@ class TestDecide:
             H = catalog.get(name).H
             v = decide(H, H)
             assert v.kind == EQUIVALENT
+
+    def test_complementary_filters_refused(self):
+        entry = catalog.get("journe")
+        for pair in ((entry.H, entry.G), (entry.G, entry.H), (entry.G, entry.G)):
+            with pytest.raises(ContextMismatch):
+                decide(*pair)
 
     def test_haar_vs_negated(self):
         v = decide(catalog.get("haar").H, catalog.get("haar_negated").H)

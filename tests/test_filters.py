@@ -169,6 +169,18 @@ class TestConjugateFilter:
         assert check_block_unitary(verdict.witness) == 0.0
         assert verdict.witness.entries == identity_multiplier(H.m, H.e).entries
 
+    @pytest.mark.parametrize("name", ["journe", "cantor3", "haar3_2wavelet", "journe_rank2"])
+    def test_complementary_filter_refused(self, name):
+        # G's rows follow mtilde, so A(N w) G(w) A*(w) would pair them with m-blocks of A
+        entry = catalog.get(name)
+        P = identity_multiplier(entry.m, entry.e)
+        A = FilterMatrix.from_rows(
+            [[x * poly((1, 1.0)) for x in row] for row in P.entries], entry.m, entry.e
+        )
+        assert verify_filter(conjugate_filter(entry.H, A)).passed
+        with pytest.raises(ContextMismatch):
+            conjugate_filter(entry.G, A)
+
     def test_filterhood_preserved(self):
         entry = catalog.get("haar")
         for terms in [[(1, 1.0)], [(0, 1j)], [(2, 1.0)]]:

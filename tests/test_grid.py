@@ -25,7 +25,7 @@ from gmra.filters import (
 )
 from gmra.multiplicity import MultiplicityFunction, compute_mtilde, sigma_sets, sigma_tilde_sets
 from gmra.ruelle import apply_S_grid, random_section
-from gmra.torus import GRID_BLOCK, TorusEndomorphism, TorusSet
+from gmra.torus import GRID_BLOCK, TorusEndomorphism, TorusSet, _grid_points
 from gmra.trigpoly import TrigPoly, unit_phase
 
 F = Fraction
@@ -284,6 +284,17 @@ def test_large_denominators_fall_back_to_exact_integers():
         ps = np.array([0, 1, Q // 3, Q // 3 + 1, Q // 2, Q - 1], dtype=np.int64)
         want = np.array([p.evaluate(F(int(q), Q)) for q in ps])
         assert np.array_equal(p.sample(ps, Q), want)
+
+
+def test_exact_samplers_refuse_non_integer_points():
+    # truncating would evaluate at 0/2 and 1/2, not at the points 0.25 and 0.85 meant
+    with pytest.raises(TypeError):
+        TrigPoly.exponential(1).sample(np.array([0.5, 1.7]), 2)
+    with pytest.raises(TypeError):
+        MultiplicityFunction.constant(1).sample(np.array([0.5]), 2)
+    # integers of any width are reduced mod den, and the float sampler still takes floats
+    assert _grid_points(np.array([-1, 5], dtype=np.int32), 4).tolist() == [3, 1]
+    assert TrigPoly.exponential(1).sample(np.array([0.25]))[0] == pytest.approx(1j)
 
 
 @st.composite

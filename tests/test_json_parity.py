@@ -55,9 +55,12 @@ def test_pool_runs_cover_every_problem_text_and_pair(capsys):
     # every distinct problem text also prints its completion, its sets and its ledger
     for command in ("complement", "purity", "mtilde", "sigma", "construct", "cascade"):
         assert checks == {label.split(" ", 3)[3] for label in pool if f" {command} " in label}
-    # identities: each base conjugated once in the smoke pool; grid: four block-diagonal pairs
-    assert len([label for label in equivs if label.startswith("pool identities:1")]) == 9
-    assert len([label for label in equivs if label.startswith("pool grid:1")]) == 4
+    # identities: each base conjugated once in the smoke pool; grid: four block-diagonal pairs;
+    # each pair runs both ways
+    assert len([label for label in equivs if label.startswith("pool identities:1")]) == 18
+    assert len([label for label in equivs if label.startswith("pool grid:1")]) == 8
+    forward = [label for label in equivs if not label.endswith(" reversed")]
+    assert sorted(equivs) == sorted(forward + [f"{label} reversed" for label in forward])
     assert pool["pool identities:1 purity haar~P2/0"][0] == 0
     assert pool["pool identities:1 construct haar~P2/0"][0] == 0
     for label, (code, digest) in pool.items():

@@ -38,6 +38,8 @@ from gmra.trigpoly import (
     TrigPoly,
     _aligned,
     _branch_terms,
+    _dilated,
+    _merge_terms,
     _nonzero_cells,
     _scaled,
     _sum_terms,
@@ -356,17 +358,56 @@ def swept_sub(f, g):
     return _swept(den, fden, chain(mine, negated), _sum_terms)
 
 
+def swept_mul(f, g):
+    """``f * g`` through the sweep: a cell covered by one operand only carries ()."""
+
+    def product(payloads):
+        if len(payloads) < 2:
+            return ()
+        ta, tb = payloads
+        return _merge_terms((na + nb, ca * cb) for na, ca in ta for nb, cb in tb)
+
+    den, fden, cells = _aligned((f, g))
+    return _swept(den, fden, chain(*cells), product)
+
+
+def swept_fold(e, f, g):
+    """``fold(e, f, g)`` through the sweep, its product included."""
+    den, fden, (cells,) = _aligned((swept_mul(f, g.conj()),))
+    period = fden * e.N
+    return _swept(den, period, _dilated(e.branch_images(cells, den), period), _sum_terms)
+
+
+def swept_sum(polys, gate, scale):
+    """``gated_sum(polys, gate, scale)`` through the sweep, zero polys included."""
+    c = None if scale is None else complex(scale)
+    combine = _sum_terms if c is None else lambda payloads: _scaled(_sum_terms(payloads), c)
+    den, fden, cells = _aligned(list(polys), gate)
+    return _swept(den, fden, chain(*cells), combine, gate)
+
+
+# nonzero partners of the zero operands: two pieces over mixed denominators
+PARTNER = TrigPoly.from_pieces([(F(1, 4), F(2, 3), [(F(1, 2), 1 - 2j)]), (F(5, 6), 1, [(3, 0.5)])])
+
+
 @pytest.mark.parametrize("gate", ZERO_GATES)
 @pytest.mark.parametrize("scale", [None, 2 - 1j])
 def test_zero_operands_skip_the_alignment(gate, scale, monkeypatch):
     """Each early zero is the sweep's result, and no operand is aligned to get it."""
     e = TorusEndomorphism(3)
     parts = [(z, k % 3) for k, z in enumerate(ZEROS)]
+    pairs = [(z, PARTNER) for z in ZEROS] + [(PARTNER, z) for z in ZEROS]
     want = {
         "compress": swept_compress(parts, e, gate, scale),
         "sub": [swept_sub(f, g) for f in ZEROS for g in ZEROS],
         "shift": [z._map_terms(lambda terms: terms, 7) for z in ZEROS],
+        "mul": [swept_mul(f, g) for f, g in pairs],
+        "fold": [swept_fold(e, f, g) for f, g in pairs],
+        "sum": [swept_sum(ZEROS, gate, scale), swept_sum(ZEROS, None, None)],
     }
+    # with a nonzero operand left, dropping the zeros keeps every bit of the sweep
+    mixed = ZEROS[:2] + (PARTNER,) + ZEROS[2:] + (PARTNER * 2j,)
+    assert gated_sum(mixed, gate, scale) == swept_sum(mixed, gate, scale)
 
     def no_alignment(*args):
         raise AssertionError("zero operands were aligned")
@@ -375,7 +416,11 @@ def test_zero_operands_skip_the_alignment(gate, scale, monkeypatch):
     assert gated_compress(parts, e, gate, scale) == want["compress"]
     assert [f - g for f in ZEROS for g in ZEROS] == want["sub"]
     assert [z.shift_frequencies(F(2, 7)) for z in ZEROS] == want["shift"]
-    swept = [want["compress"]] + want["sub"] + want["shift"]
+    assert [f * g for f, g in pairs] == want["mul"]
+    assert [fold(e, f, g) for f, g in pairs] == want["fold"]
+    assert [gated_sum(ZEROS, gate, scale), TrigPoly.sum(ZEROS)] == want["sum"]
+    swept = [want["compress"]] + want["sub"] + want["shift"] + want["mul"] + want["fold"]
+    swept += want["sum"]
     assert all(p == TrigPoly.zero() for p in swept)
 
 

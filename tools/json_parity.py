@@ -20,7 +20,8 @@ builds the pool of each workload and seed as ``bench/run.py`` would (read
 only), and ``check-filter``, ``complement``, ``purity``, ``mtilde``,
 ``sigma``, ``construct --depth 3 --down 3`` and ``cascade`` run on each
 distinct problem text, and ``equiv`` on each task's pair of texts (a base and
-its conjugate, or a block-diagonal pair), in the unit convention.
+its conjugate, or a block-diagonal pair) both ways, the second run labelled
+``reversed``, in the unit convention.
 ``complement`` prints the completed G's grid samples, built from H's exact
 grid samples; ``mtilde``, ``sigma`` and ``construct`` print the generated sets
 and multiplicities on the pools' mixed denominators, and ``cascade`` the
@@ -92,8 +93,10 @@ def pool_runs(specs: list[str], tmp: str, smoke: bool):
                 for label, command in POOL_RUNS:
                     yield f"pool {spec} {label} {task.label}/{i}", ["--json", *command, path]
             if len(task.texts) == 2:
-                paths = [files[text] for text in task.texts]
-                yield f"pool {spec} equiv {task.label}", ["--json", "equiv", *paths]
+                first, second = (files[text] for text in task.texts)
+                yield f"pool {spec} equiv {task.label}", ["--json", "equiv", first, second]
+                argv = ["--json", "equiv", second, first]
+                yield f"pool {spec} equiv {task.label} reversed", argv
 
 
 def main(argv=None, smoke: bool = False) -> int:
