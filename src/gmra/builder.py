@@ -49,7 +49,7 @@ from .multiplicity import (
 )
 from .ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
 from .torus import TorusEndomorphism, TorusSet
-from .trigpoly import TrigPoly, gated_compress, inner
+from .trigpoly import TrigPoly, _inners, gated_compress
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,8 @@ def ledger_norm(g: CanonicalGMRA, v: LedgerVector) -> float:
     """The ledger norm: D is unitary, so each level's W0 components count as they are."""
     conform(g, v)
     total = 0.0
-    for comp in list(v.v0) + [c for level in v.w for c in level]:
-        total += max(inner(comp, comp).real, 0.0)
+    for value in _inners((c, c) for c in list(v.v0) + [c for level in v.w for c in level]):
+        total += max(value.real, 0.0)
     return math.sqrt(total)
 
 

@@ -87,47 +87,63 @@ def is_eigenfilter(H: FilterMatrix, tol: float = DEFAULT_TOL):
 
 
 def _certified_windows(cells, den: int, samples: int, gaps):
-    """Yield (window, gap) for the windows on which a pointwise bound holds.
+    """(a, b, gap): the windows on which a pointwise bound holds, as arrays in point order.
 
     Each cell is (lo, hi, L, payload), the piece [lo/den, hi/den): L bounds the Lipschitz
     constant of the gap there, and the bound is gap > 0.  Every sample point of every cell
     goes into one int array ``ps`` over q = 2 * samples * den, and one call
     gaps(payloads, where, ps, q) returns the gap at each point ps[i]/q of the cell
     payloads[where[i]].  A cell with L = 0 is constant and is decided by its midpoint,
-    samples * (lo + hi).  Otherwise ``samples`` midpoints are tried, and a sample x with
-    gap d > 0 certifies the window of radius d / (2 L) around it, rounded down to a
-    multiple of 2^-30 and clipped to the cell: (a, b), integer numerators over
-    den * 2 * samples * 2^30.
+    samples * (lo + hi), whose window is the whole cell.  Otherwise ``samples`` midpoints
+    are tried, and a sample x with gap d > 0 certifies the window of radius d / (2 L)
+    around it, rounded down to a multiple of 2^-30 and clipped to the cell: (a, b),
+    integer numerators over den * 2 * samples * 2^30.  A radius is capped at one turn,
+    which covers any cell, so the window arithmetic runs in int64 while
+    den * 2 * samples * 2^30 < 2^62, and on Python ints past that.
     """
     cells = list(cells)
-    if not cells:
-        return
     q = 2 * samples * den
     unit = 2 * samples * 2**30  # a cell end point over den, as a window numerator
+    ints = np.int64 if q * 2**30 < 2**62 else object
+    if not cells:
+        return np.empty(0, dtype=ints), np.empty(0, dtype=ints), np.empty(0)
+    lo, hi = np.array([cell[:2] for cell in cells], dtype=ints).T
+    lips = np.array([cell[2] for cell in cells])
     # the points (2 samples lo + k (hi - lo))/q: k = 1, 3, .., 2 samples - 1, or the midpoint
     # k = samples of a constant cell
-    ks = [(samples,) if L == 0.0 else range(1, 2 * samples, 2) for _, _, L, _ in cells]
-    where = np.repeat(np.arange(len(cells)), [len(k) for k in ks])
-    points = [2 * samples * lo + k * (hi - lo) for (lo, hi, _, _), cell in zip(cells, ks)
-              for k in cell]
-    ps = np.array(points, dtype=np.int64 if q < 2**62 else object)  # Python ints past int64
-    found = gaps([payload for _, _, _, payload in cells], where, ps, q).tolist()
-    for i, p, gap in zip(where.tolist(), points, found):
-        if not gap > 0:
-            continue
-        lo, hi, lipschitz, _ = cells[i]
-        if lipschitz == 0.0:
-            yield (lo * unit, hi * unit), gap
-            continue
-        r = max(math.floor(gap / (2 * lipschitz) * 2**30), 0) * q  # the radius, over q * 2^30
-        a, b = max(lo * unit, p * 2**30 - r), min(hi * unit, p * 2**30 + r)
-        if a < b:
-            yield (a, b), gap
+    counts = np.where(lips == 0.0, 1, samples)
+    where = np.repeat(np.arange(len(cells)), counts)
+    k = 2 * (np.arange(len(where)) - np.repeat(np.cumsum(counts) - counts, counts)) + 1
+    k[counts[where] == 1] = samples
+    ps = 2 * samples * lo[where] + k.astype(ints) * (hi - lo)[where]
+    ps = ps.astype(np.int64 if q < 2**62 else object)  # Python ints past int64
+    gap = gaps([payload for _, _, _, payload in cells], where, ps, q)
+    sel = np.flatnonzero(gap > 0)
+    at, gap, ps, lip = where[sel], gap[sel], ps[sel], lips[where[sel]]
+    turns = np.full(len(sel), 2.0**30)  # the radius in 2^-30 turns; a constant cell's is 1
+    vary = lip != 0.0
+    with np.errstate(over="ignore"):  # past the float range the radius is capped
+        turns[vary] = np.minimum(np.floor(gap[vary] / (2 * lip[vary]) * 2**30), 2.0**30)
+    keep = np.flatnonzero(turns >= 0)  # a NaN radius certifies nothing
+    at, gap, r = at[keep], gap[keep], turns[keep].astype(np.int64).astype(ints) * q
+    centre = ps[keep].astype(ints) * 2**30
+    a = np.maximum(lo[at] * unit, centre - r)
+    b = np.minimum(hi[at] * unit, centre + r)
+    live = a < b
+    return a[live], b[live], gap[live]
 
 
-def _window_set(found, den: int, samples: int) -> TorusSet:
-    """The union of the windows of ``_certified_windows(cells, den, samples, gaps)``."""
-    return TorusSet.from_spans(den * 2 * samples * 2**30, (window for window, _ in found))
+def _window_set(windows, den: int, samples: int) -> TorusSet:
+    """The union of the windows (a, b, gap) of ``_certified_windows(cells, den, samples,
+    gaps)``: sorted by a, each window joins the run before it unless it starts past the
+    largest end so far, and the runs go to ``TorusSet.from_spans``."""
+    a, b, _ = windows
+    order = np.argsort(a, kind="stable")
+    a, reach = a[order], np.maximum.accumulate(b[order])
+    new, last = np.ones(len(a), dtype=bool), np.ones(len(a), dtype=bool)
+    new[1:] = last[:-1] = a[1:] > reach[:-1]  # a run starts at i, and the one before ends
+    return TorusSet.from_spans(den * 2 * samples * 2**30,
+                               zip(a[new].tolist(), reach[last].tolist()))
 
 
 def _lipschitz(fden: int, terms) -> float:
@@ -322,10 +338,11 @@ def invariant_check(
         for a, b, blocks in matrix_cells
         if blocks[0]
     )
-    for window, gap in _certified_windows(cells, den, 16, gaps):
+    a, b, gap = _certified_windows(cells, den, 16, gaps)
+    if len(gap):  # the first window in point order
         return Obstruction(
             SINGULAR_VALUE_MISMATCH,
-            {"set": _window_set([(window, gap)], den, 16), "gap": gap + margin},
+            {"set": _window_set((a[:1], b[:1], gap[:1]), den, 16), "gap": float(gap[0]) + margin},
         )
     return None
 

@@ -31,7 +31,7 @@ from .filters import (
 )
 from .multiplicity import sigma_tilde_sets
 from .torus import TorusSet
-from .trigpoly import TrigPoly, _on_set, compose_endomorphism, fold, gated_sum, inner
+from .trigpoly import TrigPoly, _inners, _on_set, compose_endomorphism, fold, gated_sum
 
 # how far a probe may exceed its bound: rounding in the probe's own inner products
 PROBE_SLACK = 1e-12
@@ -64,9 +64,12 @@ class SectionVector:
         comps[i] = TrigPoly.indicator(sets[i])
         return SectionVector(tuple(comps), tuple(sets))
 
-    def _componentwise(self, op, other: "SectionVector") -> "SectionVector":
+    def _check_sets(self, other: "SectionVector"):
         if self.sets != other.sets:
             raise ContextMismatch("section vectors live over different sets")
+
+    def _componentwise(self, op, other: "SectionVector") -> "SectionVector":
+        self._check_sets(other)
         return SectionVector(tuple(map(op, self.components, other.components)), self.sets)
 
     def __add__(self, other: "SectionVector") -> "SectionVector":
@@ -80,9 +83,9 @@ class SectionVector:
         return SectionVector(tuple(f * c for f in self.components), self.sets)
 
     def inner(self, other: "SectionVector") -> complex:
-        return sum(
-            (inner(a, b) for a, b in zip(self.components, other.components)), 0j
-        )
+        """The sum of the components' inner products, from one ``_inners`` call."""
+        self._check_sets(other)
+        return sum(_inners(zip(self.components, other.components)), 0j)
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self).real, 0.0))

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -60,27 +61,20 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _grid_phase(a: np.ndarray, b: np.ndarray, ps: np.ndarray, den: int) -> np.ndarray:
-    """e^(2*pi*i*(a/b)*p/den) at integers p, with the values of ``_turn``: ``a`` and ``b`` are
-    arrays of reduced frequency numerators and denominators (int64, or object past it),
-    broadcast against ``ps``.
+def _turns(num: np.ndarray, period: np.ndarray) -> np.ndarray:
+    """``_turn(num, period)`` over broadcast integer arrays, bit for bit.
 
-    The turn is reduced exactly to r/(b*den), r = (a*p) mod (b*den), in int64, and its float
-    is that of ``_turn``; quarter turns come out exactly 1, i, -1, -i.  Where int64 could
-    overflow or r/(b*den) would not convert exactly to a float, the points go through
-    ``_turn`` one by one.
+    In int64 with every period below 2^53, r = num mod period and its float are exact, so
+    r/period is the correctly rounded quotient ``_turn`` forms, and quarter turns come out
+    exactly 1, i, -1, -i.  Object arrays of Python ints, or periods past 2^53, go through
+    ``_turn`` one element at a time.  Callers check their ranges in Python ints before
+    forming int64 products.
     """
-    fits = a.dtype == b.dtype == np.int64
-    if fits:
-        top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-        fits = top * den < 2**62 and int(b.max(initial=1)) * den < 2**53
-    if not fits:
-        shape = np.broadcast_shapes(a.shape, b.shape, ps.shape)
-        turns = [_turn(int(x) * int(p), int(y) * den) for x, y, p in np.broadcast(a, b, ps)]
+    if num.dtype != np.int64 or period.dtype != np.int64 or period.max(initial=1) >= 2**53:
+        shape = np.broadcast_shapes(num.shape, period.shape)
+        turns = [_turn(int(n), int(d)) for n, d in np.broadcast(num, period)]
         return np.array(turns, dtype=complex).reshape(shape)
-    period = b * den
-    r = a * ps
-    r %= period
+    r = num % period
     turn = r / period
     turn *= math.tau
     out = np.empty(r.shape, dtype=complex)
@@ -90,6 +84,23 @@ def _grid_phase(a: np.ndarray, b: np.ndarray, ps: np.ndarray, den: int) -> np.nd
     exact = rest == 0
     out[exact] = _QUARTER_PHASES[quarters[exact]]
     return out
+
+
+def _grid_phase(a: np.ndarray, b: np.ndarray, ps: np.ndarray, den: int) -> np.ndarray:
+    """e^(2*pi*i*(a/b)*p/den) at integers p, with the values of ``_turn``: ``a`` and ``b`` are
+    arrays of reduced frequency numerators and denominators (int64, or object past it),
+    broadcast against ``ps``.
+
+    The turn is r/(b*den), r = (a*p) mod (b*den), taken by ``_turns``: in int64 where
+    a*p and b*den stay below 2^62 and 2^53, on Python ints otherwise.
+    """
+    fits = a.dtype == b.dtype == np.int64
+    if fits:
+        top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+        fits = top * den < 2**62 and int(b.max(initial=1)) * den < 2**53
+    if not fits:
+        a, b, ps = a.astype(object), b.astype(object), ps.astype(object)
+    return _turns(a * ps, b * den)
 
 
 def _terms_values(rows, where: np.ndarray, ps: np.ndarray, q: int) -> np.ndarray:
@@ -540,48 +551,133 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
 # ---- integration ---------------------------------------------------------
 
 
-def _cell_inner(ta: Terms, tb: Terms, lo: int, hi: int, den: int, fden: int) -> complex:
-    """int_lo^hi (sum_j c_j e(nu_j w)) * conj(sum_k d_k e(mu_k w)) dw in closed form, pair by
-    pair, on the cell [lo/den, hi/den) with frequencies over fden.
+INNER_BLOCK = 2**11  # pair slots per block of ``_cells_inner``
+_NEG_ZERO = complex(-0.0, -0.0)  # x + (-0.0) is x bit for bit, so it pads a sum
 
-    e(t) = e^(2*pi*i*t).  lambda = nu_j - mu_k is formed in integers, so the
-    zero test is exact and its float is correctly rounded.
+
+def _cells_inner(cells) -> list[complex]:
+    """int ta * conj(tb) over each cell (lo, hi, den, fden, ta, tb), the piece
+    [lo/den, hi/den) carrying two term tuples with frequencies over fden, in one array pass.
+
+    A pair of terms (n1, c) of ta and (n2, d) of tb adds c conj(d) (hi - lo)/den when
+    lam = n1 - n2 is 0, and otherwise c conj(d) (e(n1 hi) conj(e(n2 hi)) - e(n1 lo)
+    conj(e(n2 lo))) / (2 pi i lam/fden), with e(n t) = e^(2*pi*i*n*t/(fden*den)) and lam
+    formed in integers, so the zero test is exact.  Each cell's pairs add in (j, k) order
+    from 0j, and every pair runs the float operations of Python's complex arithmetic on
+    that formula, so each value is that of a pair loop bit for bit: products and
+    quotients are written out in real ufuncs (numpy's complex ``*`` may fuse a
+    multiply-add), and ``np.cumsum``, which adds in sequence, sums each cell.
+
+    Each term's phases come from one ``_turns`` call, shared by both sides when tb is
+    ta.  Cells go largest first into blocks of at most ``INNER_BLOCK`` pair slots, one
+    row per cell padded with -0.0 to the block's width; a cell wider than a block spans
+    several, each starting from the last one's sum.  The integers are int64 when every
+    product stays below 2^62 and every quotient is of exact floats, Python ints on
+    object arrays otherwise.
     """
-    width = (hi - lo) / den
-    period = fden * den
+    if not cells:
+        return []
+    count = len(cells)
+    sides, owner, right = [], [], []  # the term tuples of the table: each ta, then tb
+    for i, (_, _, _, _, ta, tb) in enumerate(cells):
+        sides.append(ta)
+        if tb is not ta:
+            right.append(count + len(owner))
+            owner.append(i)
+        else:
+            right.append(i)
+    sides += [cells[i][5] for i in owner]
+    lens = list(map(len, sides))
+    terms = list(chain.from_iterable(sides))
+    ns = [n for n, _ in terms]
+    los, his, dens, fdens = zip(*[cell[:4] for cell in cells])
+    periods = list(map(mul, fdens, dens))
+    top = max(map(abs, ns), default=0)
+    small = top < 2**52 and max(periods) < 2**53 and top * max(his) < 2**62
+    ints = np.int64 if small else object
+    entry_cell = np.repeat(list(range(count)) + owner, lens)
+    lo, hi, period, fden = np.array((los, his, periods, fdens), dtype=ints)[:, entry_cell]
+    n = np.array(ns, dtype=ints)
+    phases = _turns(n * np.array((lo, hi)), period)  # e(n lo), e(n hi) per term
+    c = np.array([c for _, c in terms], dtype=complex)
+    # per term, a column: re and im of c, e(n lo), e(n hi), then the width of its cell
+    table = np.concatenate(([c.real], phases.real, [c.imag], phases.imag,
+                            [np.array(list(map(truediv, map(sub, his, los), dens)))[entry_cell]]))
+    n_fden = np.array((n, fden))
+    lens = np.array(lens)
+    first = np.cumsum(lens) - lens
+    rows_a, rows_b, first_a, first_b = lens[:count], lens[right], first[:count], first[right]
+    sizes = (rows_a * rows_b).tolist()  # the pairs of each cell
 
-    def phased(terms):  # (n, c, e(nu*lo), e(nu*hi)) per term (n, c)
-        return [(n, c, _turn(n * lo, period), _turn(n * hi, period)) for n, c in terms]
+    def block(rows: np.ndarray, offset: int, width: int, start: complex) -> np.ndarray:
+        """The sums from ``start`` over pair slots offset .. offset + width - 1 of the
+        cells ``rows``, each of which has a pair in slot ``offset``."""
+        j, k = np.divmod(np.arange(offset, offset + width), rows_b[rows, None])
+        live = j < rows_a[rows, None]  # slot j * rows_b + k holds the cell's pair (j, k)
+        li, ri = (first_a[rows, None] + j)[live], (first_b[rows, None] + k)[live]
+        # np.take keeps each gathered row contiguous, as ``[:, li]`` does not
+        a, b = np.take(table, li, axis=1), np.take(table[:6], ri, axis=1)
+        (n1, fden_), n2 = np.take(n_fden, li, axis=1), n[ri]
+        # x * conj(y) rounds as x.re*y.re + x.im*y.im and x.im*y.re - x.re*y.im, since
+        # negation is exact: c conj(d) and the phase products at lo and hi
+        p_re = a[:3] * b[:3] + a[3:6] * b[3:]
+        p_im = a[3:6] * b[:3] - a[:3] * b[3:]
+        lam = n1 - n2
+        flat = lam == 0
+        d_re = np.where(flat, a[6], p_re[2] - p_re[1])  # the delta, or (width, 0.0)
+        d_im = np.where(flat, 0.0, p_im[2] - p_im[1])
+        w_re, w_im = p_re[0], p_im[0]
+        num_re = w_re * d_re - w_im * d_im
+        num_im = w_re * d_im + w_im * d_re
+        # num / (2 pi i x), x = lam/fden: Python's b = (0 x - tau 0) + (0 0 + tau x)i is
+        # (copysign(0, x), tau x), so Smith's quotient takes ratio = b.re/b.im = +0.0 and
+        # denominator b.re * ratio + b.im = tau x; x is 1/fden where lam = 0, unused
+        denom = np.asarray(np.where(flat, 1, lam) / fden_, dtype=float) * math.tau
+        padded = np.full(j.shape, _NEG_ZERO)
+        padded.real[live] = np.where(flat, num_re, (num_re * 0.0 + num_im) / denom)
+        padded.imag[live] = np.where(flat, num_im, (num_im * 0.0 - num_re) / denom)
+        padded[:, 0] += start
+        return padded.cumsum(axis=1)[:, -1]
 
-    left = phased(ta)
-    # the right side conjugated once per term, its phases shared when both sides are one
-    right = [(n, d.conjugate(), qa.conjugate(), qb.conjugate())
-             for n, d, qa, qb in (left if tb is ta else phased(tb))]
-    total = 0j
-    for n1, c, pa, pb in left:
-        for n2, d, qa, qb in right:
-            lam = n1 - n2
-            w = c * d
-            if lam == 0:
-                total += w * width
-            else:
-                delta = pb * qb - pa * qa
-                total += w * delta / (_TWO_PI_I * (lam / fden))
-    return total
+    out = np.zeros(count, dtype=complex)  # a cell without pairs integrates to 0j
+    order = sorted(filter(sizes.__getitem__, range(count)), key=sizes.__getitem__,
+                   reverse=True)
+    i = 0
+    while i < len(order):
+        size = sizes[order[i]]
+        if size > INNER_BLOCK:  # one cell over several blocks
+            rows, total = np.array(order[i:i + 1]), 0j
+            for offset in range(0, size, INNER_BLOCK):
+                total = block(rows, offset, min(INNER_BLOCK, size - offset), total)[0]
+            out[rows] = total
+            i += 1
+        else:
+            rows = np.array(order[i:i + INNER_BLOCK // size])
+            out[rows] = block(rows, 0, size, 0j)
+            i += len(rows)
+    return out.tolist()
+
+
+def _inners(pairs) -> list[complex]:
+    """``inner(f, g)`` for each (f, g) of ``pairs``, with one ``_cells_inner`` call: each
+    value sums its cells' integrals in cell order from 0j."""
+    cells, bounds = [], [0]
+    for f, g in pairs:
+        if f is g:
+            cells += ((lo, hi, f.den, f.fden, t, t) for lo, hi, t in f.cells if t)
+        else:
+            den, fden, both = _aligned((f, g))
+            cells += ((lo, hi, den, fden, *ts) for lo, hi, ts in overlay(chain(*both), den)
+                      if len(ts) == 2)
+        bounds.append(len(cells))
+    values = _cells_inner(cells)
+    return [sum(values[a:b], 0j) for a, b in zip(bounds, bounds[1:])]
 
 
 def inner(f: TrigPoly, g: TrigPoly) -> complex:
     """int f * conj(g) over the circle without forming the product: cell by cell over
     ``overlay`` of the nonzero pieces of f and g, or over f's own pieces when g is f."""
-    if f is g:
-        den, fden = f.den, f.fden
-        cells = ((lo, hi, (t, t)) for lo, hi, t in f.cells if t)
-    else:
-        den, fden, both = _aligned((f, g))
-        cells = overlay(chain(*both), den)
-    return sum(
-        (_cell_inner(*ts, lo, hi, den, fden) for lo, hi, ts in cells if len(ts) == 2), 0j
-    )
+    return _inners([(f, g)])[0]
 
 
 def integrate(f: TrigPoly) -> complex:
