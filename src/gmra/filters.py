@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CompletionFailed, ContextMismatch, NotUnitary
 from .multiplicity import MultiplicityFunction, compute_mtilde, sigma_sets
 from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet
-from .trigpoly import TrigPoly, compose_endomorphism, fold
+from .trigpoly import TrigPoly, compose_endomorphism, fold_residuals
 
 DEFAULT_TOL = 1e-9
 _ZERO = TrigPoly.zero()
@@ -170,25 +170,21 @@ class FilterMatrix:
     def fold_defects(self) -> Mapping[tuple[int, int], float]:
         """Sup bounds {(i, k): r} of the fold defects of the row pairs i <= k: each must
         fold to N * delta_{i,k} * chi on the i-th row level set."""
-        n = float(self.e.N)
-        diagonal = {i: TrigPoly.indicator(s, n) for i, s in enumerate(self.row_sets)}
-        return MappingProxyType({
-            (i, k): _pair_residual(self, self, i, k, diagonal.get(i, _ZERO) if i == k else _ZERO)
-            for i in range(self.rows)
-            for k in range(i, self.rows)
-        })
+        keys = [(i, k) for i in range(self.rows) for k in range(i, self.rows)]
+        sets = self.row_sets
+        targets = [sets[i] if i == k and i < len(sets) else None for i, k in keys]
+        return _fold_table(self, self, keys, targets)
 
     def cross_defects(self, K: "FilterMatrix") -> Mapping[tuple[int, int], float]:
         """Sup bounds {(k, i): r} of the folds of each row k against each row i of K, which
-        must vanish; computed once per partner object."""
+        must vanish; computed once per partner object, which must share (m, N)."""
+        if not same_context(self, K):
+            raise ContextMismatch("cross folds need filters of the same multiplicity and dilation")
         cross, key = self._cross, id(K)
         ref, table = cross.get(key, (None, None))
         if ref is None or ref() is not K:
-            table = MappingProxyType({
-                (k, i): _pair_residual(self, K, k, i, _ZERO)
-                for k in range(self.rows)
-                for i in range(K.rows)
-            })
+            keys = [(k, i) for k in range(self.rows) for i in range(K.rows)]
+            table = _fold_table(self, K, keys, [None] * len(keys))
             cross[key] = (weakref.ref(K, lambda _: cross.pop(key, None)), table)
         return table
 
@@ -224,9 +220,13 @@ def _check_dims(F: FilterMatrix):
         )
 
 
-def _pair_residual(F: FilterMatrix, G: FilterMatrix, i: int, k: int, target: TrigPoly) -> float:
-    folds = (fold(F.e, F.entry(i, j), G.entry(k, j)) for j in range(min(F.cols, G.cols)))
-    return TrigPoly.sum(folds).deviation_from(target)
+def _fold_table(F: FilterMatrix, G: FilterMatrix, keys, targets) -> Mapping:
+    """{(i, k): r} for each key (i, k) and its target set ts (None for none): r is the sup
+    bound of sum_j fold(F_ij, G_kj) - N * chi_ts, all from one ``fold_residuals`` call."""
+    cols = range(min(F.cols, G.cols))
+    jobs = [([(F.entry(i, j), G.entry(k, j)) for j in cols], ts)
+            for (i, k), ts in zip(keys, targets)]
+    return MappingProxyType(dict(zip(keys, fold_residuals(F.e.N, jobs))))
 
 
 def _fold_report(

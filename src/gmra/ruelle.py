@@ -31,7 +31,7 @@ from .filters import (
 )
 from .multiplicity import sigma_tilde_sets
 from .torus import TorusSet
-from .trigpoly import TrigPoly, _inners, _on_set, compose_endomorphism, fold, gated_sum
+from .trigpoly import TrigPoly, _inners, _on_set, compose_endomorphism, gated_folds, gated_sum
 
 # how far a probe may exceed its bound: rounding in the probe's own inner products
 PROBE_SLACK = 1e-12
@@ -131,15 +131,14 @@ def apply_S(F: FilterMatrix, f: SectionVector) -> SectionVector:
 
 
 def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
-    """[S* g]_i (w) = (1/N) sum_j fold(g_j, F_ij)(w), exact."""
+    """[S* g]_i (w) = (1/N) sum_j fold(g_j, F_ij)(w), exact: one ``gated_folds`` job per
+    row i, gated by its row set."""
     if g.sets != F.column_sets:
         raise ContextMismatch("input vector does not live over the column sets")
     row_sets, comps = F.row_sets, g.components[: F.cols]
-    out = (
-        gated_sum((fold(F.e, gj, F.entry(i, j)) for j, gj in enumerate(comps)), si, 1.0 / F.e.N)
-        for i, si in enumerate(row_sets)
-    )
-    return SectionVector(tuple(out), row_sets)
+    jobs = [([(gj, F.entry(i, j)) for j, gj in enumerate(comps)], si)
+            for i, si in enumerate(row_sets)]
+    return SectionVector(tuple(gated_folds(F.e.N, jobs, 1.0 / F.e.N)), row_sets)
 
 
 def cuntz_check(

@@ -149,16 +149,36 @@ def _merge_terms(pairs) -> Terms:
     return tuple(sorted(term for term in acc.items() if term[1] != 0))
 
 
-def _sum_terms(payloads) -> Terms:
-    """The sum of canonical term tuples, bit for bit that of repeated ``+``.
+def _product(ta: Terms, tb: Terms) -> Terms:
+    """``_merge_terms`` of the pairs (na + nb, ca * cb), taken in (a, b) order."""
+    acc: dict[int, complex] = {}
+    for na, ca in ta:
+        for nb, cb in tb:
+            n = na + nb
+            acc[n] = acc[n] + ca * cb if n in acc else ca * cb
+    terms = sorted(acc.items())
+    return tuple(terms) if 0 not in acc.values() else tuple([t for t in terms if t[1] != 0])
 
-    The tuples are merged left to right, and a frequency that cancels to an
-    exact 0 is dropped before the next tuple reaches it.
+
+def _sum_terms(payloads) -> Terms:
+    """The sum of a sequence of canonical term tuples, bit for bit that of repeated ``+``.
+
+    The tuples are added left to right, and a frequency that cancels to an exact 0 is
+    dropped at once: no tuple holds a frequency twice, so the next one to reach it
+    starts it afresh, as after a merge of each tuple in turn.
     """
-    terms = ()
+    if len(payloads) == 1:
+        return payloads[0]
+    acc: dict[int, complex] = {}
     for t in payloads:
-        terms = _merge_terms(terms + t) if terms else t
-    return terms
+        for n, c in t:
+            if n in acc:
+                c = acc[n] + c
+                if not c:
+                    del acc[n]
+                    continue
+            acc[n] = c
+    return tuple(sorted(acc.items()))
 
 
 def _scaled(terms: Terms, c: complex) -> Terms:
@@ -176,13 +196,17 @@ def _over(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _nonzero_cells(p: "TrigPoly", den: int, fden: int):
-    """The nonzero cells of p over den, frequencies over fden: multiples of p's own."""
-    a, b = den // p.den, fden // p.fden
+def _rescaled(cells, a: int, b: int):
+    """The nonzero (lo, hi, terms) cells with lo and hi times a and each frequency times b."""
     return (
         (lo * a, hi * a, terms if b == 1 else tuple((n * b, c) for n, c in terms))
-        for lo, hi, terms in p.cells if terms
+        for lo, hi, terms in cells if terms
     )
+
+
+def _nonzero_cells(p: "TrigPoly", den: int, fden: int):
+    """The nonzero cells of p over den, frequencies over fden: multiples of p's own."""
+    return _rescaled(p.cells, den // p.den, fden // p.fden)
 
 
 def _aligned(polys, gate: TorusSet | None = None):
@@ -190,6 +214,13 @@ def _aligned(polys, gate: TorusSet | None = None):
     den = math.lcm(gate.den if gate is not None else 1, *[p.den for p in polys])
     fden = math.lcm(*[p.fden for p in polys])
     return den, fden, [_nonzero_cells(p, den, fden) for p in polys]
+
+
+def _sup_bound(tiles) -> float:
+    """The largest sum of |c| over the terms of a tile, each added in frequency order from
+    the int 0 (so 0 when every tile is empty); NaN if any is, so ``<= tol`` fails."""
+    bounds = [sum(abs(c) for _, c in terms) for terms in tiles]
+    return math.nan if any(b != b for b in bounds) else max(bounds, default=0.0)
 
 
 def _only(payloads) -> Terms:
@@ -337,15 +368,9 @@ class TrigPoly:
         if isinstance(other, TrigPoly):
             if self.is_zero() or other.is_zero():
                 return TrigPoly.zero()
-
-            def product(payloads):
-                if len(payloads) < 2:
-                    return ()
-                ta, tb = payloads
-                return _merge_terms((na + nb, ca * cb) for na, ca in ta for nb, cb in tb)
-
             den, fden, cells = _aligned((self, other))
-            return _swept(den, fden, chain(*cells), product)
+            return _swept(den, fden, chain(*cells),
+                          lambda ts: _product(*ts) if len(ts) == 2 else ())
         c = complex(other)
         return self._map_terms(lambda terms: _scaled(terms, c))
 
@@ -425,8 +450,7 @@ class TrigPoly:
 
     def sup_bound(self) -> float:
         """Max over pieces of sum |coef|, a sup-norm bound; NaN if any is, so ``<= tol`` fails."""
-        bounds = [sum(abs(c) for _, c in terms) for _, _, terms in self.cells]
-        return math.nan if any(b != b for b in bounds) else max(bounds, default=0.0)
+        return _sup_bound(terms for _, _, terms in self.cells)
 
     def deviation_from(self, other: "TrigPoly") -> float:
         return (self - other).sup_bound()
@@ -505,11 +529,6 @@ def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale) -> Term
     return tuple(out)
 
 
-def _dilated(branches, period: int):
-    """z = (w + k)/N substituted in each branch image (k, a, b, terms) of ``branch_images``."""
-    return ((a, b, _branch_terms(t, 1, k, period, None)) for k, a, b, t in branches)
-
-
 def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPoly:
     """The sum over (g, k) in ``parts`` of g(N*w - k) * scale on branch [k/N, (k+1)/N),
     restricted to gate, in one sweep: each piece is scaled before the cells add in
@@ -533,19 +552,146 @@ def compose_endomorphism(f: TrigPoly, e: TorusEndomorphism) -> TrigPoly:
     return gated_compress([(f, k) for k in range(e.N)], e)
 
 
+# ---- the fold sweep: a job is (pairs, ts), the (f, g) pairs it sums and a set ts or None
+
+
+def _pair_fold(N: int, f: TrigPoly, g: TrigPoly):
+    """(den, period, cells): w -> sum_{N*z = w (mod 1)} f(z) * conj(g(z)) as (lo, hi, terms)
+    cells tiling [0, den), den = lcm(f.den, g.den) and frequencies over period = N * fden,
+    fden = lcm(f.fden, g.fden), on the pair's own refinement, with the bits of the chain
+    of ``*`` and a branch sweep.
+
+    The cells of f and g are walked side by side, and each cell where both are nonzero
+    carries their product, merged once by ``_product`` with conj(g)'s terms in ascending
+    frequency.  Its parts on the branches [k*den/N, (k+1)*den/N) land on [0, den) at
+    N*z - k, each product term (n, c) becoming c * e^(2*pi*i*n*k/period) (on branch 0
+    too), and on each cell of [0, den) the branches add in ascending k by ``_sum_terms``.
+    A product, and a sum, that ``==`` its left neighbour takes that neighbour's terms:
+    ``==`` takes -0.0 for 0.0, and ``coalesce`` merged such cells of the chain's polys.
+    """
+    den, fden = math.lcm(f.den, g.den), math.lcm(f.fden, g.fden)
+    period, cuts, images = fden * N, {0, den}, []
+    fa, ga = den // f.den, den // g.den
+    fb, gb = fden // f.fden, fden // g.fden
+    mine = [(hi * fa, t if fb == 1 else tuple([(n * fb, c) for n, c in t]))
+            for _, hi, t in f.cells]
+    theirs = [(hi * ga, tuple([(-n * gb, c.conjugate()) for n, c in reversed(t)]))
+              for _, hi, t in g.cells]
+    phases: dict[int, complex] = {}
+    i = j = lo = 0
+    last = ()
+    while lo < den:
+        (f_hi, ta), (g_hi, tb) = mine[i], theirs[j]
+        hi = f_hi if f_hi < g_hi else g_hi
+        product = _product(ta, tb) if ta and tb else ()
+        if product == last:
+            product = last
+        last = product
+        if product:
+            z_lo, z_hi = lo * N, hi * N
+            for k in range(z_lo // den, -(-z_hi // den)):
+                terms = []
+                for n, c in product:
+                    turn = phases.get(n * k)
+                    if turn is None:
+                        turn = phases[n * k] = _turn(n * k, period)
+                    c *= turn
+                    if c:
+                        terms.append((n, c))
+                a, b = z_lo - k * den, z_hi - k * den
+                a, b = a if a > 0 else 0, b if b < den else den
+                cuts.add(a)
+                cuts.add(b)
+                images.append((a, b, tuple(terms)))
+        lo = hi
+        i += f_hi == hi
+        j += g_hi == hi
+    points = sorted(cuts)
+    index = {x: n for n, x in enumerate(points)}
+    covers = [[] for _ in points[1:]]
+    for a, b, terms in images:
+        for n in range(index[a], index[b]):
+            covers[n].append(terms)
+    cells, last = [], None
+    for lo, hi, cover in zip(points, points[1:], covers):
+        terms = _sum_terms(cover)
+        if terms == last:
+            terms = last
+        last = terms
+        cells.append((lo, hi, terms))
+    return den, period, cells
+
+
+def fold_sweep(N: int, jobs):
+    """For each job (pairs, ts): (den, fden, cells), cells (lo, inside, terms) tiling
+    [0, den) in ascending order, terms being sum_j fold(f_j, g_j) over the job's (f_j, g_j)
+    pairs and inside whether the cell lies in ts (always, for ts None).
+
+    Each distinct pair (by identity) is folded once by ``_pair_fold``, on its own
+    refinement, and a pair with a zero side not at all.  Only the sum over the pairs runs
+    on the union of the job's refinements and the cuts of ts, adding the folds in pair
+    order by ``_sum_terms``, so every coefficient is that of the chain of ``*``, the
+    branch sweep and ``TrigPoly.sum`` bit for bit.
+    """
+    folds, out = {}, []
+    for pairs, ts in jobs:
+        parts = []
+        for f, g in pairs:
+            if f.is_zero() or g.is_zero():
+                continue
+            key = (id(f), id(g))
+            if key not in folds:
+                folds[key] = _pair_fold(N, f, g)
+            parts.append(folds[key])
+        den = math.lcm(ts.den if ts is not None else 1, *[d for d, _, _ in parts])
+        fden = math.lcm(*[p for _, p, _ in parts])
+        marks = [(lo, hi, _GATE) for lo, hi in ts.over(den)] if ts is not None else []
+        if not marks and len(parts) == 1:  # one fold and no cut to add: its own cells
+            cells = [(lo, ts is None, t) for lo, _, t in parts[0][2]]
+        else:
+            pieces = (piece for d, p, cs in parts for piece in _rescaled(cs, den // d, fden // p))
+            cells = []
+            for lo, _, tiles in overlay(chain(marks, pieces), den):
+                marked = bool(tiles) and tiles[0] is _GATE
+                cells.append((lo, ts is None or marked, _sum_terms(tiles[marked:])))
+        out.append((den, fden, cells))
+    return out
+
+
+def gated_folds(N: int, jobs, scale=None) -> list[TrigPoly]:
+    """(sum_j fold(f_j, g_j) * scale).restrict(gate) for each job (pairs, gate) of
+    ``fold_sweep``, with the coefficients of that chain: the sum is scaled, exact zeros
+    dropped, on each cell inside the gate."""
+    c = None if scale is None else complex(scale)
+    return [
+        _tiled(den, fden, ((lo, (t if c is None else _scaled(t, c)) if inside else ())
+                           for lo, inside, t in cells))
+        for den, fden, cells in fold_sweep(N, jobs)
+    ]
+
+
+def fold_residuals(N: int, jobs) -> list[float]:
+    """The sup bound of sum_j fold(f_j, g_j) - N * chi_ts for each job (pairs, ts) of
+    ``fold_sweep``, read off its cells, bit for bit that of the chain through
+    ``TrigPoly.sum``, ``-`` and ``sup_bound``: on ts the target's term (0, -N) is added
+    last by ``_sum_terms``.  A ts of None is no target."""
+    target = _scaled(((0, complex(float(N))),), _MINUS_ONE)
+    jobs = [(pairs, TorusSet() if ts is None else ts) for pairs, ts in jobs]
+    return [
+        _sup_bound(_sum_terms((t, target)) if inside else t for _, inside, t in cells)
+        for _, _, cells in fold_sweep(N, jobs)
+    ]
+
+
 def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Preimage transfer sum  w -> sum_{N*z = w (mod 1)} f(z) * conj(g(z)).
 
     This is the left side of every filter identity.  The result is exact in
     the class: each branch contributes frequencies nu/N and pieces rescaled
-    by N.  All N branch images go through one sweep, and on each cell the
+    by N.  It is the one-pair job of ``fold_sweep``: on each cell the
     branches add in the order k = 0 .. N-1.
     """
-    p = f * g.conj()
-    if p.is_zero():
-        return p
-    den, fden, (cells,) = _aligned((p,))
-    return _swept(den, fden * e.N, _dilated(e.branch_images(cells, den), fden * e.N), _sum_terms)
+    return gated_folds(e.N, [([(f, g)], None)])[0]
 
 
 # ---- integration ---------------------------------------------------------

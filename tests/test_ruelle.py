@@ -142,7 +142,7 @@ class TestCuntz:
         entry = catalog.get("haar")
         doubled = FilterMatrix.scalar(entry.H.entry(0, 0) * 2.0, entry.m, entry.e)
         G = FilterMatrix.scalar(entry.G.entry(0, 0), entry.m, entry.e, "mtilde")
-        monkeypatch.setattr(filters, "_pair_residual", lambda *args: 0.0)
+        monkeypatch.setattr(filters, "fold_residuals", lambda N, jobs: [0.0] * len(jobs))
         rep = cuntz_check(doubled, G, trials=1, seed=0)
         assert rep.identities["SH*SH=I"] == 0.0
         assert abs(rep.identities["probe SH*SH=I"] - 3.0) < 1e-9
@@ -248,10 +248,10 @@ class TestFoldTablesShared:
 
         def counted(*args):
             calls.append(args)
-            return real_fold(*args)
+            return real_sweep(*args)
 
-        real_fold = filters.fold
-        monkeypatch.setattr(filters, "fold", counted)
+        real_sweep = filters.fold_residuals
+        monkeypatch.setattr(filters, "fold_residuals", counted)
         verify_filter(H)
         verify_complementary(G, H)
         folded = len(calls)

@@ -38,7 +38,6 @@ from gmra.trigpoly import (
     TrigPoly,
     _aligned,
     _branch_terms,
-    _dilated,
     _merge_terms,
     _nonzero_cells,
     _scaled,
@@ -371,8 +370,13 @@ def swept_mul(f, g):
     return _swept(den, fden, chain(*cells), product)
 
 
+def _dilated(branches, period: int):
+    """z = (w + k)/N substituted in each branch image (k, a, b, terms) of ``branch_images``."""
+    return ((a, b, _branch_terms(t, 1, k, period, None)) for k, a, b, t in branches)
+
+
 def swept_fold(e, f, g):
-    """``fold(e, f, g)`` through the sweep, its product included."""
+    """``fold(e, f, g)`` as the chain of a product sweep and a branch sweep."""
     den, fden, (cells,) = _aligned((swept_mul(f, g.conj()),))
     period = fden * e.N
     return _swept(den, period, _dilated(e.branch_images(cells, den), period), _sum_terms)

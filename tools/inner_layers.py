@@ -1,4 +1,5 @@
-"""Per-layer times of the L2 inner products, parent against change: prints one JSON document.
+"""Per-layer times of the L2 inner products and of the fold sweep, parent against change:
+prints one JSON document.
 
 Run from the repository root, before the change is committed:
 
@@ -14,7 +15,15 @@ the best of ``REPEATS`` calls in a turn and of all turns, in milliseconds:
 - ``ledger_norm`` on the vector each task of the seed-``SEED`` ``ledger``
   pool draws (``bench/workloads.py``), before the shift T;
 - ``SectionVector.norm`` on the two sections each task of the seed-``SEED``
-  ``identities`` pool measures: the drawn section f and S_H* S_H f - f.
+  ``identities`` pool measures: the drawn section f and S_H* S_H f - f;
+- the fold tables (``fold_tables``), on filters parsed anew before each call
+  so that none is cached: ``H`` is ``H.fold_defects`` and ``G`` is
+  ``G.fold_defects`` with ``G.cross_defects(H)``, for ``dft_haar(N)`` and its
+  conjugate by a seeded ``FOLD_ARCS``-arc multiplier at each N of
+  ``FOLD_NS``, and for the catalog systems of ``FOLD_CATALOG``;
+- all three tables of each task of the seed-``SEED`` ``identities`` pool
+  (``identities_tables``), and its ``apply_S_adjoint(H, S_H f)`` on the
+  drawn section f (``identities_adjoint``).
 
 The pool rows give the median and the sum over their calls; ``speedup`` is the
 parent's time over the change's.
@@ -41,15 +50,36 @@ ROUNDS = 3
 SEED = 1
 DEGREES = (2, 8, 32, 128)
 SECTION_SPANS = (6, ((0, 2), (3, 6)))  # [0, 1/3) and [1/2, 1)
+FOLD_NS = (2, 4, 5, 8, 16)
+FOLD_ARCS = 4
+FOLD_CATALOG = ("haar", "cohen", "shannon")
+POOL_ROWS = ("ledger_norm", "section_norm", "identities_tables", "identities_adjoint")
 
 
-def best_ms(fn) -> float:
+def best_ms(fn, fresh=None) -> float:
+    """The best time of ``REPEATS`` calls of fn(), or of fn(fresh()) with fresh() untimed."""
     times = []
     for _ in range(REPEATS):
+        args = () if fresh is None else (fresh(),)
         start = time.perf_counter()
-        fn()
+        fn(*args)
         times.append(time.perf_counter() - start)
     return min(times) * 1e3
+
+
+def h_tables(p) -> None:
+    p.H.fold_defects
+
+
+def g_tables(p) -> None:
+    p.G.fold_defects
+    p.G.cross_defects(p.H)
+
+
+def all_tables(p) -> None:
+    h_tables(p)
+    if p.G is not None:
+        g_tables(p)
 
 
 def measure(tree: str) -> dict:
@@ -57,8 +87,9 @@ def measure(tree: str) -> dict:
     one per call of each pool row."""
     os.sched_setaffinity(0, {CPU})
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
+    import gen
     import workloads
-    from gmra import builder, ruelle, trigpoly
+    from gmra import builder, catalog, ruelle, trigpoly
     from gmra.torus import TorusSet
 
     sets = (TorusSet.from_spans(*SECTION_SPANS),)
@@ -78,23 +109,40 @@ def measure(tree: str) -> dict:
         ledger.append(best_ms(lambda: builder.ledger_norm(g, v)))
 
     pool = workloads.Workload("identities", SEED)
-    sections = []
+    sections, tables, adjoints = [], [], []
     for task in pool.tasks:
-        H = pool.load(task.texts[1]).H
+        text = task.texts[1]
+        H = pool.load(text).H
         section = ruelle.random_section(tuple(H.row_sets), random.Random(task.params["seed"]),
                                         task.params["degree"])
-        back = ruelle.apply_S_adjoint(H, ruelle.apply_S(H, section))
+        lifted = ruelle.apply_S(H, section)
+        back = ruelle.apply_S_adjoint(H, lifted)
         for vector in (section, back - section):
             sections.append(best_ms(vector.norm))
-    return {"inner_ms_by_degree": degrees, "ledger_norm": ledger, "section_norm": sections}
+        tables.append(best_ms(all_tables, lambda: pool.load(text)))
+        adjoints.append(best_ms(lambda: ruelle.apply_S_adjoint(H, lifted)))
+
+    folds = {}
+    systems = [gen.from_catalog(catalog.get(name)) for name in FOLD_CATALOG]
+    for N in FOLD_NS:
+        base = gen.dft_haar(N)
+        a = gen.random_multiplier(random.Random(SEED), FOLD_ARCS, workloads.IDENTITY_MAX_FREQ)
+        systems += [base, gen.conjugate_system(base, a, f"{base.name}~P{FOLD_ARCS}")]
+    for system in systems:
+        text = workloads.dumps(system)
+        for side, tables_of in (("H", h_tables), ("G", g_tables)):
+            folds[f"{system.name} {side}"] = best_ms(tables_of, lambda: pool.load(text))
+    return {"inner_ms_by_degree": degrees, "fold_tables": folds, "ledger_norm": ledger,
+            "section_norm": sections, "identities_tables": tables,
+            "identities_adjoint": adjoints}
 
 
 def summary(turns: list[dict]) -> dict:
-    """The best of the turns per degree and per call; the pool rows as median and sum."""
-    degrees = {d: round(min(t["inner_ms_by_degree"][d] for t in turns), 4)
-               for d in turns[0]["inner_ms_by_degree"]}
-    out = {"inner_ms_by_degree": degrees}
-    for key in ("ledger_norm", "section_norm"):
+    """The best of the turns per degree, per table and per call; the pool rows as median
+    and sum."""
+    out = {key: {d: round(min(t[key][d] for t in turns), 4) for d in turns[0][key]}
+           for key in ("inner_ms_by_degree", "fold_tables")}
+    for key in POOL_ROWS:
         times = [min(call) for call in zip(*(t[key] for t in turns))]
         out[key] = {"calls": len(times), "median_ms": round(median(times), 4),
                     "total_ms": round(sum(times), 3)}
@@ -103,9 +151,9 @@ def summary(turns: list[dict]) -> dict:
 
 def speedups(parent: dict, change: dict) -> dict:
     ratio = lambda a, b: round(a / b, 3) if b else None  # noqa: E731
-    out = {"inner_by_degree": {d: ratio(parent["inner_ms_by_degree"][d], t)
-                               for d, t in change["inner_ms_by_degree"].items()}}
-    for key in ("ledger_norm", "section_norm"):
+    out = {key: {d: ratio(parent[key][d], t) for d, t in change[key].items()}
+           for key in ("inner_ms_by_degree", "fold_tables")}
+    for key in POOL_ROWS:
         out[key] = {stat: ratio(parent[key][stat], change[key][stat])
                     for stat in ("median_ms", "total_ms")}
     return out
