@@ -528,7 +528,7 @@ class TensorGMRA:
         blocks = []
         for f in self.factors:
             r, n = f.m.max_value(), f.e.N
-            blocks.append(f.H.sample(np.arange(n * grid), n * grid)[:r, :r].reshape(r, r, n, grid))
+            blocks.append(f.H.grid_samples(n * grid)[:r, :r].reshape(r, r, n, grid))
         # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l] for every branch pair, per pair point
         kron = np.einsum("ijps,klqt->stpqikjl", *blocks).reshape(grid, grid, -1, c, c)
         acc = np.einsum("stbij,stbkj->stik", kron, kron.conj())

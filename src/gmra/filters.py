@@ -87,6 +87,8 @@ class FilterMatrix:
     rows_follow: str = "m"
     # id(K) -> (weak reference to K, cross table); the entry goes when K does
     _cross: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # den -> read-only entry values at the points p/den
+    _grid: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows_follow not in ("m", "mtilde"):
@@ -139,12 +141,18 @@ class FilterMatrix:
             dtype=complex,
         )
 
-    def sample(self, ps: np.ndarray, den: int) -> np.ndarray:
-        """Entry values at the grid points p/den, shape (rows, cols, len(ps))."""
-        out = np.zeros((self.rows, self.cols, len(ps)), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, h in enumerate(row):
-                out[i, j] = h.sample(ps, den)
+    def grid_samples(self, den: int) -> np.ndarray:
+        """Entry values at the grid points p/den, p = 0 .. den - 1: a read-only array of
+        shape (rows, cols, den), computed once per object and den."""
+        out = self._grid.get(den)
+        if out is None:
+            ps = np.arange(den)
+            out = np.zeros((self.rows, self.cols, den), dtype=complex)
+            for i, row in enumerate(self.entries):
+                for j, h in enumerate(row):
+                    out[i, j] = h.sample(ps, den)
+            out.flags.writeable = False
+            self._grid[den] = out
         return out
 
     def is_scalar(self) -> bool:
@@ -338,13 +346,22 @@ class GridFilterMatrix:
 
     Row r, column j of ``samples`` holds the value at every grid point.
     Produced by ``complement_numeric``; supports grid verification and
-    grid-sampled Ruelle application.
+    grid-sampled Ruelle application.  The samples must have shape (rows,
+    cols, grid), and grid must be a multiple of N, so that the grid points
+    are the N preimages of a quotient grid of grid/N points.
     """
 
     grid: int
     samples: np.ndarray  # shape (rows, cols, grid)
     m: MultiplicityFunction
     e: TorusEndomorphism
+
+    def __post_init__(self):
+        shape = np.shape(self.samples)
+        if len(shape) != 3 or shape[2] != self.grid:
+            raise ContextMismatch(f"samples of shape {shape} are not (rows, cols, {self.grid})")
+        if self.grid % self.e.N:
+            raise ContextMismatch(f"grid {self.grid} is not a multiple of N = {self.e.N}")
 
     @property
     def rows(self) -> int:
@@ -419,9 +436,10 @@ def complement_numeric(
     are found; the complementary samples are the completions scaled back by
     sqrt(N).
 
-    H is sampled once on the fine grid of preimages, and each run of
-    consecutive quotient points sharing m(w), mtilde(w) and the allowed
-    coordinates is completed in one batch.
+    H's samples on the fine grid of preimages come from ``H.grid_samples``,
+    kept for ``verify_complementary_grid``, and each run of consecutive
+    quotient points sharing m(w), mtilde(w) and the allowed coordinates is
+    completed in one batch.
     """
     _check_dims(H)
     N = H.e.N
@@ -437,7 +455,7 @@ def complement_numeric(
     # preimage k of the quotient point t is the fine point t + k*grid
     m_up = m.sample(np.arange(fine), fine).reshape(N, grid)
     allowed = m_up[None] > np.arange(cols)[:, None, None]  # (j, k, t)
-    Hq = H.sample(np.arange(fine), fine).reshape(H.rows, cols, N, grid)
+    Hq = H.grid_samples(fine).reshape(H.rows, cols, N, grid)
     Gq = np.zeros((g_rows, cols, N, grid), dtype=complex)
     # runs of quotient points sharing m(w), mtilde(w) and the allowed
     # coordinates are completed together, in order of t and at most
@@ -480,14 +498,14 @@ def complement_numeric(
 def verify_complementary_grid(
     G: GridFilterMatrix, H: FilterMatrix, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Re-check the complementary identities of a grid-sampled G against H."""
+    """Re-check the complementary identities of a grid-sampled G against H, on H's
+    ``grid_samples`` at G's grid."""
     if G.m != H.m or G.e != H.e:
         raise ContextMismatch("grid filter context differs from H")
     N = H.e.N
     grid = G.grid // N
-    fine = N * grid
     mt = compute_mtilde(H.m, H.e).sample(np.arange(grid), grid)
-    Gq = G.samples[:, :, :fine].reshape(G.rows, G.cols, N, grid)
-    Hq = H.sample(np.arange(fine), fine)[:, : G.cols].reshape(H.rows, G.cols, N, grid)
+    Gq = G.samples.reshape(G.rows, G.cols, N, grid)
+    Hq = H.grid_samples(G.grid)[:, : G.cols].reshape(H.rows, G.cols, N, grid)
     max_gg, max_gh = _grid_residuals(Gq, Hq, mt, N)
     return VerificationReport.from_identities({"gg_grid": max_gg, "gh_grid": max_gh}, tol)

@@ -239,12 +239,17 @@ class GridSectionVector:
 
 def apply_S_grid(F: GridFilterMatrix, f: SectionVector) -> GridSectionVector:
     """Apply a grid-sampled filter to an exact section vector over its row sets, the
-    superlevel sets of mtilde, on the grid."""
+    superlevel sets of mtilde, on the grid.
+
+    The fine point s/fine, s = t + k*grid, maps to N*s/fine = t/grid (mod 1) on the
+    quotient grid of grid = fine/N points, so each component is sampled once there and
+    tiled N times: the values of sampling it at N*s/fine, bit for bit.
+    """
     if f.sets != tuple(sigma_tilde_sets(F.m, F.e)):
         raise ContextMismatch("input vector does not live over the row sets")
-    fine = F.grid
-    up = (F.e.N * np.arange(fine)) % fine  # N * s/fine, exactly
+    fine, N = F.grid, F.e.N
+    ts = np.arange(fine // N)
     out = np.zeros((F.cols, fine), dtype=complex)
     for i, c in enumerate(f.components[: F.rows]):
-        out += F.samples[i] * c.sample(up, fine)
+        out += F.samples[i] * np.tile(c.sample(ts, fine // N), N)
     return GridSectionVector(fine, out)

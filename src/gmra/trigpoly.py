@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul, sub, truediv
+from operator import itemgetter, mul, sub, truediv
 
 import numpy as np
 
@@ -103,13 +103,38 @@ def _grid_phase(a: np.ndarray, b: np.ndarray, ps: np.ndarray, den: int) -> np.nd
     return _turns(a * ps, b * den)
 
 
+def _phase_table(a: np.ndarray, b: np.ndarray, den: int, evaluations: int):
+    """(turns, start, period, residue) for the phases of the terms (a, b) at points p/den,
+    or None where ``_grid_phase`` should take them one by one.
+
+    Each distinct period P = b*den gets one table ``_turns(arange(P), P)`` of its P roots of
+    unity, laid in ``turns`` from its ``start``; the phase at p is entry
+    (residue * p) mod P of it, residue = a mod P.  ``_turns`` depends only on
+    (num mod P, P), so the bits are those of ``_grid_phase``.  The tables are built when
+    the periods' total is below ``evaluations``, the term-point phases of the call (at
+    one term per point a table costs the same ``_turns`` plus a gather), and every period
+    is below 2^31, so that residue * p stays in int64 for 0 <= p < den.
+    """
+    bs = sorted(set(b.ravel().tolist()))
+    periods = [x * den for x in bs]
+    if sum(periods) >= evaluations or periods[-1] >= 2**31:
+        return None
+    turns = np.concatenate([_turns(np.arange(P), np.array(P)) for P in periods])
+    starts = np.cumsum([0] + periods[:-1])
+    b = b.astype(np.int64)
+    period = b * den
+    return turns, starts[np.searchsorted(bs, b)], period, (a % period).astype(np.int64)
+
+
 def _terms_values(rows, where: np.ndarray, ps: np.ndarray, q: int) -> np.ndarray:
-    """``_terms_value(terms, fden, p, q)`` at every point p/q of ``ps``, (fden, terms) being
-    ``rows[w]`` for the point's entry w of ``where``, in one pass and bit for bit.
+    """``_terms_value(terms, fden, p, q)`` at every point p/q, 0 <= p < q, of ``ps``, (fden,
+    terms) being ``rows[w]`` for the point's entry w of ``where``, in one pass and bit for
+    bit.
 
     Each frequency n/fden is reduced to a/b once, in the table of the rows' terms padded
-    with zero terms to one width, and ``_grid_phase`` takes the phases of a block of
-    ``GRID_BLOCK`` points at once.  Each
+    with zero terms to one width.  The phases of a block of ``GRID_BLOCK`` points are
+    gathered from ``_phase_table``'s roots of unity, or taken by ``_grid_phase`` where
+    those tables would be larger than the call.  Each
     term adds c.re*cos - c.im*sin to the real part and c.re*sin + c.im*cos to the
     imaginary one, the rounding of Python's complex product: numpy's complex ``*`` may
     fuse a multiply-add and round apart.
@@ -123,10 +148,20 @@ def _terms_values(rows, where: np.ndarray, ps: np.ndarray, q: int) -> np.ndarray
     a = np.array([[x for x, _, _ in row] for row in table]).T  # int64, or object past it
     b = np.array([[y for _, y, _ in row] for row in table]).T
     cs = np.array([[c for _, _, c in row] for row in table], dtype=complex).T
-    for start in range(0, len(ps), GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
+    roots = _phase_table(a, b, q, width * len(ps))
+    if roots is not None:
+        turns, start, period, residue = roots
+        ps = ps.astype(np.int64)
+    for begin in range(0, len(ps), GRID_BLOCK):
+        block = slice(begin, begin + GRID_BLOCK)
         at = where[block] if len(table) > 1 else [0]  # one row broadcasts over the block
-        phases = _grid_phase(a[:, at], b[:, at], ps[block], q)
+        if roots is None:
+            phases = _grid_phase(a[:, at], b[:, at], ps[block], q)
+        else:
+            r = residue[:, at] * ps[block]
+            r %= period[:, at]
+            r += start[:, at]
+            phases = turns[r]
         re, im = np.zeros(phases.shape[1]), np.zeros(phases.shape[1])
         for phase, c in zip(phases, cs[:, at]):
             cos, sin, c_re, c_im = phase.real, phase.imag, c.real, c.imag
@@ -221,13 +256,6 @@ def _sup_bound(tiles) -> float:
     the int 0 (so 0 when every tile is empty); NaN if any is, so ``<= tol`` fails."""
     bounds = [sum(abs(c) for _, c in terms) for terms in tiles]
     return math.nan if any(b != b for b in bounds) else max(bounds, default=0.0)
-
-
-def _only(payloads) -> Terms:
-    """The terms of the one piece covering a cell, () if none does."""
-    if len(payloads) > 1:
-        raise ValueError("pieces overlap")
-    return payloads[0] if payloads else ()
 
 
 _GATE = object()  # overlay payload of a gate interval
@@ -326,8 +354,22 @@ class TrigPoly:
     @staticmethod
     def from_spans(den: int, fden: int, pieces) -> "TrigPoly":
         """Build from int (lo, hi, terms) with 0 <= lo <= hi <= den, terms (n, c) of frequency
-        n/fden and complex c; gaps filled with 0."""
-        return _swept(den, fden, ((lo, hi, _merge_terms(t)) for lo, hi, t in pieces), _only)
+        n/fden and complex c; gaps filled with 0.
+
+        The nonempty spans, sorted, are laid straight into cells with () on the gaps, and
+        ``_tiled`` merges equal neighbours; spans that overlap raise ``ValueError``.
+        """
+        cells, cursor = [], 0
+        for lo, hi, terms in sorted((x for x in pieces if x[0] < x[1]), key=itemgetter(0)):
+            if lo < cursor:
+                raise ValueError("pieces overlap")
+            if cursor < lo:
+                cells.append((cursor, ()))
+            cells.append((lo, _merge_terms(terms)))
+            cursor = hi
+        if cursor < den:
+            cells.append((cursor, ()))
+        return _tiled(den, fden, cells)
 
     @staticmethod
     def sum(polys) -> "TrigPoly":
@@ -512,8 +554,10 @@ def gated_sum(polys, gate: TorusSet | None = None, scale=None) -> TrigPoly:
     return _swept(den, fden, chain(*cells), combine, gate)
 
 
-def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale) -> Terms:
-    """(n * factor, c * e^(2*pi*i*n*k/period) * scale) per term (n, c), exact zeros dropped.
+def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale, turns: dict) -> Terms:
+    """(n * factor, c * e^(2*pi*i*n*k/period) * scale) per term (n, c), exact zeros dropped:
+    the one phase-and-drop step of the branch maps, each phase cached in ``turns`` by n*k
+    (a cache serves one period).
 
     Substituting z = (w + k)/N on branch k keeps the numerators over N times
     the frequency denominator: factor 1, period N*fden; the inverse
@@ -521,7 +565,11 @@ def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale) -> Term
     """
     out = []
     for n, c in terms:
-        c *= _turn(n * k, period)
+        nk = n * k
+        turn = turns.get(nk)
+        if turn is None:
+            turn = turns[nk] = _turn(nk, period)
+        c *= turn
         if scale is not None:
             c *= scale
         if c:
@@ -540,8 +588,9 @@ def gated_compress(parts, e: TorusEndomorphism, gate=None, scale=None) -> TrigPo
     up, fden, _ = _aligned([g for g, _ in parts])
     den = math.lcm(up * e.N, _aligned((), gate)[0])  # the gate's denominators join N*up
     up = den // e.N  # the preimages of cells over up are numerators over den
+    turns: dict[int, complex] = {}  # one period, fden, for every part's phases
     pieces = (
-        (a, b, _branch_terms(t, e.N, -k, fden, c))
+        (a, b, _branch_terms(t, e.N, -k, fden, c, turns))
         for g, k in parts for a, b, t in e.branch_preimages(_nonzero_cells(g, up, fden), k, up)
     )
     return _swept(den, fden, pieces, _sum_terms, gate)
@@ -564,8 +613,9 @@ def _pair_fold(N: int, f: TrigPoly, g: TrigPoly):
     The cells of f and g are walked side by side, and each cell where both are nonzero
     carries their product, merged once by ``_product`` with conj(g)'s terms in ascending
     frequency.  Its parts on the branches [k*den/N, (k+1)*den/N) land on [0, den) at
-    N*z - k, each product term (n, c) becoming c * e^(2*pi*i*n*k/period) (on branch 0
-    too), and on each cell of [0, den) the branches add in ascending k by ``_sum_terms``.
+    N*z - k, each product term (n, c) becoming c * e^(2*pi*i*n*k/period) by
+    ``_branch_terms`` (on branch 0 too, phases cached per pair), and on each cell of
+    [0, den) the branches add in ascending k by ``_sum_terms``.
     A product, and a sum, that ``==`` its left neighbour takes that neighbour's terms:
     ``==`` takes -0.0 for 0.0, and ``coalesce`` merged such cells of the chain's polys.
     """
@@ -590,19 +640,11 @@ def _pair_fold(N: int, f: TrigPoly, g: TrigPoly):
         if product:
             z_lo, z_hi = lo * N, hi * N
             for k in range(z_lo // den, -(-z_hi // den)):
-                terms = []
-                for n, c in product:
-                    turn = phases.get(n * k)
-                    if turn is None:
-                        turn = phases[n * k] = _turn(n * k, period)
-                    c *= turn
-                    if c:
-                        terms.append((n, c))
                 a, b = z_lo - k * den, z_hi - k * den
                 a, b = a if a > 0 else 0, b if b < den else den
                 cuts.add(a)
                 cuts.add(b)
-                images.append((a, b, tuple(terms)))
+                images.append((a, b, _branch_terms(product, 1, k, period, None, phases)))
         lo = hi
         i += f_hi == hi
         j += g_hi == hi

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gmra.filters import FilterMatrix
 from gmra.jsonio import filter_to_json, parse_filter
 from gmra.torus import TorusSet
-from gmra.trigpoly import TrigPoly, compose_endomorphism, fold, gated_compress, unit_phase
+from gmra.trigpoly import TrigPoly, _turn, compose_endomorphism, fold, gated_compress, unit_phase
 
 
 @pytest.fixture
@@ -58,6 +58,19 @@ def coalesce_pieces(pieces):
         else:
             merged.append([lo, hi, payload])
     return tuple((lo, hi, payload) for lo, hi, payload in merged)
+
+
+def branch_terms(terms, factor, k, period, scale):
+    """(n * factor, c * e^(2*pi*i*n*k/period) * scale) per term (n, c), exact zeros dropped:
+    the branch maps' phase step as one loop, the reference for the kernels' own."""
+    out = []
+    for n, c in terms:
+        c *= _turn(n * k, period)
+        if scale is not None:
+            c *= scale
+        if c:
+            out.append((n * factor, c))
+    return tuple(out)
 
 
 def dilated_branch(p, e, k):

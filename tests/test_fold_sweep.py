@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from conftest import circle_sets, conjugated, reparsed
+from conftest import branch_terms, circle_sets, conjugated, reparsed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from gmra.torus import TorusEndomorphism, TorusSet
 from gmra.trigpoly import (
     TrigPoly,
     _aligned,
-    _branch_terms,
     _merge_terms,
     _scaled,
     _swept,
@@ -65,7 +64,7 @@ def chain_fold(e, f, g):
         return p
     den, fden, (cells,) = _aligned((p,))
     period = fden * e.N
-    images = ((a, b, _branch_terms(t, 1, k, period, None))
+    images = ((a, b, branch_terms(t, 1, k, period, None))
               for k, a, b, t in e.branch_images(cells, den))
     return _swept(den, period, images, chain_sum_terms)
 

@@ -16,7 +16,8 @@ cut and split Fraction pieces with their own ``frac_overlay`` and
 
 The one-pass ``_swept`` is held with ``==`` to its three passes (overlay,
 combine, a reference merge of equal neighbours, gcd reduction) on int pieces over mixed
-denominators.
+denominators, and ``TrigPoly.from_spans``, which needs no sweep, to those passes over
+its spans.
 """
 
 import math
@@ -27,7 +28,7 @@ from itertools import chain
 from operator import add
 
 import pytest
-from conftest import coalesce_pieces, dilated_branch, merge_fraction_terms
+from conftest import branch_terms, coalesce_pieces, dilated_branch, merge_fraction_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,6 @@ from gmra.torus import TorusEndomorphism, TorusSet, coalesce, overlay
 from gmra.trigpoly import (
     TrigPoly,
     _aligned,
-    _branch_terms,
     _merge_terms,
     _nonzero_cells,
     _scaled,
@@ -344,7 +344,7 @@ def swept_compress(parts, e, gate, scale):
     den = math.lcm(up * e.N, _aligned((), gate)[0])
     up = den // e.N
     pieces = (
-        (a, b, _branch_terms(t, e.N, -k, fden, c))
+        (a, b, branch_terms(t, e.N, -k, fden, c))
         for g, k in parts for a, b, t in e.branch_preimages(_nonzero_cells(g, up, fden), k, up)
     )
     return _swept(den, fden, pieces, _sum_terms, gate)
@@ -372,7 +372,7 @@ def swept_mul(f, g):
 
 def _dilated(branches, period: int):
     """z = (w + k)/N substituted in each branch image (k, a, b, terms) of ``branch_images``."""
-    return ((a, b, _branch_terms(t, 1, k, period, None)) for k, a, b, t in branches)
+    return ((a, b, branch_terms(t, 1, k, period, None)) for k, a, b, t in branches)
 
 
 def swept_fold(e, f, g):
@@ -496,6 +496,55 @@ def test_one_pass_sweep_is_overlay_combine_coalesce_reduce(sweep, scale):
     assert all(a[2] != b[2] for a, b in zip(got.cells, got.cells[1:]))
     assert math.gcd(got.den, *los) == 1
     assert math.gcd(got.fden, *[n for _, _, t in got.cells for n, _ in t]) == 1
+
+
+@st.composite
+def disjoint_spans(draw):
+    """(den, fden, pieces): disjoint int spans over den in any order, with gaps between
+    them, empty spans, spans whose terms merge to nothing and neighbours with equal terms;
+    the terms are raw, with repeated frequencies."""
+    den, fden = draw(small_dens) * draw(small_dens), draw(small_dens)
+    points = sorted(draw(st.sets(st.integers(0, den), max_size=6)) | {0, den})
+    term = st.tuples(st.integers(-3 * fden, 3 * fden), coefficients)
+    pieces, last = [], []
+    for lo, hi in zip(points, points[1:]):
+        if draw(st.booleans()):
+            terms = last if draw(st.booleans()) else draw(st.lists(term, max_size=4))
+            cancel = [(n, -c) for n, c in terms] if draw(st.booleans()) else []
+            pieces.append((lo, hi, terms + cancel))
+            last = terms
+        if draw(st.booleans()):
+            pieces.append((hi, hi, draw(st.lists(term, min_size=1, max_size=2))))
+    return den, fden, draw(st.permutations(pieces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_spans())
+def test_from_spans_is_the_sweep_of_its_spans_bit_for_bit(case):
+    """Laid straight into cells, the spans give the three-pass sweep of their merged terms,
+    each cell covered at most once, to the sign of every zero."""
+    den, fden, pieces = case
+
+    def only(payloads):
+        assert len(payloads) <= 1
+        return payloads[0] if payloads else ()
+
+    got = TrigPoly.from_spans(den, fden, iter(pieces))
+    want = three_pass_swept(den, fden, [(lo, hi, _merge_terms(t)) for lo, hi, t in pieces], only)
+    assert (got.den, got.fden) == (want.den, want.fden)
+    assert [(lo, hi, [(n, bits(c)) for n, c in t]) for lo, hi, t in got.cells] == \
+        [(lo, hi, [(n, bits(c)) for n, c in t]) for lo, hi, t in want.cells]
+
+
+def test_from_spans_refuses_overlapping_spans():
+    for pieces in ([(0, 2, [(0, 1.0)]), (1, 3, [])],
+                   [(1, 3, [(1, 2.0)]), (0, 4, [(0, 1.0)])],
+                   [(2, 3, []), (2, 4, [])]):
+        with pytest.raises(ValueError, match="overlap"):
+            TrigPoly.from_spans(4, 1, pieces)
+    # touching spans, and an empty span inside another, do not overlap
+    p = TrigPoly.from_spans(4, 1, [(2, 4, [(1, 1.0)]), (3, 3, [(0, 5.0)]), (0, 2, [(1, 1.0)])])
+    assert p == TrigPoly.exponential(1)
 
 
 def test_overlay_one_cell_skips_empty_pieces():

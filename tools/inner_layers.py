@@ -1,5 +1,5 @@
-"""Per-layer times of the L2 inner products and of the fold sweep, parent against change:
-prints one JSON document.
+"""Per-layer times of the L2 inner products, the fold sweep and the grid layer, parent
+against change: prints one JSON document.
 
 Run from the repository root, before the change is committed:
 
@@ -23,7 +23,14 @@ the best of ``REPEATS`` calls in a turn and of all turns, in milliseconds:
   ``FOLD_NS``, and for the catalog systems of ``FOLD_CATALOG``;
 - all three tables of each task of the seed-``SEED`` ``identities`` pool
   (``identities_tables``), and its ``apply_S_adjoint(H, S_H f)`` on the
-  drawn section f (``identities_adjoint``).
+  drawn section f (``identities_adjoint``);
+- the grid layer (``grid_layers``), for the systems of ``GRID_SYSTEMS`` at each
+  grid of ``GRIDS`` and for each task of the seed-``SEED`` ``grid`` pool at its
+  own grid: ``complement_numeric`` on H parsed anew before each call,
+  ``verify_complementary_grid`` of the completion against that H (as a pool task
+  runs it, after the completion), ``apply_S_grid`` on a seeded section of degree
+  ``GRID_DEGREE`` (the pool task's own section in the pool rows), and the exact
+  ``TrigPoly.sample`` of every entry of H at the N * grid points of the fine grid.
 
 The pool rows give the median and the sum over their calls; ``speedup`` is the
 parent's time over the change's.
@@ -54,6 +61,10 @@ FOLD_NS = (2, 4, 5, 8, 16)
 FOLD_ARCS = 4
 FOLD_CATALOG = ("haar", "cohen", "shannon")
 POOL_ROWS = ("ledger_norm", "section_norm", "identities_tables", "identities_adjoint")
+GRID_SYSTEMS = ("haar", "journe", "cantor3", "dft_haar5")
+GRIDS = (256, 1024, 4096, 16384)
+GRID_DEGREE = 4
+GRID_LAYERS = ("complement_numeric", "verify_complementary_grid", "apply_S_grid", "sample")
 
 
 def best_ms(fn, fresh=None) -> float:
@@ -82,6 +93,27 @@ def all_tables(p) -> None:
         g_tables(p)
 
 
+def grid_times(load, text: str, grid: int, section=None, seed: int = SEED) -> dict:
+    """The best time of each of ``GRID_LAYERS`` on the problem ``text`` at ``grid``."""
+    import numpy as np
+    from gmra import filters, multiplicity, ruelle
+
+    p = load(text)
+    G, _ = filters.complement_numeric(p.H, grid=grid)
+    if section is None:
+        sets = tuple(multiplicity.sigma_tilde_sets(p.m, p.e))
+        section = ruelle.random_section(sets, random.Random(seed), GRID_DEGREE)
+    fine = p.e.N * grid
+    entries = [h for row in p.H.entries for h in row]
+    return {
+        "complement_numeric": best_ms(lambda q: filters.complement_numeric(q.H, grid=grid),
+                                      lambda: load(text)),
+        "verify_complementary_grid": best_ms(lambda: filters.verify_complementary_grid(G, p.H)),
+        "apply_S_grid": best_ms(lambda: ruelle.apply_S_grid(G, section)),
+        "sample": best_ms(lambda: [h.sample(np.arange(fine), fine) for h in entries]),
+    }
+
+
 def measure(tree: str) -> dict:
     """The layer times of the gmra in ``tree``, in this process: one per degree, and
     one per call of each pool row."""
@@ -89,7 +121,7 @@ def measure(tree: str) -> dict:
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
     import gen
     import workloads
-    from gmra import builder, catalog, ruelle, trigpoly
+    from gmra import builder, catalog, multiplicity, ruelle, trigpoly
     from gmra.torus import TorusSet
 
     sets = (TorusSet.from_spans(*SECTION_SPANS),)
@@ -132,20 +164,48 @@ def measure(tree: str) -> dict:
         text = workloads.dumps(system)
         for side, tables_of in (("H", h_tables), ("G", g_tables)):
             folds[f"{system.name} {side}"] = best_ms(tables_of, lambda: pool.load(text))
+
+    grids = {}
+    for system in [gen.from_catalog(catalog.get(name)) for name in GRID_SYSTEMS[:-1]] + [
+            gen.dft_haar(5)]:
+        text = workloads.dumps(system)
+        for grid in GRIDS:
+            grids[f"{system.name} {grid}"] = grid_times(pool.load, text, grid)
+    pool = workloads.Workload("grid", SEED)
+    grid_pool = {layer: [] for layer in GRID_LAYERS}
+    for task in pool.tasks:
+        p = pool.load(task.texts[0])
+        sets = tuple(multiplicity.sigma_tilde_sets(p.m, p.e))
+        section = ruelle.random_section(sets, random.Random(task.params["seed"]),
+                                        task.params["degree"])
+        for layer, ms in grid_times(pool.load, task.texts[0], task.params["grid"],
+                                    section).items():
+            grid_pool[layer].append(ms)
     return {"inner_ms_by_degree": degrees, "fold_tables": folds, "ledger_norm": ledger,
             "section_norm": sections, "identities_tables": tables,
-            "identities_adjoint": adjoints}
+            "identities_adjoint": adjoints, "grid_systems": grids, "grid_pool": grid_pool}
+
+
+def pooled(times: list[float]) -> dict:
+    return {"calls": len(times), "median_ms": round(median(times), 4),
+            "total_ms": round(sum(times), 3)}
 
 
 def summary(turns: list[dict]) -> dict:
-    """The best of the turns per degree, per table and per call; the pool rows as median
-    and sum."""
+    """The best of the turns per degree, per table, per grid row and per call; the pool
+    rows as median and sum."""
     out = {key: {d: round(min(t[key][d] for t in turns), 4) for d in turns[0][key]}
            for key in ("inner_ms_by_degree", "fold_tables")}
     for key in POOL_ROWS:
-        times = [min(call) for call in zip(*(t[key] for t in turns))]
-        out[key] = {"calls": len(times), "median_ms": round(median(times), 4),
-                    "total_ms": round(sum(times), 3)}
+        out[key] = pooled([min(call) for call in zip(*(t[key] for t in turns))])
+    out["grid_layers"] = {
+        "systems": {row: {layer: round(min(t["grid_systems"][row][layer] for t in turns), 4)
+                          for layer in GRID_LAYERS}
+                    for row in turns[0]["grid_systems"]},
+        "pool": {layer: pooled([min(call) for call in zip(*(t["grid_pool"][layer]
+                                                             for t in turns))])
+                 for layer in GRID_LAYERS},
+    }
     return out
 
 
@@ -156,6 +216,15 @@ def speedups(parent: dict, change: dict) -> dict:
     for key in POOL_ROWS:
         out[key] = {stat: ratio(parent[key][stat], change[key][stat])
                     for stat in ("median_ms", "total_ms")}
+    grids = parent["grid_layers"], change["grid_layers"]
+    out["grid_layers"] = {
+        "systems": {row: {layer: ratio(grids[0]["systems"][row][layer], t)
+                          for layer, t in times.items()}
+                    for row, times in grids[1]["systems"].items()},
+        "pool": {layer: {stat: ratio(grids[0]["pool"][layer][stat], stats[stat])
+                         for stat in ("median_ms", "total_ms")}
+                 for layer, stats in grids[1]["pool"].items()},
+    }
     return out
 
 
