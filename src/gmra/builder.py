@@ -427,6 +427,8 @@ def cascade_diagnostic(
     uniform points.  Degenerates when the products die; converges when the
     last five increments stay below 1e-8 in sup norm.
     """
+    if iters < 1 or samples < 1:
+        raise ValueError(f"iters and samples must be >= 1, got {iters} and {samples}")
     if isinstance(h, FilterMatrix):
         if not h.is_scalar():
             raise ContextMismatch("cascade diagnostic expects a scalar filter")
@@ -516,6 +518,8 @@ class TensorGMRA:
 
     def verify(self, grid: int = 16, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Re-check the product filter identity on a grid of pair points."""
+        if grid < 1:
+            raise ValueError(f"grid must be >= 1, got {grid}")
         if len(self.factors) != 2:
             raise ContextMismatch("grid verification implemented for two factors")
         c = self.m_constant()

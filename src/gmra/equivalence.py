@@ -531,6 +531,8 @@ def decide(
     cells grows large and has not, in probes, found a witness).  An
     ``unknown`` names the degree searched, or says why no search ran.
     """
+    if degree < 0:
+        raise ValueError(f"search degree must be >= 0, got {degree}")
     if H.e != Hp.e:
         raise ContextMismatch("filters live over different dilations")
     _check_low_pass(H, Hp)

@@ -234,7 +234,7 @@ def _fold_table(F: FilterMatrix, G: FilterMatrix, keys, targets) -> Mapping:
     cols = range(min(F.cols, G.cols))
     jobs = [([(F.entry(i, j), G.entry(k, j)) for j in cols], ts)
             for (i, k), ts in zip(keys, targets)]
-    return MappingProxyType(dict(zip(keys, fold_residuals(F.e.N, jobs))))
+    return MappingProxyType(dict(zip(keys, fold_residuals(F.e, jobs))))
 
 
 def _fold_report(
@@ -347,7 +347,7 @@ class GridFilterMatrix:
     Row r, column j of ``samples`` holds the value at every grid point.
     Produced by ``complement_numeric``; supports grid verification and
     grid-sampled Ruelle application.  The samples must have shape (rows,
-    cols, grid), and grid must be a multiple of N, so that the grid points
+    cols, grid), and grid must be a positive multiple of N, so that the grid points
     are the N preimages of a quotient grid of grid/N points.
     """
 
@@ -357,6 +357,8 @@ class GridFilterMatrix:
     e: TorusEndomorphism
 
     def __post_init__(self):
+        if self.grid < 1:
+            raise ValueError(f"grid must be >= 1, got {self.grid}")
         shape = np.shape(self.samples)
         if len(shape) != 3 or shape[2] != self.grid:
             raise ContextMismatch(f"samples of shape {shape} are not (rows, cols, {self.grid})")
@@ -442,6 +444,8 @@ def complement_numeric(
     completed in one batch.
     """
     _check_dims(H)
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     N = H.e.N
     m = H.m
     mtilde = compute_mtilde(m, H.e)

@@ -14,7 +14,6 @@ integers; ``Fraction`` appears only at the boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,17 +23,14 @@ import numpy as np
 
 from .errors import ConsistencyViolated
 from .torus import (
-    TorusEndomorphism, TorusSet, _grid_points, _numerators, cell_at, coalesce, grid_cells, mod1,
-    overlay, wrap,
+    TorusEndomorphism, TorusSet, _grid_points, _numerators, cell_at, coalesce, grid_cells, lay,
+    mod1, overlay, wrap,
 )
 
 
 def _tiled(den: int, cells) -> "MultiplicityFunction":
     """The function of an ascending tiling of [0, den) by (lo, value) cells."""
-    los, values = coalesce(cells)
-    g = math.gcd(den, *los)
-    if g > 1:
-        den, los = den // g, [lo // g for lo in los]
+    den, los, values = coalesce(den, cells)
     return MultiplicityFunction(den, tuple(zip(los, los[1:] + [den], values)))
 
 
@@ -58,7 +54,8 @@ class MultiplicityFunction:
 
     @staticmethod
     def from_pieces(raw) -> "MultiplicityFunction":
-        """Build from (lo, hi, value) triples, each interval read by ``wrap``; 0 off them."""
+        """Build from (lo, hi, value) triples, each interval read by ``wrap``; 0 off them.
+        Pieces that overlap raise ``ValueError``."""
         raw = list(raw)
         den, ends = _numerators(x for lo, hi, _ in raw for x in (lo, hi))
         flat = []
@@ -68,10 +65,7 @@ class MultiplicityFunction:
                 raise ValueError("multiplicity values must be nonnegative")
             if value:
                 flat.extend((a, b, value) for a, b in wrap(lo, hi, den))
-        cells = list(overlay(flat, den))
-        if any(len(values) > 1 for _, _, values in cells):
-            raise ValueError("multiplicity pieces overlap")
-        return _tiled(den, ((lo, values[0] if values else 0) for lo, _, values in cells))
+        return _tiled(den, ((lo, value or 0) for lo, _, value in lay(sorted(flat), den)))
 
     @staticmethod
     def constant(value: int) -> "MultiplicityFunction":

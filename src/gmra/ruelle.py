@@ -138,7 +138,7 @@ def apply_S_adjoint(F: FilterMatrix, g: SectionVector) -> SectionVector:
     row_sets, comps = F.row_sets, g.components[: F.cols]
     jobs = [([(gj, F.entry(i, j)) for j, gj in enumerate(comps)], si)
             for i, si in enumerate(row_sets)]
-    return SectionVector(tuple(gated_folds(F.e.N, jobs, 1.0 / F.e.N)), row_sets)
+    return SectionVector(tuple(gated_folds(F.e, jobs, 1.0 / F.e.N)), row_sets)
 
 
 def cuntz_check(

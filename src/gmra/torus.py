@@ -5,13 +5,13 @@ intervals with rational endpoints, and the dilation w -> N*w (mod 1) comes
 with its branch split and branch partition.  Everything here is
 exact -- no floats -- so set identities can be asserted with ``==``.
 
-Every kernel (``wrap``, ``_sort_merge``, ``overlay``, the branch maps) takes
-int numerators over a ``den`` that the caller passes, and a ``TorusSet``
-holds int spans over one reduced ``den``; ``Fraction`` appears only where
-rationals come in or go out.  No other module normalises interval data or
-locates points: ``coalesce`` merges equal neighbours of a tiling, and
-``cell_at`` and ``grid_cells`` find the cell holding a point or each point
-of a grid, whose integers ``_grid_points`` reads.
+Every kernel takes int numerators over a ``den`` that the caller passes, and
+a ``TorusSet`` holds int spans over one reduced ``den``; ``Fraction`` appears
+only where rationals come in or go out.  No other module normalises interval
+data, walks cells or locates points: ``overlay`` cuts [0, den) under pieces
+that may overlap, ``refine`` under two tilings and ``lay`` under disjoint
+spans, ``coalesce`` merges equal neighbours and reduces den, the branch maps
+split by branch, and ``cell_at`` and ``grid_cells`` locate points.
 """
 
 from __future__ import annotations
@@ -75,9 +75,11 @@ def overlay(pieces, den: int):
     """
     pieces = list(pieces)
     cuts = {0, den}
-    cuts.update(x for lo, hi, _ in pieces for x in (lo, hi))
+    for lo, hi, _ in pieces:
+        cuts.add(lo)
+        cuts.add(hi)
     points = sorted(cuts)
-    index = {p: i for i, p in enumerate(points)}
+    index = dict(zip(points, range(len(points))))
     cells = [[] for _ in points[1:]]
     for lo, hi, payload in pieces:
         for i in range(index[lo], index[hi]):
@@ -121,15 +123,49 @@ def _sort_merge(segments) -> tuple[tuple[int, int], ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def coalesce(cells) -> tuple[list[int], list]:
-    """(los, payloads) of an ascending tiling given as (lo, payload) cells, in one pass:
-    a cell whose payload equals its left neighbour's extends it."""
+def refine(a, b, den: int):
+    """(lo, hi, pa, pb) per cell of the common refinement of a and b, sequences of
+    ascending (lo, hi, payload) cells that tile [0, den), pa and pb the payloads of the
+    cells holding it: one two-pointer walk."""
+    i = j = lo = 0
+    while lo < den:
+        (_, a_hi, pa), (_, b_hi, pb) = a[i], b[j]
+        hi = a_hi if a_hi < b_hi else b_hi
+        yield lo, hi, pa, pb
+        lo = hi
+        i += a_hi == hi
+        j += b_hi == hi
+
+
+def lay(spans, den: int):
+    """The cells of [0, den) under ascending, disjoint, nonempty (lo, hi, payload) spans:
+    each span's own cell, and a cell with payload None on each gap, in ascending order.
+    A span that starts before the last one ends raises ``ValueError``."""
+    cursor = 0
+    for lo, hi, payload in spans:
+        if lo < cursor:
+            raise ValueError("pieces overlap")
+        if cursor < lo:
+            yield cursor, lo, None
+        yield lo, hi, payload
+        cursor = hi
+    if cursor < den:
+        yield cursor, den, None
+
+
+def coalesce(den: int, cells) -> tuple[int, list[int], list]:
+    """(den, los, payloads) of an ascending tiling of [0, den) given as (lo, payload)
+    cells, in one pass: a cell whose payload equals its left neighbour's extends it, and
+    den and the los that remain are divided by their gcd."""
     los, payloads = [], []
     for lo, payload in cells:
         if not payloads or payload != payloads[-1]:
             los.append(lo)
             payloads.append(payload)
-    return los, payloads
+    g = math.gcd(den, *los)
+    if g > 1:
+        den, los = den // g, [lo // g for lo in los]
+    return den, los, payloads
 
 
 @dataclass(frozen=True)
@@ -195,15 +231,8 @@ class TorusSet:
 
     def complement(self) -> "TorusSet":
         """The gaps, over the same den: they have the same end points but 0 and den."""
-        gaps = []
-        cursor = 0
-        for lo, hi in self.spans:
-            if cursor < lo:
-                gaps.append((cursor, lo))
-            cursor = hi
-        if cursor < self.den:
-            gaps.append((cursor, self.den))
-        return TorusSet(self.den, tuple(gaps))
+        cells = lay(((lo, hi, True) for lo, hi in self.spans), self.den)
+        return TorusSet(self.den, tuple((lo, hi) for lo, hi, span in cells if span is None))
 
     def intersect(self, other: "TorusSet") -> "TorusSet":
         return self.complement().union(other.complement()).complement()

@@ -9,6 +9,10 @@ frequencies are exact, integer numerators over two reduced denominators
 (``Fraction`` only at the boundary); coefficients are complex floats.
 Zero operands give the zero poly, or drop out of sums, before any
 alignment, so callers never test ``is_zero()`` to save work.
+
+Every walk over cells is ``torus``'s: ``refine`` under two operands, ``overlay``
+under many pieces (a gate's spans marked by ``_gate_cells`` alone), ``lay`` for
+spans and gaps, ``coalesce`` for each result, and the branch maps.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from operator import itemgetter, mul, sub, truediv
 import numpy as np
 
 from .torus import (
-    GRID_BLOCK, TorusEndomorphism, TorusSet, _grid_points, cell_at, coalesce, grid_cells, mod1,
-    overlay,
+    GRID_BLOCK, TorusEndomorphism, TorusSet, _grid_points, cell_at, coalesce, grid_cells, lay, mod1,
+    overlay, refine,
 )
 
 _QUARTER_TURNS = (complex(1.0), 1j, complex(-1.0), -1j)
@@ -232,16 +236,26 @@ def _over(x: Fraction, den: int) -> int:
 
 
 def _rescaled(cells, a: int, b: int):
-    """The nonzero (lo, hi, terms) cells with lo and hi times a and each frequency times b."""
-    return (
-        (lo * a, hi * a, terms if b == 1 else tuple((n * b, c) for n, c in terms))
-        for lo, hi, terms in cells if terms
-    )
+    """The (lo, hi, terms) cells with lo and hi times a and each frequency times b."""
+    if a == 1 and b == 1:
+        return cells
+    return [(lo * a, hi * a, terms if b == 1 else tuple([(n * b, c) for n, c in terms]))
+            for lo, hi, terms in cells]
 
 
 def _nonzero_cells(p: "TrigPoly", den: int, fden: int):
     """The nonzero cells of p over den, frequencies over fden: multiples of p's own."""
-    return _rescaled(p.cells, den // p.den, fden // p.fden)
+    return (cell for cell in _rescaled(p.cells, den // p.den, fden // p.fden) if cell[2])
+
+
+def _refined(f: "TrigPoly", g: "TrigPoly", theirs=None):
+    """(den, fden, cells): ``refine`` of f's and g's cells over their common denominators,
+    (lo, hi, f's terms, g's terms) per cell, g's mapped by ``theirs`` once per cell of g."""
+    den, fden = math.lcm(f.den, g.den), math.lcm(f.fden, g.fden)
+    other = _rescaled(g.cells, den // g.den, fden // g.fden)
+    if theirs is not None:
+        other = [(lo, hi, theirs(t)) for lo, hi, t in other]
+    return den, fden, refine(_rescaled(f.cells, den // f.den, fden // f.fden), other, den)
 
 
 def _aligned(polys, gate: TorusSet | None = None):
@@ -265,50 +279,49 @@ _TWO_PI_I = 2j * math.pi
 
 def _tiled(den: int, fden: int, cells) -> "TrigPoly":
     """The poly of (lo, terms) cells tiling [0, den) in ascending order: equal neighbours
-    merged by ``coalesce``, then den and fden reduced by the gcds of the cut points and
-    frequency numerators that remain."""
-    los, tiles = coalesce(cells)
-    g = math.gcd(den, *los)
+    merged and den reduced by ``coalesce``, then fden reduced by the gcd of the frequency
+    numerators that remain."""
+    den, los, tiles = coalesce(den, cells)
     h = math.gcd(fden, *[n for t in tiles for n, _ in t]) if fden > 1 else 1
-    if g > 1 or h > 1:
-        den, fden, los = den // g, fden // h, [lo // g for lo in los]
-        tiles = [tuple((n // h, c) for n, c in t) for t in tiles] if h > 1 else tiles
+    if h > 1:
+        fden, tiles = fden // h, [tuple((n // h, c) for n, c in t) for t in tiles]
     return TrigPoly(den, fden, tuple(zip(los, los[1:] + [den], tiles)))
 
 
+def _gate_cells(pieces, den: int, gate: TorusSet | None, inside, outside):
+    """(lo, inside(payloads)) per cell of ``overlay(pieces, den)`` in the gate, and
+    (lo, outside(payloads)) per cell off it; a gate of None holds every cell.  The gate's
+    spans (over den, a multiple of its own) join the overlay first, as marks."""
+    if gate is None:
+        return ((lo, inside(ps)) for lo, _, ps in overlay(pieces, den))
+    marks = [(lo, hi, _GATE) for lo, hi in gate.over(den)]
+    return ((lo, inside(ps[1:]) if ps and ps[0] is _GATE else outside(ps))
+            for lo, _, ps in overlay(chain(marks, pieces), den))
+
+
 def _swept(den: int, fden: int, pieces, combine, gate: TorusSet | None = None) -> "TrigPoly":
-    """The poly carrying combine(payloads) on each cell of ``overlay(pieces, den)``; the
-    gate's spans (over den, a multiple of its own) join the overlay first, and cells
-    outside them carry ().  Without pieces, or with an empty gate, it is 0 unswept."""
+    """The poly carrying combine(payloads) on each cell of ``overlay(pieces, den)`` in the
+    gate, and () on the cells outside it.  Without pieces, or with an empty gate, it is 0
+    unswept."""
     pieces = list(pieces)
     if not pieces or gate is not None and not gate.spans:
         return TrigPoly.zero()
-    if gate is None:
-        cells = ((lo, combine(ps)) for lo, _, ps in overlay(pieces, den))
-    else:
-        marks = [(lo, hi, _GATE) for lo, hi in gate.over(den)]
-        cells = (
-            (lo, combine(ps[1:]) if ps and ps[0] is _GATE else ())
-            for lo, _, ps in overlay(marks + pieces, den)
-        )
-    return _tiled(den, fden, cells)
+    return _tiled(den, fden, _gate_cells(pieces, den, gate, combine, lambda _: ()))
 
 
 def _on_set(ts: TorusSet, fden: int, terms: Terms) -> "TrigPoly":
     """The poly carrying canonical ``terms`` (frequencies over a reduced ``fden``) on ts and
-    0 off it: one cell per span of ts, () on the gaps.  It is the gated sweep's result,
-    since a canonical ts leaves no cut point to reduce and no equal neighbours to merge."""
+    0 off it, by ``lay``: the gated sweep's result, since a canonical ts leaves no cut point
+    to reduce and no equal neighbours to merge."""
     if not terms or not ts.spans:
         return TrigPoly.zero()
-    cells, cursor = [], 0
-    for lo, hi in ts.spans:
-        if cursor < lo:
-            cells.append((cursor, lo, ()))
-        cells.append((lo, hi, terms))
-        cursor = hi
-    if cursor < ts.den:
-        cells.append((cursor, ts.den, ()))
-    return TrigPoly(ts.den, fden, tuple(cells))
+    cells = lay([(lo, hi, terms) for lo, hi in ts.spans], ts.den)
+    return TrigPoly(ts.den, fden, tuple([(lo, hi, t or ()) for lo, hi, t in cells]))
+
+
+def _conj_terms(terms: Terms) -> Terms:
+    """The terms of the conjugate: frequencies negated, so their order reversed."""
+    return tuple([(-n, c.conjugate()) for n, c in reversed(terms)])
 
 
 @dataclass(frozen=True)
@@ -356,20 +369,12 @@ class TrigPoly:
         """Build from int (lo, hi, terms) with 0 <= lo <= hi <= den, terms (n, c) of frequency
         n/fden and complex c; gaps filled with 0.
 
-        The nonempty spans, sorted, are laid straight into cells with () on the gaps, and
+        The nonempty spans, sorted, are laid into cells by ``lay`` with () on the gaps, and
         ``_tiled`` merges equal neighbours; spans that overlap raise ``ValueError``.
         """
-        cells, cursor = [], 0
-        for lo, hi, terms in sorted((x for x in pieces if x[0] < x[1]), key=itemgetter(0)):
-            if lo < cursor:
-                raise ValueError("pieces overlap")
-            if cursor < lo:
-                cells.append((cursor, ()))
-            cells.append((lo, _merge_terms(terms)))
-            cursor = hi
-        if cursor < den:
-            cells.append((cursor, ()))
-        return _tiled(den, fden, cells)
+        spans = sorted((x for x in pieces if x[0] < x[1]), key=itemgetter(0))
+        return _tiled(den, fden, ((lo, () if t is None else _merge_terms(t))
+                                  for lo, _, t in lay(spans, den)))
 
     @staticmethod
     def sum(polys) -> "TrigPoly":
@@ -399,27 +404,27 @@ class TrigPoly:
         return TrigPoly.sum((self, other))
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        """self + other * -1 in one sweep, with the coefficients of that chain."""
+        """self + other * -1 on their refinement, with the coefficients of that chain."""
         if self.is_zero() and other.is_zero():
             return TrigPoly.zero()
-        den, fden, (mine, theirs) = _aligned((self, other))
-        negated = ((lo, hi, _scaled(t, _MINUS_ONE)) for lo, hi, t in theirs)
-        return _swept(den, fden, chain(mine, negated), _sum_terms)
+        den, fden, cells = _refined(self, other, lambda t: _scaled(t, _MINUS_ONE))
+        return _tiled(den, fden, ((lo, _sum_terms((ta, tb)) if ta and tb else ta or tb)
+                                  for lo, _, ta, tb in cells))
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             if self.is_zero() or other.is_zero():
                 return TrigPoly.zero()
-            den, fden, cells = _aligned((self, other))
-            return _swept(den, fden, chain(*cells),
-                          lambda ts: _product(*ts) if len(ts) == 2 else ())
+            den, fden, cells = _refined(self, other)
+            return _tiled(den, fden, ((lo, _product(ta, tb) if ta and tb else ())
+                                      for lo, _, ta, tb in cells))
         c = complex(other)
         return self._map_terms(lambda terms: _scaled(terms, c))
 
     __rmul__ = __mul__
 
     def conj(self) -> "TrigPoly":
-        return self._map_terms(lambda ts: tuple((-n, c.conjugate()) for n, c in reversed(ts)))
+        return self._map_terms(_conj_terms)
 
     def _map_terms(self, terms_map, fden: int | None = None) -> "TrigPoly":
         """The poly whose cells carry terms_map(terms), frequencies over ``fden`` (default
@@ -543,15 +548,13 @@ class TrigPoly:
 # ---- one-sweep sums and branch maps: a scale or gate of None is no scale or gate
 
 
-def gated_sum(polys, gate: TorusSet | None = None, scale=None) -> TrigPoly:
-    """(TrigPoly.sum(polys) * scale).restrict(gate) in one sweep, with its coefficients."""
+def gated_sum(polys, gate: TorusSet | None = None) -> TrigPoly:
+    """TrigPoly.sum(polys).restrict(gate) in one sweep, with its coefficients."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return TrigPoly.zero()
-    c = None if scale is None else complex(scale)
-    combine = _sum_terms if c is None else lambda payloads: _scaled(_sum_terms(payloads), c)
     den, fden, cells = _aligned(polys, gate)
-    return _swept(den, fden, chain(*cells), combine, gate)
+    return _swept(den, fden, chain(*cells), _sum_terms, gate)
 
 
 def _branch_terms(terms: Terms, factor: int, k: int, period: int, scale, turns: dict) -> Terms:
@@ -604,78 +607,45 @@ def compose_endomorphism(f: TrigPoly, e: TorusEndomorphism) -> TrigPoly:
 # ---- the fold sweep: a job is (pairs, ts), the (f, g) pairs it sums and a set ts or None
 
 
-def _pair_fold(N: int, f: TrigPoly, g: TrigPoly):
+def _pair_fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly):
     """(den, period, cells): w -> sum_{N*z = w (mod 1)} f(z) * conj(g(z)) as (lo, hi, terms)
     cells tiling [0, den), den = lcm(f.den, g.den) and frequencies over period = N * fden,
-    fden = lcm(f.fden, g.fden), on the pair's own refinement, with the bits of the chain
-    of ``*`` and a branch sweep.
+    fden = lcm(f.fden, g.fden), with the bits of the chain of ``*`` and a branch sweep.
 
-    The cells of f and g are walked side by side, and each cell where both are nonzero
-    carries their product, merged once by ``_product`` with conj(g)'s terms in ascending
-    frequency.  Its parts on the branches [k*den/N, (k+1)*den/N) land on [0, den) at
-    N*z - k, each product term (n, c) becoming c * e^(2*pi*i*n*k/period) by
-    ``_branch_terms`` (on branch 0 too, phases cached per pair), and on each cell of
-    [0, den) the branches add in ascending k by ``_sum_terms``.
-    A product, and a sum, that ``==`` its left neighbour takes that neighbour's terms:
-    ``==`` takes -0.0 for 0.0, and ``coalesce`` merged such cells of the chain's polys.
+    ``refine`` walks the cells of f and conj(g) (each cell of g conjugated once), and a
+    cell where both are nonzero carries their product by ``_product``.  ``branch_images``
+    lands its parts on branch k at N*z - k, each term (n, c) times e^(2*pi*i*n*k/period)
+    by ``_branch_terms`` (branch 0 too; phases cached per pair), and on each cell of their
+    ``overlay`` the branches add in ascending k by ``_sum_terms``.  A product, and a sum,
+    that ``==`` its left neighbour takes that neighbour's terms: ``==`` takes -0.0 for 0.0,
+    and ``coalesce`` merged such cells of the chain's polys.
     """
-    den, fden = math.lcm(f.den, g.den), math.lcm(f.fden, g.fden)
-    period, cuts, images = fden * N, {0, den}, []
-    fa, ga = den // f.den, den // g.den
-    fb, gb = fden // f.fden, fden // g.fden
-    mine = [(hi * fa, t if fb == 1 else tuple([(n * fb, c) for n, c in t]))
-            for _, hi, t in f.cells]
-    theirs = [(hi * ga, tuple([(-n * gb, c.conjugate()) for n, c in reversed(t)]))
-              for _, hi, t in g.cells]
-    phases: dict[int, complex] = {}
-    i = j = lo = 0
-    last = ()
-    while lo < den:
-        (f_hi, ta), (g_hi, tb) = mine[i], theirs[j]
-        hi = f_hi if f_hi < g_hi else g_hi
+    den, fden, cells = _refined(f, g, _conj_terms)
+    period, products, last = fden * e.N, [], ()
+    for lo, hi, ta, tb in cells:
         product = _product(ta, tb) if ta and tb else ()
-        if product == last:
-            product = last
-        last = product
+        last = product = last if product == last else product
         if product:
-            z_lo, z_hi = lo * N, hi * N
-            for k in range(z_lo // den, -(-z_hi // den)):
-                a, b = z_lo - k * den, z_hi - k * den
-                a, b = a if a > 0 else 0, b if b < den else den
-                cuts.add(a)
-                cuts.add(b)
-                images.append((a, b, _branch_terms(product, 1, k, period, None, phases)))
-        lo = hi
-        i += f_hi == hi
-        j += g_hi == hi
-    points = sorted(cuts)
-    index = {x: n for n, x in enumerate(points)}
-    covers = [[] for _ in points[1:]]
-    for a, b, terms in images:
-        for n in range(index[a], index[b]):
-            covers[n].append(terms)
+            products.append((lo, hi, product))
+    phases: dict[int, complex] = {}
+    images = [(a, b, _branch_terms(t, 1, k, period, None, phases))
+              for k, a, b, t in e.branch_images(products, den)]
     cells, last = [], None
-    for lo, hi, cover in zip(points, points[1:], covers):
+    for lo, hi, cover in overlay(images, den):
         terms = _sum_terms(cover)
-        if terms == last:
-            terms = last
-        last = terms
+        last = terms = last if terms == last else terms
         cells.append((lo, hi, terms))
     return den, period, cells
 
 
-def fold_sweep(N: int, jobs):
-    """For each job (pairs, ts): (den, fden, cells), cells (lo, inside, terms) tiling
-    [0, den) in ascending order, terms being sum_j fold(f_j, g_j) over the job's (f_j, g_j)
-    pairs and inside whether the cell lies in ts (always, for ts None).
-
-    Each distinct pair (by identity) is folded once by ``_pair_fold``, on its own
-    refinement, and a pair with a zero side not at all.  Only the sum over the pairs runs
-    on the union of the job's refinements and the cuts of ts, adding the folds in pair
-    order by ``_sum_terms``, so every coefficient is that of the chain of ``*``, the
-    branch sweep and ``TrigPoly.sum`` bit for bit.
-    """
-    folds, out = {}, []
+def fold_sweep(e: TorusEndomorphism, jobs, inside, outside):
+    """For each job (pairs, ts): (den, fden, cells), (lo, terms) cells tiling [0, den):
+    inside(folds) on the cells in ts (all, for ts None) and outside(folds) off it, folds
+    the nonzero terms that the folds of the job's pairs carry on the cell, in pair order.
+    Each distinct pair (by identity) is folded once by ``_pair_fold``, a pair with a zero
+    side not at all; the sum over the pairs runs on the union of their refinements and the
+    cuts of ts by ``_gate_cells``, and one fold with no cut to add keeps its own cells."""
+    folds = {}
     for pairs, ts in jobs:
         parts = []
         for f, g in pairs:
@@ -683,46 +653,39 @@ def fold_sweep(N: int, jobs):
                 continue
             key = (id(f), id(g))
             if key not in folds:
-                folds[key] = _pair_fold(N, f, g)
+                folds[key] = _pair_fold(e, f, g)
             parts.append(folds[key])
         den = math.lcm(ts.den if ts is not None else 1, *[d for d, _, _ in parts])
         fden = math.lcm(*[p for _, p, _ in parts])
-        marks = [(lo, hi, _GATE) for lo, hi in ts.over(den)] if ts is not None else []
-        if not marks and len(parts) == 1:  # one fold and no cut to add: its own cells
-            cells = [(lo, ts is None, t) for lo, _, t in parts[0][2]]
+        if len(parts) == 1 and (ts is None or not ts.spans):
+            rule = inside if ts is None else outside
+            cells = [(lo, rule((t,))) for lo, _, t in parts[0][2]]
         else:
-            pieces = (piece for d, p, cs in parts for piece in _rescaled(cs, den // d, fden // p))
-            cells = []
-            for lo, _, tiles in overlay(chain(marks, pieces), den):
-                marked = bool(tiles) and tiles[0] is _GATE
-                cells.append((lo, ts is None or marked, _sum_terms(tiles[marked:])))
-        out.append((den, fden, cells))
-    return out
+            pieces = (piece for d, p, cs in parts for piece in _rescaled(cs, den // d, fden // p)
+                      if piece[2])
+            cells = _gate_cells(pieces, den, ts, inside, outside)
+        yield den, fden, cells
 
 
-def gated_folds(N: int, jobs, scale=None) -> list[TrigPoly]:
+def gated_folds(e: TorusEndomorphism, jobs, scale=None) -> list[TrigPoly]:
     """(sum_j fold(f_j, g_j) * scale).restrict(gate) for each job (pairs, gate) of
     ``fold_sweep``, with the coefficients of that chain: the sum is scaled, exact zeros
     dropped, on each cell inside the gate."""
     c = None if scale is None else complex(scale)
-    return [
-        _tiled(den, fden, ((lo, (t if c is None else _scaled(t, c)) if inside else ())
-                           for lo, inside, t in cells))
-        for den, fden, cells in fold_sweep(N, jobs)
-    ]
+    combine = _sum_terms if c is None else lambda folds: _scaled(_sum_terms(folds), c)
+    return [_tiled(den, fden, cells)
+            for den, fden, cells in fold_sweep(e, jobs, combine, lambda _: ())]
 
 
-def fold_residuals(N: int, jobs) -> list[float]:
+def fold_residuals(e: TorusEndomorphism, jobs) -> list[float]:
     """The sup bound of sum_j fold(f_j, g_j) - N * chi_ts for each job (pairs, ts) of
     ``fold_sweep``, read off its cells, bit for bit that of the chain through
     ``TrigPoly.sum``, ``-`` and ``sup_bound``: on ts the target's term (0, -N) is added
     last by ``_sum_terms``.  A ts of None is no target."""
-    target = _scaled(((0, complex(float(N))),), _MINUS_ONE)
+    target = _scaled(((0, complex(float(e.N))),), _MINUS_ONE)
     jobs = [(pairs, TorusSet() if ts is None else ts) for pairs, ts in jobs]
-    return [
-        _sup_bound(_sum_terms((t, target)) if inside else t for _, inside, t in cells)
-        for _, _, cells in fold_sweep(N, jobs)
-    ]
+    return [_sup_bound(t for _, t in cells) for _, _, cells in
+            fold_sweep(e, jobs, lambda folds: _sum_terms([*folds, target]), _sum_terms)]
 
 
 def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
@@ -733,7 +696,7 @@ def fold(e: TorusEndomorphism, f: TrigPoly, g: TrigPoly) -> TrigPoly:
     by N.  It is the one-pair job of ``fold_sweep``: on each cell the
     branches add in the order k = 0 .. N-1.
     """
-    return gated_folds(e.N, [([(f, g)], None)])[0]
+    return gated_folds(e, [([(f, g)], None)])[0]
 
 
 # ---- integration ---------------------------------------------------------
@@ -854,9 +817,8 @@ def _inners(pairs) -> list[complex]:
         if f is g:
             cells += ((lo, hi, f.den, f.fden, t, t) for lo, hi, t in f.cells if t)
         else:
-            den, fden, both = _aligned((f, g))
-            cells += ((lo, hi, den, fden, *ts) for lo, hi, ts in overlay(chain(*both), den)
-                      if len(ts) == 2)
+            den, fden, refined = _refined(f, g)
+            cells += ((lo, hi, den, fden, ta, tb) for lo, hi, ta, tb in refined if ta and tb)
         bounds.append(len(cells))
     values = _cells_inner(cells)
     return [sum(values[a:b], 0j) for a, b in zip(bounds, bounds[1:])]
@@ -864,7 +826,8 @@ def _inners(pairs) -> list[complex]:
 
 def inner(f: TrigPoly, g: TrigPoly) -> complex:
     """int f * conj(g) over the circle without forming the product: cell by cell over
-    ``overlay`` of the nonzero pieces of f and g, or over f's own pieces when g is f."""
+    ``refine`` of the pieces of f and g where both are nonzero, or over f's own pieces when
+    g is f."""
     return _inners([(f, g)])[0]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from gmra.filters import FilterMatrix
 from gmra.jsonio import filter_to_json, parse_filter
-from gmra.torus import TorusSet
+from gmra.torus import TorusSet, overlay
 from gmra.trigpoly import TrigPoly, _turn, compose_endomorphism, fold, gated_compress, unit_phase
 
 
@@ -71,6 +72,37 @@ def branch_terms(terms, factor, k, period, scale):
         if c:
             out.append((n * factor, c))
     return tuple(out)
+
+
+_GATE = object()  # overlay payload of a gate interval in ``swept``
+
+
+def swept(den, fden, pieces, combine, gate=None):
+    """The one-pass sweep, self-contained: combine(payloads) on each cell of
+    ``overlay(pieces, den)`` inside the gate (whose spans join the overlay first), () on
+    the cells outside it, then equal neighbours merged and den and fden reduced by the
+    gcds of the cut points and frequency numerators that remain; 0 without pieces or with
+    an empty gate.  The reference for the kernels' own walks."""
+    pieces = list(pieces)
+    if not pieces or gate is not None and not gate.spans:
+        return TrigPoly.zero()
+    if gate is None:
+        cells = [(lo, combine(ps)) for lo, _, ps in overlay(pieces, den)]
+    else:
+        marks = [(lo, hi, _GATE) for lo, hi in gate.over(den)]
+        cells = [(lo, combine(ps[1:]) if ps and ps[0] is _GATE else ())
+                 for lo, _, ps in overlay(marks + pieces, den)]
+    los, tiles = [], []
+    for lo, terms in cells:
+        if not tiles or terms != tiles[-1]:
+            los.append(lo)
+            tiles.append(terms)
+    g = math.gcd(den, *los)
+    h = math.gcd(fden, *[n for t in tiles for n, _ in t]) if fden > 1 else 1
+    if g > 1 or h > 1:
+        den, fden, los = den // g, fden // h, [lo // g for lo in los]
+        tiles = [tuple((n // h, c) for n, c in t) for t in tiles] if h > 1 else tiles
+    return TrigPoly(den, fden, tuple(zip(los, los[1:] + [den], tiles)))
 
 
 def dilated_branch(p, e, k):

@@ -658,6 +658,12 @@ class TestCascade:
         assert res.diagnostics["last_increments"] == diffs[-5:]
         assert res.diagnostics["max_modulus"] == peaks[-1]
 
+    @pytest.mark.parametrize("iters, samples", [(0, 256), (40, 0), (-1, -1)])
+    def test_empty_cascade_refused(self, iters, samples):
+        entry = catalog.get("haar")
+        with pytest.raises(ValueError, match="iters and samples must be >= 1"):
+            cascade_diagnostic(entry.H, entry.e, iters=iters, samples=samples)
+
     def test_negated_haar_never_converges(self):
         entry = catalog.get("haar_negated")
         res = cascade_diagnostic(entry.H, entry.e, iters=40, samples=256)
@@ -677,6 +683,12 @@ class TestTensor:
         folded = math.prod(folded_sum(f.m, f.e).value_at(F(0)) for f in prod.factors)
         assert folded - math.prod(f.m.value_at(F(0)) for f in prod.factors) == 3
         assert prod.verify(grid=10).passed
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_verify_refuses_an_empty_grid(self, grid):
+        prod = tensor(self._system("haar"), self._system("haar"))
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            prod.verify(grid=grid)
 
     def test_haar_times_shannon(self):
         prod = tensor(self._system("haar"), self._system("shannon"))

@@ -263,6 +263,11 @@ class TestDecide:
             v = decide(H, H)
             assert v.kind == EQUIVALENT
 
+    def test_negative_degree_refused(self):
+        H = catalog.get("haar").H
+        with pytest.raises(ValueError, match="search degree must be >= 0"):
+            decide(H, H, degree=-1)
+
     def test_complementary_filters_refused(self):
         entry = catalog.get("journe")
         for pair in ((entry.H, entry.G), (entry.G, entry.H), (entry.G, entry.G)):

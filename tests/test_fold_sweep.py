@@ -4,7 +4,8 @@
 tables (``fold_residuals``, ``FilterMatrix.fold_defects`` and ``cross_defects``)
 are held to test-local copies of the chain: the product ``f * g.conj()``, a
 branch sweep over its cells, ``TrigPoly.sum`` of the folds, ``- target`` and
-``sup_bound``, each a separate sweep whose sums merge tuple by tuple.  Values
+``sup_bound``, each a separate sweep (``conftest.swept``, not the library's)
+whose sums merge tuple by tuple.  Values
 are compared through ``float.hex``, since ``TrigPoly ==`` takes -0.0 for 0.0,
 and table entries by type too: the int 0 of an all-empty defect is kept.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from conftest import branch_terms, circle_sets, conjugated, reparsed
+from conftest import branch_terms, circle_sets, conjugated, reparsed, swept
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +29,8 @@ from gmra.trigpoly import (
     TrigPoly,
     _aligned,
     _merge_terms,
+    _product,
     _scaled,
-    _swept,
     fold,
     fold_residuals,
     gated_folds,
@@ -54,19 +55,27 @@ def chain_sum(polys, gate=None, scale=None):
     c = None if scale is None else complex(scale)
     combine = chain_sum_terms if c is None else lambda ps: _scaled(chain_sum_terms(ps), c)
     den, fden, cells = _aligned(polys, gate)
-    return _swept(den, fden, chain(*cells), combine, gate)
+    return swept(den, fden, chain(*cells), combine, gate)
+
+
+def chain_mul(f, g):
+    """f * g as one sweep over the nonzero cells of both."""
+    if f.is_zero() or g.is_zero():
+        return TrigPoly.zero()
+    den, fden, cells = _aligned((f, g))
+    return swept(den, fden, chain(*cells), lambda ts: _product(*ts) if len(ts) == 2 else ())
 
 
 def chain_fold(e, f, g):
     """The product f * conj(g), then a sweep of its branch images over the circle."""
-    p = f * g.conj()
+    p = chain_mul(f, g.conj())
     if p.is_zero():
         return p
     den, fden, (cells,) = _aligned((p,))
     period = fden * e.N
     images = ((a, b, branch_terms(t, 1, k, period, None))
               for k, a, b, t in e.branch_images(cells, den))
-    return _swept(den, period, images, chain_sum_terms)
+    return swept(den, period, images, chain_sum_terms)
 
 
 def chain_sub(f, g):
@@ -74,7 +83,7 @@ def chain_sub(f, g):
         return TrigPoly.zero()
     den, fden, (mine, theirs) = _aligned((f, g))
     negated = ((lo, hi, _scaled(t, complex(-1))) for lo, hi, t in theirs)
-    return _swept(den, fden, chain(mine, negated), chain_sum_terms)
+    return swept(den, fden, chain(mine, negated), chain_sum_terms)
 
 
 def chain_residual(e, pairs, ts):
@@ -181,7 +190,7 @@ def test_fold_keeps_the_bits_of_the_chain(e, f, g):
 def test_sum_of_folds_keeps_the_bits_of_the_chain(e, jobs):
     want = [chain_sum([chain_fold(e, f, g) for f, g in pairs], gate, 1.0 / e.N)
             for pairs, gate in jobs]
-    assert [bits(p) for p in gated_folds(e.N, jobs, 1.0 / e.N)] == [bits(p) for p in want]
+    assert [bits(p) for p in gated_folds(e, jobs, 1.0 / e.N)] == [bits(p) for p in want]
 
 
 @settings(max_examples=80, deadline=None)
@@ -189,7 +198,7 @@ def test_sum_of_folds_keeps_the_bits_of_the_chain(e, jobs):
                            max_size=3))
 def test_residuals_keep_the_bits_of_the_chain(e, jobs):
     want = [entry_bits(chain_residual(e, pairs, ts)) for pairs, ts in jobs]
-    assert [entry_bits(r) for r in fold_residuals(e.N, jobs)] == want
+    assert [entry_bits(r) for r in fold_residuals(e, jobs)] == want
 
 
 @settings(max_examples=20, deadline=None)
@@ -230,7 +239,7 @@ def test_signed_zeros_keep_the_bits_of_the_chain():
         pairs = [(quarters(rng), quarters(rng)) for _ in range(rng.randrange(1, 4))]
         assert bits(fold(e, *pairs[0])) == bits(chain_fold(e, *pairs[0]))
         want = chain_sum([chain_fold(e, f, g) for f, g in pairs], None, 0.5)
-        assert bits(gated_folds(2, [(pairs, None)], 0.5)[0]) == bits(want)
+        assert bits(gated_folds(e, [(pairs, None)], 0.5)[0]) == bits(want)
 
 
 # ---- pinned entries and guards --------------------------------------------------------
@@ -282,6 +291,6 @@ def test_a_zero_pair_is_not_folded(monkeypatch):
 
     monkeypatch.setattr(trigpoly, "_pair_fold", counted)
     jobs = [([(f, TrigPoly.zero()), (f, f)], TorusSet.full()), ([(f, f)], None)]
-    assert fold_residuals(3, jobs) == [chain_residual(TorusEndomorphism(3), p, ts)
-                                       for p, ts in jobs]
+    e = TorusEndomorphism(3)
+    assert fold_residuals(e, jobs) == [chain_residual(e, p, ts) for p, ts in jobs]
     assert len(calls) == 1  # (f, f) once for both jobs; (f, 0) never

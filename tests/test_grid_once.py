@@ -243,3 +243,18 @@ def test_grid_filter_refuses_samples_of_another_grid():
     rebuilt = GridFilterMatrix(16, G.samples, G.m, G.e)
     assert verify_complementary_grid(rebuilt, H).identities == \
         verify_complementary_grid(G, H).identities
+
+
+def test_grid_filter_refuses_an_empty_grid():
+    # (rows, cols, 0) samples over grid 0 pass the shape and multiple-of-N rules, and the
+    # grid verify would pass them with no point checked
+    H, G = haar_grid_filter()
+    for grid in (0, -2):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            GridFilterMatrix(grid, np.zeros((1, 1, max(grid, 0)), dtype=complex), G.m, G.e)
+
+
+@pytest.mark.parametrize("grid", [0, -1])
+def test_complement_refuses_an_empty_grid(grid):
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        complement_numeric(catalog.get("haar").H, grid=grid)

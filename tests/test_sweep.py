@@ -310,10 +310,9 @@ def test_gated_compress_is_compress_scale_sum_restrict(e, gs, gate, scale, data)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(polys(), max_size=5), gates(), scales)
-def test_gated_sum_is_sum_scale_restrict(ps, gate, scale):
+@given(st.lists(polys(), max_size=5), gates())
+def test_gated_sum_is_sum_restrict(ps, gate):
     assert gated_sum(ps, gate) == ref_restrict(ref_sum(ps), gate)
-    assert gated_sum(ps, gate, scale) == ref_restrict(ref_scale(ref_sum(ps), scale), gate)
     assert TrigPoly.sum(ps) == ref_sum(ps)
     assert all(p.restrict(gate) == ref_restrict(p, gate) for p in ps)
 
@@ -382,12 +381,10 @@ def swept_fold(e, f, g):
     return _swept(den, period, _dilated(e.branch_images(cells, den), period), _sum_terms)
 
 
-def swept_sum(polys, gate, scale):
-    """``gated_sum(polys, gate, scale)`` through the sweep, zero polys included."""
-    c = None if scale is None else complex(scale)
-    combine = _sum_terms if c is None else lambda payloads: _scaled(_sum_terms(payloads), c)
+def swept_sum(polys, gate):
+    """``gated_sum(polys, gate)`` through the sweep, zero polys included."""
     den, fden, cells = _aligned(list(polys), gate)
-    return _swept(den, fden, chain(*cells), combine, gate)
+    return _swept(den, fden, chain(*cells), _sum_terms, gate)
 
 
 # nonzero partners of the zero operands: two pieces over mixed denominators
@@ -407,22 +404,23 @@ def test_zero_operands_skip_the_alignment(gate, scale, monkeypatch):
         "shift": [z._map_terms(lambda terms: terms, 7) for z in ZEROS],
         "mul": [swept_mul(f, g) for f, g in pairs],
         "fold": [swept_fold(e, f, g) for f, g in pairs],
-        "sum": [swept_sum(ZEROS, gate, scale), swept_sum(ZEROS, None, None)],
+        "sum": [swept_sum(ZEROS, gate), swept_sum(ZEROS, None)],
     }
     # with a nonzero operand left, dropping the zeros keeps every bit of the sweep
     mixed = ZEROS[:2] + (PARTNER,) + ZEROS[2:] + (PARTNER * 2j,)
-    assert gated_sum(mixed, gate, scale) == swept_sum(mixed, gate, scale)
+    assert gated_sum(mixed, gate) == swept_sum(mixed, gate)
 
     def no_alignment(*args):
         raise AssertionError("zero operands were aligned")
 
     monkeypatch.setattr(trigpoly, "_aligned", no_alignment)
+    monkeypatch.setattr(trigpoly, "_refined", no_alignment)
     assert gated_compress(parts, e, gate, scale) == want["compress"]
     assert [f - g for f in ZEROS for g in ZEROS] == want["sub"]
     assert [z.shift_frequencies(F(2, 7)) for z in ZEROS] == want["shift"]
     assert [f * g for f, g in pairs] == want["mul"]
     assert [fold(e, f, g) for f, g in pairs] == want["fold"]
-    assert [gated_sum(ZEROS, gate, scale), TrigPoly.sum(ZEROS)] == want["sum"]
+    assert [gated_sum(ZEROS, gate), TrigPoly.sum(ZEROS)] == want["sum"]
     swept = [want["compress"]] + want["sub"] + want["shift"] + want["mul"] + want["fold"]
     swept += want["sum"]
     assert all(p == TrigPoly.zero() for p in swept)
@@ -554,13 +552,17 @@ def test_overlay_one_cell_skips_empty_pieces():
     assert [list(ps) for _, _, ps in overlay([], 1)] == [[]]
 
 
-@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(["a", "b", ()])), max_size=8))
-def test_coalesce_is_the_reference_merge(steps):
-    los = [sum(w for w, _ in steps[:i]) for i in range(len(steps) + 1)]
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(["a", "b", ()])), min_size=1,
+                max_size=8), st.integers(1, 6))
+def test_coalesce_is_the_reference_merge(steps, spare):
+    """Equal neighbours merged, then den and the cut points that remain divided by their
+    gcd: widths times ``spare`` leave a factor to reduce."""
+    los = [spare * sum(w for w, _ in steps[:i]) for i in range(len(steps) + 1)]
     pieces = [(lo, hi, p) for lo, hi, (_, p) in zip(los, los[1:], steps)]
     merged = coalesce_pieces(pieces)
-    assert coalesce((lo, p) for lo, _, p in pieces) == (
-        [lo for lo, _, _ in merged], [p for _, _, p in merged]
+    g = math.gcd(los[-1], *[lo for lo, _, _ in merged])
+    assert coalesce(los[-1], ((lo, p) for lo, _, p in pieces)) == (
+        los[-1] // g, [lo // g for lo, _, _ in merged], [p for _, _, p in merged]
     )
 
 
@@ -652,7 +654,7 @@ def test_integer_kernels_match_fraction_references_bit_for_bit(e, f, g, gate, sc
     assert f * g == ref_mul(f, g)
     product = ref_mul(f, ref_conj(g))
     assert fold(e, f, g) == ref_sum([ref_dilate_branch(product, e, j) for j in range(e.N)])
-    assert gated_sum([f, g], gate, scale) == ref_restrict(ref_scale(ref_sum([f, g]), scale), gate)
+    assert gated_sum([f, g], gate) == ref_restrict(ref_sum([f, g]), gate)
     assert dilated_branch(f, e, k) == ref_dilate_branch(f, e, k)
     compressed = [ref_scale(ref_compress_branch(h, e, j), scale) for h, j in ((f, k), (g, 0))]
     assert gated_compress([(f, k), (g, 0)], e, gate, scale) == ref_restrict(

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmra.jsonio import CENTERED, rat_str, torus_set_to_json
-from gmra.torus import TorusEndomorphism, TorusSet, cell_at, grid_cells, mod1, wrap
+from gmra.torus import (
+    TorusEndomorphism, TorusSet, cell_at, grid_cells, lay, mod1, overlay, refine, wrap,
+)
 from gmra.trigpoly import TrigPoly
 
 from conftest import random_torus_set
@@ -384,3 +386,48 @@ class TestPointLocation:
             st.floats(-4, 4).filter(lambda x: min(abs(x % 1.0 - b) for b in bounds) > 1e-9),
             max_size=20)) + bounds[:-1])
         assert np.array_equal(p.sample(xs), masked_sample(p, xs))
+
+
+@st.composite
+def payload_tilings(draw, den, tag):
+    """An ascending tiling of [0, den), cell i as (lo, hi, (tag, i)) or (lo, hi, ())."""
+    los = [0, *sorted(draw(st.sets(st.integers(1, den - 1), max_size=5)) if den > 1 else [])]
+    return [(lo, hi, () if draw(st.booleans()) else (tag, i))
+            for i, (lo, hi) in enumerate(zip(los, los[1:] + [den]))]
+
+
+@st.composite
+def sorted_spans(draw):
+    """(den, spans): nonempty (lo, hi, i) spans over den sorted by lo, every other segment
+    between drawn cut points, plus at times one more span anywhere, which may overlap."""
+    den = draw(st.integers(1, 24))
+    points = sorted(draw(st.sets(st.integers(0, den), max_size=8)))
+    pairs = list(zip(points, points[1:]))[draw(st.integers(0, 1))::2]
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, den - 1))
+        pairs.append((lo, draw(st.integers(lo + 1, den))))
+    pairs.sort(key=lambda pair: pair[0])
+    return den, [(lo, hi, i) for i, (lo, hi) in enumerate(pairs)]
+
+
+class TestWalks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24), st.data())
+    def test_refine_is_the_overlay_of_two_tilings(self, den, data):
+        """Every cell of the common refinement with both payloads, empty ones included."""
+        a, b = data.draw(payload_tilings(den, "a")), data.draw(payload_tilings(den, "b"))
+        got = [(lo, hi, [pa, pb]) for lo, hi, pa, pb in refine(a, b, den)]
+        assert got == [(lo, hi, ps) for lo, hi, ps in overlay(a + b, den)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sorted_spans())
+    def test_lay_is_the_overlay_of_disjoint_spans(self, case):
+        """Each span's cell with its payload and None on the gaps; an overlap raises."""
+        den, spans = case
+        cells = list(overlay(spans, den))
+        if any(len(ps) > 1 for _, _, ps in cells):
+            with pytest.raises(ValueError, match="overlap"):
+                list(lay(spans, den))
+        else:
+            want = [(lo, hi, ps[0] if ps else None) for lo, hi, ps in cells]
+            assert list(lay(spans, den)) == want

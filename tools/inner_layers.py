@@ -1,5 +1,5 @@
-"""Per-layer times of the L2 inner products, the fold sweep and the grid layer, parent
-against change: prints one JSON document.
+"""Per-layer times of the L2 inner products, the fold sweep, the interval walks and the
+grid layer, parent against change: prints one JSON document.
 
 Run from the repository root, before the change is committed:
 
@@ -24,6 +24,11 @@ the best of ``REPEATS`` calls in a turn and of all turns, in milliseconds:
 - all three tables of each task of the seed-``SEED`` ``identities`` pool
   (``identities_tables``), and its ``apply_S_adjoint(H, S_H f)`` on the
   drawn section f (``identities_adjoint``);
+- the interval walks (``sweep_layers``), per task of the seed-``SEED`` pools:
+  ``*``, ``-`` and ``inner`` over the distinct entry pairs (f, g), f not g, of
+  the three fold tables of each ``identities`` task, ``restrict`` of each entry
+  of its H to each row set, and its ``random_section``; and, per ``ledger``
+  task, ``pull_back_level`` of a seeded section of every level of the ledger;
 - the grid layer (``grid_layers``), for the systems of ``GRID_SYSTEMS`` at each
   grid of ``GRIDS`` and for each task of the seed-``SEED`` ``grid`` pool at its
   own grid: ``complement_numeric`` on H parsed anew before each call,
@@ -61,6 +66,7 @@ FOLD_NS = (2, 4, 5, 8, 16)
 FOLD_ARCS = 4
 FOLD_CATALOG = ("haar", "cohen", "shannon")
 POOL_ROWS = ("ledger_norm", "section_norm", "identities_tables", "identities_adjoint")
+SWEEP_ROWS = ("mul", "sub", "inner", "restrict", "random_section", "pull_back_level")
 GRID_SYSTEMS = ("haar", "journe", "cantor3", "dft_haar5")
 GRIDS = (256, 1024, 4096, 16384)
 GRID_DEGREE = 4
@@ -91,6 +97,31 @@ def all_tables(p) -> None:
     h_tables(p)
     if p.G is not None:
         g_tables(p)
+
+
+def entry_pairs(p) -> list:
+    """The distinct (f, g) entry pairs, f not g, that the three fold tables of p fold."""
+    pairs = []
+    for F, K in ((p.H, p.H), (p.G, p.G), (p.G, p.H)) if p.G is not None else ((p.H, p.H),):
+        cols = range(min(F.cols, K.cols))
+        pairs += [(F.entry(i, j), K.entry(k, j))
+                  for i in range(F.rows) for k in range(K.rows) for j in cols]
+    return [(f, g) for f, g in pairs if f is not g]
+
+
+def sweep_times(p, task, ruelle, trigpoly) -> dict:
+    """The best time of each walk row but ``pull_back_level`` on the identities problem p."""
+    pairs, H = entry_pairs(p), p.H
+    sets, seed, degree = tuple(H.row_sets), task.params["seed"], task.params["degree"]
+    entries = [h for row in H.entries for h in row]
+    return {
+        "mul": best_ms(lambda: [f * g for f, g in pairs]),
+        "sub": best_ms(lambda: [f - g for f, g in pairs]),
+        "inner": best_ms(lambda: [trigpoly.inner(f, g) for f, g in pairs]),
+        "restrict": best_ms(lambda: [h.restrict(s) for h in entries for s in sets]),
+        "random_section": best_ms(
+            lambda: ruelle.random_section(sets, random.Random(seed), degree)),
+    }
 
 
 def grid_times(load, text: str, grid: int, section=None, seed: int = SEED) -> dict:
@@ -131,20 +162,27 @@ def measure(tree: str) -> dict:
         degrees[str(degree)] = best_ms(lambda: trigpoly.inner(f, f))
 
     pool = workloads.Workload("ledger", SEED)
-    ledger = []
+    ledger, sweeps = [], {row: [] for row in SWEEP_ROWS}
     for task in pool.tasks:
         p = pool.load(task.texts[0])
         g = builder.build(p.m, p.H, p.G, p.e, depth=task.params["depth"],
                           tol=p.options["tolerance"])
-        v = builder.random_ledger_vector(g, random.Random(task.params["seed"]),
-                                         degree=workloads.LEDGER_VECTOR_DEGREE)
+        rng = random.Random(task.params["seed"])
+        v = builder.random_ledger_vector(g, rng, degree=workloads.LEDGER_VECTOR_DEGREE)
         ledger.append(best_ms(lambda: builder.ledger_norm(g, v)))
+        levels = [ruelle.random_section(tuple(s.base for s in slots), rng,
+                                        workloads.LEDGER_VECTOR_DEGREE).components
+                  for slots in g.w_levels]
+        sweeps["pull_back_level"].append(best_ms(
+            lambda: [builder.pull_back_level(g, n, comps) for n, comps in enumerate(levels)]))
 
     pool = workloads.Workload("identities", SEED)
     sections, tables, adjoints = [], [], []
     for task in pool.tasks:
         text = task.texts[1]
         H = pool.load(text).H
+        for row, ms in sweep_times(pool.load(text), task, ruelle, trigpoly).items():
+            sweeps[row].append(ms)
         section = ruelle.random_section(tuple(H.row_sets), random.Random(task.params["seed"]),
                                         task.params["degree"])
         lifted = ruelle.apply_S(H, section)
@@ -183,7 +221,8 @@ def measure(tree: str) -> dict:
             grid_pool[layer].append(ms)
     return {"inner_ms_by_degree": degrees, "fold_tables": folds, "ledger_norm": ledger,
             "section_norm": sections, "identities_tables": tables,
-            "identities_adjoint": adjoints, "grid_systems": grids, "grid_pool": grid_pool}
+            "identities_adjoint": adjoints, "grid_systems": grids, "grid_pool": grid_pool,
+            "sweeps": sweeps}
 
 
 def pooled(times: list[float]) -> dict:
@@ -198,6 +237,9 @@ def summary(turns: list[dict]) -> dict:
            for key in ("inner_ms_by_degree", "fold_tables")}
     for key in POOL_ROWS:
         out[key] = pooled([min(call) for call in zip(*(t[key] for t in turns))])
+    out["sweep_layers"] = {row: pooled([min(call) for call in zip(*(t["sweeps"][row]
+                                                                    for t in turns))])
+                           for row in SWEEP_ROWS}
     out["grid_layers"] = {
         "systems": {row: {layer: round(min(t["grid_systems"][row][layer] for t in turns), 4)
                           for layer in GRID_LAYERS}
@@ -216,6 +258,9 @@ def speedups(parent: dict, change: dict) -> dict:
     for key in POOL_ROWS:
         out[key] = {stat: ratio(parent[key][stat], change[key][stat])
                     for stat in ("median_ms", "total_ms")}
+    out["sweep_layers"] = {row: {stat: ratio(parent["sweep_layers"][row][stat], stats[stat])
+                                 for stat in ("median_ms", "total_ms")}
+                           for row, stats in change["sweep_layers"].items()}
     grids = parent["grid_layers"], change["grid_layers"]
     out["grid_layers"] = {
         "systems": {row: {layer: ratio(grids[0]["systems"][row][layer], t)
