@@ -48,7 +48,7 @@ from .multiplicity import (
     sigma_sets,
 )
 from .ruelle import SectionVector, apply_S, apply_S_adjoint, random_section
-from .torus import TorusEndomorphism, TorusSet
+from .torus import GRID_BLOCK, TorusEndomorphism, TorusSet
 from .trigpoly import TrigPoly, _inners, gated_compress
 
 
@@ -406,6 +406,28 @@ CASCADE_ITERS = 40
 CASCADE_SAMPLES = 1024
 
 
+def _dilated(xs: np.ndarray, N: int, levels: range) -> np.ndarray:
+    """The points xs / N^j, |x| <= 1/2, one row per level j of ``levels``.
+
+    While N^j is a float, a row is the float quotient.  Past the float range the quotient
+    is rounded once from the integer ratio of x, to a subnormal or ±0, without N^j ever
+    becoming a float; from N^j >= 2^1074 on it is ±0, as |x| / N^j <= 2^-1075 rounds to
+    even.
+    """
+    rows = np.empty((len(levels), len(xs)))
+    for row, j in zip(rows, levels):
+        try:
+            np.divide(xs, float(N**j), out=row)
+        except OverflowError:
+            big = N**j
+            if big.bit_length() > 1074:
+                np.copysign(0.0, xs, out=row)
+            else:
+                row[:] = [math.copysign(p / (q * big), x)
+                          for x in xs.tolist() for p, q in [x.as_integer_ratio()]]
+    return rows
+
+
 @dataclass(frozen=True)
 class CascadeResult:
     omegas: np.ndarray
@@ -426,6 +448,14 @@ def cascade_diagnostic(
     P_J(w) = prod_{j=1..J} h(w / N^j) / sqrt(N), sampled at ``samples``
     uniform points.  Degenerates when the products die; converges when the
     last five increments stay below 1e-8 in sup norm.
+
+    The levels go in chunks of at most ``CASCADE_ITERS * GRID_BLOCK`` points (one level
+    when a level is larger), so the default cascade is one chunk and memory stays bounded
+    at any ``iters * samples``.  Each chunk is one ``sample`` call; each level's product
+    is (P_{j-1} * h) * scale, and a chunk's increments and peaks are one reduction each.
+    Every value is that of taking the levels one by one: the products are the same two
+    multiplies, and a max is exact.  A level whose N^j passes the float range takes the
+    exactly rounded quotients as its points (see ``_dilated``).
     """
     if iters < 1 or samples < 1:
         raise ValueError(f"iters and samples must be >= 1, got {iters} and {samples}")
@@ -437,16 +467,21 @@ def cascade_diagnostic(
         h = h.entry(0, 0)
     xs = np.linspace(-0.5, 0.5, samples)
     scale = 1.0 / math.sqrt(e.N)
-    prod = np.ones(samples, dtype=complex)
-    diffs = []
-    peaks = []
-    # every level's h(w / N^j) in one sampling call, one row per level
-    dilations = np.array([float(e.N**j) for j in range(1, iters + 1)])
-    for level in h.sample(xs / dilations[:, None]):
-        prev = prod
-        prod = prod * level * scale
-        diffs.append(float(np.abs(prod - prev).max()))
-        peaks.append(float(np.abs(prod).max()))
+    chunk = max(1, CASCADE_ITERS * GRID_BLOCK // samples)  # levels per chunk
+    # row k holds P_{first+k-1}; row 0 carries the product from one chunk to the next
+    prods = np.empty((min(chunk, iters) + 1, samples), dtype=complex)
+    prods[0] = 1.0
+    diffs, peaks = [], []
+    for first in range(1, iters + 1, chunk):
+        levels = h.sample(_dilated(xs, e.N, range(first, min(first + chunk, iters + 1))))
+        for k, level in enumerate(levels, 1):
+            np.multiply(prods[k - 1], level, out=prods[k])
+            prods[k] *= scale
+        done = prods[: len(levels) + 1]
+        diffs += np.abs(done[1:] - done[:-1]).max(axis=1).tolist()
+        peaks += np.abs(done[1:]).max(axis=1).tolist()
+        prods[0] = done[-1]
+    prod = prods[0].copy()
     peak = peaks[-1]
     h0 = h.evaluate(Fraction(0))
     stabilized = len(diffs) >= 5 and max(diffs[-5:]) < 1e-8

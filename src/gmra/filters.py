@@ -403,8 +403,13 @@ def _complete_run(basis: np.ndarray, mw: int, mt: int) -> np.ndarray:
     row until it has mt; slots not yet filled are zero and project nothing
     off, so every point follows the pointwise pivot rule.  Returns the
     number of rows found at each point.
+
+    Only the slots below mw + found.max() are projected off: the later ones are +0
+    at every point of the run.  u starts from +0 and 1.0 and only subtracts, and
+    x - y is -0 only for x = -0, so u never holds -0 and subtracting a zero
+    projection from it changes no bit.
     """
-    points, slots, dim = basis.shape
+    points, _, dim = basis.shape
     found = np.zeros(points, dtype=int)
     for d in range(dim):
         open_ = found < mt
@@ -412,8 +417,9 @@ def _complete_run(basis: np.ndarray, mw: int, mt: int) -> np.ndarray:
             break
         u = np.zeros((points, dim), dtype=complex)
         u[:, d] = 1.0
+        filled = mw + found.max()
         for _ in range(2):  # twice for numerical stability
-            for v in range(slots):
+            for v in range(filled):
                 vec = basis[:, v]
                 u -= np.einsum("pd,pd->p", vec.conj(), u)[:, None] * vec
         norms = np.linalg.norm(u, axis=1)

@@ -38,9 +38,9 @@ def rat_str(x: Fraction) -> str:
 _RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def _parse_ratio(text, path) -> tuple[int, int]:
+def _ratio(text) -> tuple[int, int]:
     """The reduced (numerator, denominator) of "p/q" or "p" text, the denominator within
-    ``INT_BOUNDS``."""
+    ``INT_BOUNDS``; a ValueError with the message otherwise."""
     try:
         if not _RATIONAL.fullmatch(str(text)):
             raise ValueError('expected "p/q" or "p"')
@@ -49,18 +49,21 @@ def _parse_ratio(text, path) -> tuple[int, int]:
         if den == 0:
             raise ZeroDivisionError(f"Fraction({num}, 0)")
     except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemFileError(path, f"not a rational: {text!r} ({exc})") from None
+        raise ValueError(f"not a rational: {text!r} ({exc})") from None
     g = math.gcd(num, den)
     try:
         check_setting("denominator", den // g)
     except ValueError as exc:
-        raise ProblemFileError(path, f"denominator of {text!r}: {exc}") from None
+        raise ValueError(f"denominator of {text!r}: {exc}") from None
     return num // g, den // g
 
 
 def parse_rat(text, path="value") -> Fraction:
     """A rational from "p/q" or "p" text, its denominator within ``INT_BOUNDS``."""
-    return Fraction(*_parse_ratio(text, path))
+    try:
+        return Fraction(*_ratio(text))
+    except ValueError as exc:
+        raise ProblemFileError(path, str(exc)) from None
 
 
 def torus_set_to_json(ts: TorusSet, convention: str = UNIT) -> list:
@@ -74,11 +77,11 @@ def torus_set_to_json(ts: TorusSet, convention: str = UNIT) -> list:
     return [[rat_str(lo), rat_str(hi)] for lo, hi in pairs]
 
 
-def _parse_interval(data, path, read=parse_rat) -> tuple:
-    """The rationals of a ["lo", "hi"] pair, each as ``read`` returns it."""
+def _parse_interval(data, path) -> tuple[Fraction, Fraction]:
+    """The rationals of a ["lo", "hi"] pair."""
     if not isinstance(data, list) or len(data) != 2:
         raise ProblemFileError(path, "expected [lo, hi]")
-    return read(data[0], f"{path}[0]"), read(data[1], f"{path}[1]")
+    return parse_rat(data[0], f"{path}[0]"), parse_rat(data[1], f"{path}[1]")
 
 
 def parse_torus_set(data, path="set") -> TorusSet:
@@ -133,27 +136,55 @@ def trigpoly_to_json(f: TrigPoly, convention: str = UNIT) -> dict:
 
 
 def parse_trigpoly(data, path="entry") -> TrigPoly:
+    return _parse_trigpoly(data, path, {})
+
+
+_PIECE = ".pieces[{}]"
+_TERM = ".pieces[{}].terms[{}]"
+
+
+def _parse_trigpoly(data, path, ratios: dict) -> TrigPoly:
+    """``parse_trigpoly``, with ``ratios`` the memo of the ratio texts read so far in one
+    filter or problem: only str texts, which parse alike wherever they stand, are kept
+    (the int 1 would read as "1", but True, equal to it, must fail).  An error's path is
+    formatted only when it is raised, so a text bad in two places reports the first."""
+
+    def ratio(text, where: str, *at) -> tuple[int, int]:
+        pair = ratios.get(text) if type(text) is str else None
+        if pair is None:
+            try:
+                pair = _ratio(text)
+            except ValueError as exc:
+                raise ProblemFileError(path + where.format(*at), str(exc)) from None
+            if type(text) is str:
+                ratios[text] = pair
+        return pair
+
     if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ProblemFileError(path, "expected {pieces: [...]}")
     raw = []  # ((lo, q), (hi, q'), [((n, d), c)]) per declared piece, all ints
     for idx, piece in enumerate(data["pieces"]):
-        here = f"{path}.pieces[{idx}]"
         if not (isinstance(piece, dict) and "interval" in piece
                 and isinstance(piece.get("terms", []), list)):
-            raise ProblemFileError(here, "expected {interval, terms: [...]}")
-        lo, hi = _parse_interval(piece["interval"], f"{here}.interval", _parse_ratio)
+            raise ProblemFileError(path + _PIECE.format(idx), "expected {interval, terms: [...]}")
+        interval = piece["interval"]
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise ProblemFileError(path + _PIECE.format(idx) + ".interval", "expected [lo, hi]")
+        lo = ratio(interval[0], _PIECE + ".interval[0]", idx)
+        hi = ratio(interval[1], _PIECE + ".interval[1]", idx)
         terms = []
         for tdx, term in enumerate(piece.get("terms", [])):
-            there = f"{here}.terms[{tdx}]"
             if not isinstance(term, dict) or "freq" not in term:
-                raise ProblemFileError(there, "expected {freq, re, im}")
-            freq = _parse_ratio(term["freq"], f"{there}.freq")
+                raise ProblemFileError(path + _TERM.format(idx, tdx), "expected {freq, re, im}")
+            freq = ratio(term["freq"], _TERM + ".freq", idx, tdx)
             try:
                 coef = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
             except (TypeError, ValueError):
-                raise ProblemFileError(there, "re/im must be numbers") from None
+                raise ProblemFileError(path + _TERM.format(idx, tdx),
+                                       "re/im must be numbers") from None
             if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
-                raise ProblemFileError(there, f"re/im must be finite, got {coef}")
+                raise ProblemFileError(path + _TERM.format(idx, tdx),
+                                       f"re/im must be finite, got {coef}")
             terms.append((freq, coef))
         raw.append((lo, hi, terms))
     den = math.lcm(*(q for lo, hi, _ in raw for _, q in (lo, hi)))
@@ -175,6 +206,11 @@ def filter_to_json(F: FilterMatrix, convention: str = UNIT) -> list:
 
 
 def parse_filter(data, m, e, rows_follow, path="filter") -> FilterMatrix:
+    return _parse_filter(data, m, e, rows_follow, path, {})
+
+
+def _parse_filter(data, m, e, rows_follow, path, ratios: dict) -> FilterMatrix:
+    """``parse_filter``, its entries sharing the ratio memo ``ratios``."""
     if not isinstance(data, list) or not data:
         raise ProblemFileError(path, "expected a non-empty nested list of entries")
     rows = []
@@ -188,7 +224,7 @@ def parse_filter(data, m, e, rows_follow, path="filter") -> FilterMatrix:
             raise ProblemFileError(f"{path}[{i}]", "ragged matrix")
         rows.append(
             tuple(
-                parse_trigpoly(cell, f"{path}[{i}][{j}]") for j, cell in enumerate(row)
+                _parse_trigpoly(cell, f"{path}[{i}][{j}]", ratios) for j, cell in enumerate(row)
             )
         )
     return FilterMatrix(tuple(rows), m, e, rows_follow)
@@ -277,13 +313,14 @@ def parse_problem(data, path="problem") -> ProblemInput:
     m = parse_multiplicity(data["multiplicity"], f"{path}.multiplicity")
     H = G = None
     filters = data.get("filters") or {}
+    ratios = {}  # the ratio memo of both filters
     if filters:
         if not isinstance(filters, dict):
             raise ProblemFileError(f"{path}.filters", "expected an object")
         if filters.get("H") is not None:
-            H = parse_filter(filters["H"], m, e, "m", f"{path}.filters.H")
+            H = _parse_filter(filters["H"], m, e, "m", f"{path}.filters.H", ratios)
         if filters.get("G") is not None:
-            G = parse_filter(filters["G"], m, e, "mtilde", f"{path}.filters.G")
+            G = _parse_filter(filters["G"], m, e, "mtilde", f"{path}.filters.G", ratios)
     options = dict(_DEFAULT_OPTIONS)
     raw_options = data.get("options") or {}
     if not isinstance(raw_options, dict):

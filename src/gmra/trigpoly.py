@@ -274,7 +274,6 @@ def _sup_bound(tiles) -> float:
 
 _GATE = object()  # overlay payload of a gate interval
 _MINUS_ONE = complex(-1)
-_TWO_PI_I = 2j * math.pi
 
 
 def _tiled(den: int, fden: int, cells) -> "TrigPoly":
@@ -457,8 +456,20 @@ class TrigPoly:
         kind) and the points are exactly p/den: ``grid_cells`` locates them and
         ``_terms_values`` evaluates them, so the values are those of ``evaluate`` bit for
         bit.  Without ``den``, ``xs`` are real points of any shape, reduced mod 1, located
-        by ``searchsorted`` over lo/den (a point that ``% 1.0`` rounds up to 1.0 falls in
-        the last cell) and evaluated with ``np.exp``.
+        by ``searchsorted`` over lo/den (a point that the reduction rounds up to 1.0, such
+        as -1e-20, falls in the last cell) and evaluated term by term.  The values are
+        those of ``sum(c * np.exp(2j * np.pi * (n / fden) * (x % 1.0)))`` bit for bit:
+
+        - ``x - floor(x)`` is numpy's ``x % 1.0``: both subtract the same integer from x
+          once, exactly, so the one rounding is the same;
+        - the exponent's imaginary part is y = (tau * (n / fden)) * x and its real part
+          ±0, so ``np.exp`` is (cos y, sin y), which ``np.cos`` and ``np.sin`` give at a
+          third of the cost (numpy's float cos and sin round as its complex exp does;
+          ``tests/test_trigpoly.py`` holds the sampler to the definition);
+        - a term with n = 0 adds c itself: c * (1 + 0j) differs from c in zero signs only,
+          and the sum starts at +0 and never holds -0, so adding either gives one result.
+
+        Each cell's points are found once.
         """
         shape = np.shape(xs)  # the points are flattened, the values reshaped
         if den is not None:
@@ -466,20 +477,28 @@ class TrigPoly:
             rows = [(self.fden, terms) for _, _, terms in self.cells]
             where = grid_cells(self.cells, self.den, ps, den)
             return _terms_values(rows, where, ps, den).reshape(shape)
-        xs = np.asarray(xs, dtype=float).ravel() % 1.0
+        xs = np.asarray(xs, dtype=float).ravel()
+        xs = xs - np.floor(xs)
         where = np.searchsorted([lo / self.den for lo, _, _ in self.cells], xs, "right") - 1
         out = np.zeros(len(xs), dtype=complex)
-        for start in range(0, len(xs), GRID_BLOCK):
-            block = slice(start, start + GRID_BLOCK)
-            for index, (_, _, terms) in enumerate(self.cells):
-                here = where[block] == index
-                if not terms or not here.any():
-                    continue
-                at = xs[block][here]
-                acc = np.zeros(at.shape, dtype=complex)
+        for index, (_, _, terms) in enumerate(self.cells):
+            if not terms:
+                continue
+            points = np.flatnonzero(where == index)
+            for start in range(0, len(points), GRID_BLOCK):
+                block = points[start : start + GRID_BLOCK]
+                at = xs[block]
+                acc = np.zeros(len(at), dtype=complex)
+                phase = np.empty(len(at), dtype=complex)
                 for n, c in terms:
-                    acc += c * np.exp(_TWO_PI_I * (n / self.fden) * at)
-                out[block][here] = acc
+                    if n == 0:
+                        acc += c
+                        continue
+                    y = (math.tau * (n / self.fden)) * at
+                    np.cos(y, out=phase.real)
+                    np.sin(y, out=phase.imag)
+                    acc += c * phase
+                out[block] = acc
         return out.reshape(shape)
 
     # ---- structure -------------------------------------------------------

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -10,7 +12,7 @@ from conftest import circle_sets, compressed_branch, conjugated, dilated_branch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmra import catalog
+from gmra import builder, catalog
 from gmra.builder import (
     CONVERGENT_NONZERO,
     DEGENERATES_TO_ZERO,
@@ -657,6 +659,64 @@ class TestCascade:
         assert res.values.tobytes() == values.tobytes()
         assert res.diagnostics["last_increments"] == diffs[-5:]
         assert res.diagnostics["max_modulus"] == peaks[-1]
+
+    @pytest.mark.parametrize("block", [1, 8, 20, 100])
+    @pytest.mark.parametrize("name", ["haar", "cantor3", "haar3_2wavelet", "haar_negated"])
+    def test_chunks_give_the_one_chunk_cascade(self, monkeypatch, name, block):
+        """Levels sampled in chunks of 40 * block points carry the product across chunks:
+        the values and diagnostics are those of one chunk, bit for bit."""
+        entry = catalog.get(name)
+        whole = cascade_diagnostic(entry.H, entry.e, iters=37, samples=129)
+        monkeypatch.setattr(builder, "GRID_BLOCK", block)  # 1 to 31 levels a chunk
+        res = cascade_diagnostic(entry.H, entry.e, iters=37, samples=129)
+        assert res.values.tobytes() == whole.values.tobytes()
+        assert res.diagnostics == whole.diagnostics and res.verdict == whole.verdict
+
+    def test_memory_stays_within_a_chunk(self, monkeypatch):
+        """256 levels of 2048 points, one level a chunk: the peak allocation is a few
+        levels, far below the 8 MB of one complex array over every level."""
+        entry = catalog.get("haar")
+        monkeypatch.setattr(builder, "GRID_BLOCK", 64)
+        tracemalloc.start()
+        try:
+            res = cascade_diagnostic(entry.H, entry.e, iters=256, samples=2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.verdict == CONVERGENT_NONZERO
+        assert peak < 1_000_000
+
+    def test_levels_past_the_float_range_are_divided_exactly(self):
+        """For N = 16 and 256 levels, 16^256 = 2^1024 is past the largest float: the last
+        level's points are w / 2^1024, subnormal or ±0, and every earlier level keeps its
+        bits."""
+        N = 16
+        h = TrigPoly.from_pieces([(0, 1, [(F(-k), 1 / math.sqrt(N)) for k in range(N)])])
+        e = TorusEndomorphism(N)
+        res = cascade_diagnostic(h, e, iters=256, samples=65)
+        before = cascade_diagnostic(h, e, iters=255, samples=65)
+        assert res.verdict == before.verdict == CONVERGENT_NONZERO
+        last = before.values * h.sample(np.ldexp(res.omegas, -1024)) * (1 / math.sqrt(N))
+        assert res.values.tobytes() == last.tobytes()
+        increments = res.diagnostics["last_increments"]
+        assert increments[:4] == before.diagnostics["last_increments"][1:]
+
+    @pytest.mark.parametrize("N", [17, 100, 2**10])
+    def test_points_past_the_float_range_are_rounded_once(self, N):
+        """Each point w / N^j past the float range is the correctly rounded quotient of the
+        rationals, its sign that of w; from N^j >= 2^1074 on, ±0."""
+        xs = np.linspace(-0.5, 0.5, 101)
+        first = next(j for j in itertools.count(1) if N**j >= 2**1024)
+        levels = range(first - 1, first + 1100 // N.bit_length())
+        rows = builder._dilated(xs, N, levels)
+        assert rows[0].tobytes() == (xs / float(N ** (first - 1))).tobytes()
+        for row, j in zip(rows[1:], levels[1:]):
+            want = [math.copysign(float(F(x) / N**j), x) for x in xs.tolist()]
+            assert row.tobytes() == np.array(want).tobytes()
+        assert not rows[-1].any()
+        res = cascade_diagnostic(TrigPoly.constant(math.sqrt(N)), TorusEndomorphism(N),
+                                 iters=256, samples=9)
+        assert res.verdict == CONVERGENT_NONZERO
 
     @pytest.mark.parametrize("iters, samples", [(0, 256), (40, 0), (-1, -1)])
     def test_empty_cascade_refused(self, iters, samples):

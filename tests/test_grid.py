@@ -7,14 +7,16 @@ match: they evaluate every entry at every grid point with the exact
 
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmra import catalog
+from gmra import catalog, filters
 from gmra.errors import CompletionFailed, ContextMismatch
 from gmra.filters import (
     FilterMatrix,
@@ -354,3 +356,70 @@ def test_grid_layer_does_not_evaluate_per_point(monkeypatch):
         counts.append(len(calls))
     # exact multiplicity work (mtilde cells) does not grow with the grid
     assert counts[0] == counts[1]
+
+
+# ---- completion: the documented projection order ---------------------------------
+
+
+def all_slots_complete_run(basis, mw, mt):
+    """``_complete_run`` as first written: every canonical vector is projected off every
+    slot, twice, filled or not.  The documented-order reference of the completion: the
+    slots no point has filled are +0 and take nothing off."""
+    points, slots, dim = basis.shape
+    found = np.zeros(points, dtype=int)
+    for d in range(dim):
+        open_ = found < mt
+        if not open_.any():
+            break
+        u = np.zeros((points, dim), dtype=complex)
+        u[:, d] = 1.0
+        for _ in range(2):
+            for v in range(slots):
+                vec = basis[:, v]
+                u -= np.einsum("pd,pd->p", vec.conj(), u)[:, None] * vec
+        norms = np.linalg.norm(u, axis=1)
+        take = np.flatnonzero(open_ & (norms > filters.PIVOT_TOL))
+        basis[take, mw + found[take]] = u[take] / norms[take, None]
+        found[take] += 1
+    return found
+
+
+def grid_pool_problems(seeds):
+    """(label, H, grid) of each distinct problem text and grid of the benchmark's ``grid``
+    pools of ``seeds``."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    out = {}
+    for seed in seeds:
+        pool = workloads.Workload("grid", seed)
+        for task in pool.tasks:
+            key = (task.texts[0], task.params["grid"])
+            if key not in out:
+                out[key] = (f"grid:{seed} {task.label}", pool.load(task.texts[0]).H, key[1])
+    return list(out.values())
+
+
+def test_completion_projects_off_the_filled_slots_only_bit_for_bit(monkeypatch):
+    """Skipping the slots no point has filled gives the G samples and residuals of
+    projecting off all of them, on the catalog and the ``grid`` pools of seeds 1 and 2."""
+    cases = [(name, catalog.get(name).H, grid) for name in catalog.names() for grid in (24, 100)]
+    cases += grid_pool_problems((1, 2))
+    got = {}
+    for label, H, grid in cases:
+        try:
+            got[label, grid] = complement_numeric(H, grid=grid)
+        except CompletionFailed as exc:
+            got[label, grid] = str(exc)
+    monkeypatch.setattr(filters, "_complete_run", all_slots_complete_run)
+    for label, H, grid in cases:
+        try:
+            G, report = complement_numeric(H, grid=grid)
+        except CompletionFailed as exc:
+            assert got[label, grid] == str(exc), label
+            continue
+        G_new, report_new = got[label, grid]
+        assert G_new.samples.tobytes() == G.samples.tobytes(), label
+        assert report_new.identities == report.identities, label

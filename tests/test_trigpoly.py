@@ -391,6 +391,54 @@ class TestIntegerForm:
         assert not r.is_zero()
 
 
+def float_sample_by_definition(f: TrigPoly, xs) -> np.ndarray:
+    """The float path as defined: each point x reduced by numpy's ``% 1.0``, its cell found
+    by ``searchsorted`` over lo/den, its value sum c * exp(2j*pi*(n/fden)*x) added in term
+    order from +0."""
+    x = np.asarray(xs, dtype=float) % 1.0
+    where = np.searchsorted([lo / f.den for lo, _, _ in f.cells], x, "right") - 1
+    out = np.zeros(x.shape, dtype=complex)
+    for index, (_, _, terms) in enumerate(f.cells):
+        here = where == index
+        for n, c in terms:
+            out[here] += c * np.exp(2j * np.pi * (n / f.fden) * x[here])
+    return out
+
+
+SPECIAL_POINTS = [-0.0, 0.0, -1e-20, -1e-300, 5e-324, -5e-324, 1.0, -1.0, 2.0, -3.0, 7.0,
+                  1 - 2**-53, -(1 - 2**-53), 0.5, -0.5, 2.0**53, -(2.0**53)]
+float_coefs = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False) | \
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -1.0),
+                     complex(-1.0, -0.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda den: st.tuples(
+        st.just(den), st.sets(st.integers(1, den - 1), max_size=den - 1) if den > 1
+        else st.just(set()))),
+    st.lists(st.lists(st.tuples(st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]), float_coefs),
+                      max_size=4), min_size=12, max_size=12),
+    st.lists(st.floats(-4, 4, allow_nan=False, allow_subnormal=True), max_size=40),
+    st.booleans(),
+)
+def test_float_sample_is_the_definition_bit_for_bit(cuts, raw, points, two_d):
+    """Reduction by x - floor(x), phases by cos and sin, and n = 0 terms added as c give the
+    bits of the one-line definition: at signed zeros, -1e-20 (which reduces to 1.0, the
+    last cell), integers, 1 - 2^-53, every breakpoint lo/den, on empty cells and in 2-D."""
+    den, inner_cuts = cuts
+    bounds = [0, *sorted(inner_cuts), den]
+    f = TrigPoly.from_pieces([(F(lo, den), F(hi, den), [(F(n, d), c) for n, d, c in terms])
+                              for (lo, hi), terms in zip(zip(bounds, bounds[1:]), raw)])
+    xs = np.array(SPECIAL_POINTS + [lo / f.den for lo, _, _ in f.cells]
+                  + [lo / f.den - 1 for lo, _, _ in f.cells] + points)
+    if two_d and len(xs) % 2 == 0:
+        xs = xs.reshape(2, -1)
+    got = f.sample(xs)
+    assert got.shape == xs.shape
+    assert got.tobytes() == float_sample_by_definition(f, xs).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(circle_sets(), st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]),
                                          st.complex_numbers(max_magnitude=2)), max_size=4))

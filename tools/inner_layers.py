@@ -35,7 +35,11 @@ the best of ``REPEATS`` calls in a turn and of all turns, in milliseconds:
   ``verify_complementary_grid`` of the completion against that H (as a pool task
   runs it, after the completion), ``apply_S_grid`` on a seeded section of degree
   ``GRID_DEGREE`` (the pool task's own section in the pool rows), and the exact
-  ``TrigPoly.sample`` of every entry of H at the N * grid points of the fine grid.
+  ``TrigPoly.sample`` of every entry of H at the N * grid points of the fine grid;
+  and, per ``grid`` pool task that runs a cascade, ``cascade_diagnostic`` of each
+  diagonal entry the task cascades, on H parsed anew before each call, at the pool's
+  ``CASCADE_ITERS`` levels of ``CASCADE_SAMPLES`` points, and ``float_sample``, the
+  float ``TrigPoly.sample`` of the same entries at all those levels' points at once.
 
 The pool rows give the median and the sum over their calls; ``speedup`` is the
 parent's time over the change's.
@@ -70,7 +74,8 @@ SWEEP_ROWS = ("mul", "sub", "inner", "restrict", "random_section", "pull_back_le
 GRID_SYSTEMS = ("haar", "journe", "cantor3", "dft_haar5")
 GRIDS = (256, 1024, 4096, 16384)
 GRID_DEGREE = 4
-GRID_LAYERS = ("complement_numeric", "verify_complementary_grid", "apply_S_grid", "sample")
+GRID_LAYERS = ("complement_numeric", "verify_complementary_grid", "apply_S_grid", "sample",
+               "cascade_diagnostic", "float_sample")
 
 
 def best_ms(fn, fresh=None) -> float:
@@ -142,6 +147,32 @@ def grid_times(load, text: str, grid: int, section=None, seed: int = SEED) -> di
         "verify_complementary_grid": best_ms(lambda: filters.verify_complementary_grid(G, p.H)),
         "apply_S_grid": best_ms(lambda: ruelle.apply_S_grid(G, section)),
         "sample": best_ms(lambda: [h.sample(np.arange(fine), fine) for h in entries]),
+    }
+
+
+def cascade_times(load, text: str, kind: str, builder, workloads) -> dict:
+    """The best time of ``cascade_diagnostic`` and ``float_sample`` on the diagonal entries
+    that a ``grid`` pool task of ``kind`` cascades (none for a matrix system), H parsed
+    anew before each call; the grid rows of the systems do not take them."""
+    import numpy as np
+
+    p = load(text)
+    if p.H.is_scalar():
+        cells = (0,)
+    elif kind != "system":
+        cells = (0, 1)
+    else:
+        return {}
+    iters, samples = workloads.CASCADE_ITERS, workloads.CASCADE_SAMPLES
+    dilations = np.array([float(p.e.N**j) for j in range(1, iters + 1)])
+    points = np.linspace(-0.5, 0.5, samples) / dilations[:, None]
+    diagonal = lambda q: [q.H.entry(i, i) for i in cells]  # noqa: E731
+    return {
+        "cascade_diagnostic": best_ms(
+            lambda q: [builder.cascade_diagnostic(h, q.e, iters=iters, samples=samples)
+                       for h in diagonal(q)], lambda: load(text)),
+        "float_sample": best_ms(lambda q: [h.sample(points) for h in diagonal(q)],
+                                lambda: load(text)),
     }
 
 
@@ -219,6 +250,9 @@ def measure(tree: str) -> dict:
         for layer, ms in grid_times(pool.load, task.texts[0], task.params["grid"],
                                     section).items():
             grid_pool[layer].append(ms)
+        for layer, ms in cascade_times(pool.load, task.texts[0], task.params["kind"], builder,
+                                       workloads).items():
+            grid_pool[layer].append(ms)
     return {"inner_ms_by_degree": degrees, "fold_tables": folds, "ledger_norm": ledger,
             "section_norm": sections, "identities_tables": tables,
             "identities_adjoint": adjoints, "grid_systems": grids, "grid_pool": grid_pool,
@@ -242,7 +276,7 @@ def summary(turns: list[dict]) -> dict:
                            for row in SWEEP_ROWS}
     out["grid_layers"] = {
         "systems": {row: {layer: round(min(t["grid_systems"][row][layer] for t in turns), 4)
-                          for layer in GRID_LAYERS}
+                          for layer in turns[0]["grid_systems"][row]}
                     for row in turns[0]["grid_systems"]},
         "pool": {layer: pooled([min(call) for call in zip(*(t["grid_pool"][layer]
                                                              for t in turns))])
